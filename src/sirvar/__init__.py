@@ -10,7 +10,6 @@ variation, and the Wilcoxon signed-rank test.
 __version__ = "0.1.0"
 
 from .core import (
-    CompartmentState,
     EnsembleResult,
     SirParams,
     Trajectory,
@@ -19,11 +18,12 @@ from .core import (
     calibrate_contact_rate,
     default_params,
     derived_rates,
+    replicate_rng,
 )
-from .sd import integrate, sir_derivatives, weekly_sample
+from .sd import integrate, weekly_sample
 from .montecarlo import VariationSpec, run_sd_ensemble, sample_params
 from .network import NetworkGenParams, NetworkTopology, build_small_world
-from .abm import AgentState, Population, Status, run_abm, run_abm_ensemble, step_day
+from .abm import Population, Status, run_abm, run_abm_ensemble, step_day
 from .stats import (
     WeeklySummary,
     WilcoxonResult,
@@ -33,8 +33,6 @@ from .stats import (
 )
 
 __all__ = [
-    "AgentState",
-    "CompartmentState",
     "EnsembleResult",
     "NetworkGenParams",
     "NetworkTopology",
@@ -53,11 +51,11 @@ __all__ = [
     "derived_rates",
     "integrate",
     "median_series",
+    "replicate_rng",
     "run_abm",
     "run_abm_ensemble",
     "run_sd_ensemble",
     "sample_params",
-    "sir_derivatives",
     "step_day",
     "weekly_sample",
     "weekly_summary",

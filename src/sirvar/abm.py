@@ -17,20 +17,19 @@ Time advances in synchronous daily steps.  Within one day:
    day, which matches the ODE's linear recovery term in expectation and is
    the right mode for mean-field comparisons.
 
-Recovered agents never change state again.  Per-replicate randomness is
-derived from ``(master_seed, replicate_index, stream)`` so ensembles are
-reproducible no matter how many workers run them.
+Recovered agents never change state again.  Ensemble replicates draw
+their network and simulation randomness from
+:func:`sirvar.core.replicate_rng` streams and run through
+:func:`sirvar.core.run_replicates`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, WeeklySeries
+from .core import EnsembleResult, SirParams, WeeklySeries, replicate_rng, run_replicates
 from .network import NetworkGenParams, NetworkTopology, build_small_world
 
 # RNG stream ids per replicate (part of the reproducibility contract).
@@ -46,24 +45,6 @@ class Status(IntEnum):
     RECOVERED = 2
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """State of a single agent: status plus remaining infectious days."""
-
-    status: Status
-    days_remaining: float = 0.0
-
-    def __post_init__(self):
-        if self.days_remaining < 0.0:
-            raise ValueError(f"days_remaining must be >= 0, got {self.days_remaining}")
-        infectious = self.status == Status.INFECTIOUS
-        if (self.days_remaining > 0.0) != infectious:
-            raise ValueError(
-                f"days_remaining > 0 iff status is INFECTIOUS, "
-                f"got {self.status.name} with {self.days_remaining}"
-            )
-
-
 class Population:
     """Mutable array-backed agent population.
 
@@ -77,19 +58,8 @@ class Population:
         self.status = np.zeros(n, dtype=np.int8)
         self.days_remaining = np.zeros(n, dtype=float)
 
-    @classmethod
-    def from_states(cls, states) -> "Population":
-        pop = cls(len(states))
-        for idx, agent in enumerate(states):
-            pop.status[idx] = int(agent.status)
-            pop.days_remaining[idx] = agent.days_remaining
-        return pop
-
     def __len__(self) -> int:
         return self.status.size
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(Status(int(self.status[i])), float(self.days_remaining[i]))
 
     def infect(self, indices, duration: float) -> None:
         self.status[indices] = Status.INFECTIOUS
@@ -204,23 +174,15 @@ def run_abm(
     return WeeklySeries(weeks=weeks, infected=weekly)
 
 
-def _replicate_seed(master_seed: int, replicate: int, stream: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(replicate, stream))
-
-
-def _abm_replicate(args) -> np.ndarray:
-    params, gen, weeks, master_seed, r, shared_topo, exponential_recovery = args
-    try:
-        if shared_topo is None:
-            net_rng = np.random.default_rng(_replicate_seed(master_seed, r, _STREAM_NETWORK))
-            topo = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
-        else:
-            topo = shared_topo
-        sim_rng = np.random.default_rng(_replicate_seed(master_seed, r, _STREAM_SIMULATION))
-        return run_abm(params, topo, weeks, sim_rng,
-                       exponential_recovery=exponential_recovery).infected
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+def _abm_replicate(context, r: int) -> np.ndarray:
+    params, gen, weeks, master_seed, shared_topo, exponential_recovery = context
+    topo = shared_topo
+    if topo is None:
+        net_rng = replicate_rng(master_seed, r, _STREAM_NETWORK)
+        topo = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
+    sim_rng = replicate_rng(master_seed, r, _STREAM_SIMULATION)
+    return run_abm(params, topo, weeks, sim_rng,
+                   exponential_recovery=exponential_recovery).infected
 
 
 def run_abm_ensemble(
@@ -236,28 +198,14 @@ def run_abm_ensemble(
     """Run an ensemble of independent agent-based simulations.
 
     By default every replicate generates its own topology and index cases
-    from streams derived from ``(master_seed, replicate_index)``; with
-    ``reuse_network`` a single topology (derived from the master seed
-    alone) is shared by all replicates.  Assembly is ordered by replicate
-    index, so the result does not depend on ``threads``.
+    from its own streams; with ``reuse_network`` a single topology (derived
+    from the master seed alone) is shared by all replicates.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
     shared = None
     if reuse_network:
         net_rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=_SHARED_NETWORK_KEY)
         )
         shared = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
-
-    jobs = [
-        (params, gen, weeks, master_seed, r, shared, exponential_recovery)
-        for r in range(replicates)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_abm_replicate, jobs))
-    else:
-        rows = [_abm_replicate(job) for job in jobs]
-    series = tuple(WeeklySeries(weeks=weeks, infected=row) for row in rows)
-    return EnsembleResult(replicates=replicates, series=series)
+    context = (params, gen, weeks, master_seed, shared, exponential_recovery)
+    return EnsembleResult(run_replicates(_abm_replicate, context, replicates, threads))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, io, stats
@@ -28,9 +29,9 @@ from .core import (
     SirParams,
     calibrate_contact_rate,
 )
-from .montecarlo import VariationSpec, count_clamped, run_sd_ensemble
+from .montecarlo import VariationSpec, run_sd_ensemble
 from .network import NetworkGenParams
-from .sd import DEFAULT_DT, integrate, weekly_sample
+from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
 
 _SCENARIOS = {
     "illness": dict(vary_illness=True),
@@ -45,16 +46,23 @@ class UsageError(ValueError):
 
 
 def _check_common(args) -> None:
+    """Checks of flags that no domain type validates."""
     if args.weeks < 1:
         raise UsageError(f"--weeks must be >= 1, got {args.weeks}")
-    if args.population < 1:
-        raise UsageError(f"--population must be >= 1, got {args.population}")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     if not 0 <= args.seed < 2**64:
         raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-    if not 0 <= args.initial_infected <= args.population:
-        raise UsageError("--initial-infected must be in [0, population]")
+
+
+@contextmanager
+def _building_inputs():
+    """Report a value that a domain type rejects while the flags are turned
+    into inputs as a usage error; later ValueErrors are runtime errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,9 +114,9 @@ def _params_from_args(args) -> tuple[SirParams, dict]:
 
 def cmd_run_sd(args) -> int:
     _check_common(args)
-    if args.dt <= 0.0 or args.dt > 7.0 * args.weeks:
-        raise UsageError(f"--dt must be in (0, horizon], got {args.dt}")
-    params, provenance = _params_from_args(args)
+    with _building_inputs():
+        params, provenance = _params_from_args(args)
+        week_indices(args.dt, args.weeks)
     traj = integrate(params, horizon_days=7.0 * args.weeks, dt=args.dt)
     series = weekly_sample(traj, args.weeks)
     meta = io.make_metadata(
@@ -127,19 +135,15 @@ def cmd_run_sd(args) -> int:
 
 def cmd_run_mc(args) -> int:
     _check_common(args)
-    if args.sigma <= 0.0:
-        raise UsageError(f"--sigma must be > 0, got {args.sigma}")
-    if args.replicates < 1:
-        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
-    if args.dt <= 0.0 or args.dt > 7.0 * args.weeks:
-        raise UsageError(f"--dt must be in (0, horizon], got {args.dt}")
-    params, provenance = _params_from_args(args)
-    spec = VariationSpec(
-        sigma_fraction=args.sigma,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        **_SCENARIOS[args.vary],
-    )
+    with _building_inputs():
+        params, provenance = _params_from_args(args)
+        spec = VariationSpec(
+            sigma_fraction=args.sigma,
+            replicates=args.replicates,
+            master_seed=args.seed,
+            **_SCENARIOS[args.vary],
+        )
+        week_indices(args.dt, args.weeks)
     start = time.perf_counter()
     ensemble = run_sd_ensemble(params, spec, args.weeks, dt=args.dt, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -153,7 +157,7 @@ def cmd_run_mc(args) -> int:
         vary_infection=spec.vary_infection,
         sigma_fraction=spec.sigma_fraction,
         replicates=spec.replicates,
-        clamped_draws=count_clamped(params, spec),
+        clamped_draws=ensemble.clamped_draws,
         threads=args.threads,
         elapsed_seconds=elapsed,
         parameter_provenance=provenance,
@@ -166,14 +170,14 @@ def cmd_run_mc(args) -> int:
 
 def cmd_run_abm(args) -> int:
     _check_common(args)
-    if args.k < 2 or args.k % 2 != 0 or args.k >= args.population:
-        raise UsageError(f"--k must be even, >= 2 and < population, got {args.k}")
-    if not 0.0 <= args.p_rewire <= 1.0:
-        raise UsageError(f"--p-rewire must be in [0, 1], got {args.p_rewire}")
+    if args.k >= args.population:
+        raise UsageError(
+            f"--k must be < --population, got k={args.k}, population={args.population}")
     if args.replicates < 1:
         raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
-    params, provenance = _params_from_args(args)
-    gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
+    with _building_inputs():
+        params, provenance = _params_from_args(args)
+        gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
     start = time.perf_counter()
     ensemble = run_abm_ensemble(
         params, gen, args.weeks,

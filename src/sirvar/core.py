@@ -9,12 +9,22 @@ model and to the differential equations.
 
 All types are immutable after construction and validate their fields, so
 they can be shared freely between worker processes.
+
+Both ensembles (Monte-Carlo SD runs and ABM runs) go through one driver,
+:func:`run_replicates`.  Replicate ``r`` draws its randomness only from
+:func:`replicate_rng` streams keyed by ``(master_seed, r, stream)``, so a
+replicate's result does not depend on which process runs it, and results
+are assembled in replicate order: ensembles are bit-identical for any
+thread count.  With ``threads > 1`` the replicates run in a process pool
+whose workers receive the shared inputs once, through the pool initializer,
+and then only replicate indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,27 +114,6 @@ def basic_reproduction_number(params: SirParams) -> float:
     return a * params.population / b
 
 
-@dataclass(frozen=True)
-class CompartmentState:
-    """Sizes of the three compartments at one instant.
-
-    Counts are reals so a single type serves both the continuous ODE
-    states and the integer agent-count states.
-    """
-
-    s: float
-    i: float
-    r: float
-
-    def __post_init__(self):
-        _require(self.s >= 0.0 and self.i >= 0.0 and self.r >= 0.0,
-                 f"compartment counts must be non-negative, got ({self.s}, {self.i}, {self.r})")
-
-    @property
-    def total(self) -> float:
-        return self.s + self.i + self.r
-
-
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -172,10 +161,6 @@ class Trajectory:
     def r(self) -> np.ndarray:
         return self.states[:, 2]
 
-    def state(self, index: int) -> CompartmentState:
-        s, i, r = self.states[index]
-        return CompartmentState(s, i, r)
-
 
 @dataclass(frozen=True, eq=False)
 class WeeklySeries:
@@ -207,34 +192,82 @@ class WeeklySeries:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Replicate-by-week matrix of infected counts from an ensemble run."""
+    """Replicate-by-week matrix of infected counts from an ensemble run.
 
-    replicates: int
-    series: tuple[WeeklySeries, ...] = field(default_factory=tuple)
+    ``matrix`` has shape (replicates, weeks); row ``r`` is replicate ``r``'s
+    weekly series under the end-of-week convention of :class:`WeeklySeries`.
+    ``clamped_draws`` counts Monte-Carlo parameter draws that had to be
+    clamped to their domain (always 0 for agent-based ensembles).
+    """
+
+    matrix: np.ndarray
+    clamped_draws: int = 0
 
     def __post_init__(self):
-        series = tuple(self.series)
-        _require(self.replicates >= 1, f"replicates must be >= 1, got {self.replicates}")
-        _require(len(series) == self.replicates,
-                 f"expected {self.replicates} series, got {len(series)}")
-        horizons = {s.weeks for s in series}
-        _require(len(horizons) == 1, f"all replicates must share one horizon, got {horizons}")
-        object.__setattr__(self, "series", series)
+        matrix = _frozen_array(self.matrix)
+        _require(matrix.ndim == 2 and matrix.shape[0] >= 1 and matrix.shape[1] >= 1,
+                 f"matrix must have shape (replicates >= 1, weeks >= 1), got {matrix.shape}")
+        _require(bool((matrix >= 0.0).all()), "weekly infected counts must be non-negative")
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def replicates(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def weeks(self) -> int:
-        return self.series[0].weeks
+        return self.matrix.shape[1]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """(replicates, weeks) array of infected counts."""
-        return np.vstack([s.infected for s in self.series])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnsembleResult):
-            return NotImplemented
-        return (self.replicates == other.replicates
-                and bool(np.array_equal(self.matrix, other.matrix)))
+def replicate_rng(master_seed: int, replicate: int, stream: int) -> np.random.Generator:
+    """Generator for one random stream of one ensemble replicate.
+
+    The stream depends only on ``(master_seed, replicate, stream)``; the
+    spawn key ``(replicate, stream)`` is part of the reproducibility
+    contract of every saved ensemble.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(replicate, stream))
+    )
+
+
+def _run_one(fn, context, r: int):
+    try:
+        return fn(context, r)
+    except Exception as exc:
+        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+
+
+# (fn, context) of a pool worker, set once per worker by its initializer.
+_worker_task = None
+
+
+def _init_worker(fn, context) -> None:
+    global _worker_task
+    _worker_task = (fn, context)
+
+
+def _run_in_worker(r: int):
+    fn, context = _worker_task
+    return _run_one(fn, context, r)
+
+
+def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
+    """``[fn(context, r) for r in range(replicates)]``, optionally in a process pool.
+
+    ``fn`` must be a module-level function so that pool workers can import
+    it.  A failure in replicate ``r`` is re-raised as
+    ``RuntimeError("replicate r failed: ...")``.  The result list is in
+    replicate order whatever ``threads`` is.
+    """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if threads <= 1:
+        return [_run_one(fn, context, r) for r in range(replicates)]
+    with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                             initargs=(fn, context)) as pool:
+        return list(pool.map(_run_in_worker, range(replicates),
+                             chunksize=max(1, replicates // (4 * threads))))
 
 
 def final_size_reproduction_number(attack_rate: float) -> float:
@@ -279,6 +312,9 @@ def calibrate_contact_rate(
     from the final-size relation.  With the default inputs this yields
     R0 ~= 1.5436 and ~5.654 contacts per day.
     """
+    _require(infection_prob > 0.0 and illness_duration > 0.0,
+             f"calibrating a contact rate needs infection_prob > 0 and illness_duration > 0, "
+             f"got infection_prob={infection_prob}, illness_duration={illness_duration}")
     r0 = final_size_reproduction_number(target_attack)
     return r0 / (infection_prob * illness_duration)
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .abm import run_abm_ensemble
@@ -142,30 +140,13 @@ def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) 
         "tool": "sirvar",
         "version": __version__,
         "created_unix": time.time(),
-        "params": {
-            "population": params.population,
-            "contact_rate": params.contact_rate,
-            "infection_prob": params.infection_prob,
-            "illness_duration": params.illness_duration,
-            "initial_infected": params.initial_infected,
-        },
+        "params": asdict(params),
         "weeks": weeks,
         "master_seed": seed,
         "conventions": dict(_CONVENTIONS),
     }
     meta.update(extra)
     return meta
-
-
-def _params_from_meta(meta: dict) -> SirParams:
-    p = meta["params"]
-    return SirParams(
-        population=p["population"],
-        contact_rate=p["contact_rate"],
-        infection_prob=p["infection_prob"],
-        illness_duration=p["illness_duration"],
-        initial_infected=p["initial_infected"],
-    )
 
 
 def rerun_from_metadata(meta: dict, threads: int = 1):
@@ -175,7 +156,7 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
     :class:`EnsembleResult` for ensembles.
     """
     kind = meta["kind"]
-    params = _params_from_meta(meta)
+    params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":
         traj = integrate(params, horizon_days=7.0 * weeks, dt=meta["dt"])
@@ -246,8 +227,8 @@ def save_ensemble(
         with open(out / "ensemble.csv", "w", encoding="utf-8") as fh:
             header = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
             fh.write(f"replicate,{header}\n")
-            for r, series in enumerate(ensemble.series):
-                row = ",".join(_fmt(v) for v in series.infected)
+            for r, values in enumerate(ensemble.matrix):
+                row = ",".join(_fmt(v) for v in values)
                 fh.write(f"{r},{row}\n")
         with open(out / "summary.csv", "w", encoding="utf-8") as fh:
             fh.write("week,median,q1,q3,iqr\n")
@@ -258,7 +239,7 @@ def save_ensemble(
     elif fmt == "json":
         payload = {
             "metadata": meta,
-            "ensemble": [[float(v) for v in s.infected] for s in ensemble.series],
+            "ensemble": ensemble.matrix.tolist(),
             "summary": {
                 "median": summary.median.tolist(),
                 "q1": summary.q1.tolist(),
@@ -289,10 +270,8 @@ def load_run(run_dir) -> dict:
             values = payload["series"]
             return {"metadata": meta,
                     "series": WeeklySeries(weeks=len(values), infected=values)}
-        rows = payload["ensemble"]
-        series = tuple(WeeklySeries(weeks=len(r), infected=r) for r in rows)
         return {"metadata": meta,
-                "ensemble": EnsembleResult(replicates=len(series), series=series)}
+                "ensemble": EnsembleResult(payload["ensemble"], meta.get("clamped_draws", 0))}
 
     with open(run / "metadata.json", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -308,7 +287,4 @@ def load_run(run_dir) -> dict:
             continue
         parts = raw.split(",")
         rows.append([float(v) for v in parts[1:]])
-    weeks = len(rows[0])
-    series = tuple(WeeklySeries(weeks=weeks, infected=row) for row in rows)
-    return {"metadata": meta,
-            "ensemble": EnsembleResult(replicates=len(series), series=series)}
+    return {"metadata": meta, "ensemble": EnsembleResult(rows, meta.get("clamped_draws", 0))}

@@ -6,20 +6,19 @@ distribution centred on the base value with standard deviation
 four experiment scenarios are: vary illness duration, vary contact rate,
 vary infection probability, and vary all three together.
 
-Randomness is counter-based: the draw for a given parameter of a given
-replicate depends only on ``(master_seed, replicate_index, parameter id)``,
-so ensembles are bit-identical no matter how many workers execute them.
+The draw for a given parameter of a given replicate comes from the
+:func:`sirvar.core.replicate_rng` stream keyed by the parameter's id, and
+replicates run through :func:`sirvar.core.run_replicates`.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, WeeklySeries
+from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
 from .sd import DEFAULT_DT, integrate, weekly_sample
 
 # Stream ids for per-parameter RNG derivation; fixed, part of the
@@ -58,12 +57,6 @@ class VariationSpec:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
 
-def _param_rng(master_seed: int, replicate_index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(replicate_index, stream))
-    )
-
-
 def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
     """Normal draw restricted to [lower, upper]; redraw, then clamp.
 
@@ -84,10 +77,15 @@ def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
     return min(max(value, floor), upper), True
 
 
-def _sample_with_info(
+def sample_params(
     base: SirParams, spec: VariationSpec, replicate_index: int
 ) -> tuple[SirParams, int]:
-    """Perturbed parameter set for one replicate plus the clamp count."""
+    """Parameter set for one Monte-Carlo replicate, and how many draws were clamped.
+
+    Flagged parameters are redrawn from Normal(base, sigma_fraction * base)
+    truncated to their valid domain; unflagged parameters are returned
+    bit-identical to the base values.
+    """
     if not 0 <= replicate_index < spec.replicates:
         raise ValueError(
             f"replicate_index must be in [0, {spec.replicates}), got {replicate_index}"
@@ -98,21 +96,21 @@ def _sample_with_info(
     clamped = 0
 
     if spec.vary_illness:
-        rng = _param_rng(spec.master_seed, replicate_index, _STREAM_ILLNESS)
+        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_ILLNESS)
         illness, c = _draw_truncated(
             rng, base.illness_duration, spec.sigma_fraction * base.illness_duration,
             lower=0.0, upper=math.inf, lower_open=True,
         )
         clamped += c
     if spec.vary_contact:
-        rng = _param_rng(spec.master_seed, replicate_index, _STREAM_CONTACT)
+        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_CONTACT)
         contact, c = _draw_truncated(
             rng, base.contact_rate, spec.sigma_fraction * base.contact_rate,
             lower=0.0, upper=math.inf, lower_open=False,
         )
         clamped += c
     if spec.vary_infection:
-        rng = _param_rng(spec.master_seed, replicate_index, _STREAM_INFECTION)
+        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_INFECTION)
         infection, c = _draw_truncated(
             rng, base.infection_prob, spec.sigma_fraction * base.infection_prob,
             lower=0.0, upper=1.0, lower_open=False,
@@ -129,34 +127,11 @@ def _sample_with_info(
     return params, clamped
 
 
-def sample_params(base: SirParams, spec: VariationSpec, replicate_index: int) -> SirParams:
-    """Parameter set for one Monte-Carlo replicate.
-
-    Flagged parameters are redrawn from Normal(base, sigma_fraction * base)
-    truncated to their valid domain; unflagged parameters are returned
-    bit-identical to the base values.
-    """
-    params, _ = _sample_with_info(base, spec, replicate_index)
-    return params
-
-
-def count_clamped(base: SirParams, spec: VariationSpec) -> int:
-    """Number of boundary-clamped draws across the whole ensemble.
-
-    Recomputes the (deterministic) draws without integrating, so run
-    metadata can record the warning count cheaply.
-    """
-    return sum(_sample_with_info(base, spec, r)[1] for r in range(spec.replicates))
-
-
-def _mc_replicate(args) -> np.ndarray:
-    base, spec, weeks, dt, r = args
-    params, _ = _sample_with_info(base, spec, r)
-    try:
-        traj = integrate(params, horizon_days=7.0 * weeks, dt=dt)
-        return weekly_sample(traj, weeks).infected
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
+    base, spec, weeks, dt = context
+    params, clamped = sample_params(base, spec, r)
+    traj = integrate(params, horizon_days=7.0 * weeks, dt=dt)
+    return weekly_sample(traj, weeks).infected, clamped
 
 
 def run_sd_ensemble(
@@ -169,16 +144,11 @@ def run_sd_ensemble(
     """Run the Monte-Carlo ensemble for one variation scenario.
 
     Replicate ``r`` integrates ``sample_params(base, spec, r)`` and samples
-    it weekly.  Results are assembled in replicate order and are a pure
-    function of the inputs, independent of ``threads``.
+    it weekly.  The result counts the clamped draws of all replicates and
+    is a pure function of the inputs, independent of ``threads``.
     """
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
-    jobs = [(base, spec, weeks, dt, r) for r in range(spec.replicates)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_mc_replicate, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
-    else:
-        rows = [_mc_replicate(job) for job in jobs]
-    series = tuple(WeeklySeries(weeks=weeks, infected=row) for row in rows)
-    return EnsembleResult(replicates=spec.replicates, series=series)
+    rows = run_replicates(_sd_replicate, (base, spec, weeks, dt), spec.replicates, threads)
+    return EnsembleResult([row for row, _ in rows],
+                          clamped_draws=sum(clamped for _, clamped in rows))

@@ -26,7 +26,6 @@ class NetworkGenParams:
 
     k: int = 10
     p_rewire: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
@@ -47,7 +46,6 @@ class NetworkTopology:
     n: int
     neighbors: np.ndarray
     offsets: np.ndarray
-    gen_params: NetworkGenParams
 
     def __post_init__(self):
         for name in ("neighbors", "offsets"):
@@ -61,9 +59,6 @@ class NetworkTopology:
     @property
     def edge_count(self) -> int:
         return int(self.neighbors.size // 2)
-
-    def neighbors_of(self, i: int) -> np.ndarray:
-        return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
 
     def edges(self) -> np.ndarray:
         """(edge_count, 2) array of undirected edges with u < v."""
@@ -106,14 +101,12 @@ def build_small_world(
     Raises
     ------
     ValueError
-        If ``k`` is odd, below 2, or not smaller than ``n``.
+        If ``k`` is odd, below 2, or not smaller than ``n``, or
+        ``p_rewire`` is outside [0, 1].
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"mean degree k must be a positive even integer, got {k}")
+    NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
     if k >= n:
         raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
-    if not 0.0 <= p_rewire <= 1.0:
-        raise ValueError(f"p_rewire must be in [0, 1], got {p_rewire}")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u, v = _ring_edges(n, k)
@@ -161,15 +154,4 @@ def build_small_world(
     degrees = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-
-    gen = NetworkGenParams(k=k, p_rewire=p_rewire,
-                           seed=seed if isinstance(seed, int) else -1)
-    return NetworkTopology(n=n, neighbors=neighbors, offsets=offsets, gen_params=gen)
-
-
-def write_edge_list(topo: NetworkTopology, path) -> None:
-    """Export the graph as text, one 0-indexed "i j" pair per line."""
-    edges = topo.edges()
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b in edges:
-            fh.write(f"{a} {b}\n")
+    return NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)

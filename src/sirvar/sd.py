@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CompartmentState, SirParams, Trajectory, WeeklySeries, derived_rates
+from .core import SirParams, Trajectory, WeeklySeries, derived_rates
 
 #: Default integration step in days.
 DEFAULT_DT = 0.1
@@ -33,19 +33,6 @@ class StepSizeError(RuntimeError):
 
 class HorizonError(ValueError):
     """The trajectory is too short for the requested weekly sampling."""
-
-
-def sir_derivatives(state: CompartmentState, a: float, b: float) -> tuple[float, float, float]:
-    """Right-hand side (dS, dI, dR) of the SIR equations at one state.
-
-    The three rates sum to zero analytically; the population only moves
-    between compartments.
-    """
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"rates must be non-negative, got a={a}, b={b}")
-    infection = a * state.s * state.i
-    recovery = b * state.i
-    return -infection, infection - recovery, recovery
 
 
 def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) -> Trajectory:
@@ -125,6 +112,29 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     return Trajectory(dt=dt, states=out)
 
 
+def week_indices(dt: float, weeks: int) -> np.ndarray:
+    """Indices of days 7, 14, ..., ``7 * weeks`` on the integration grid of step ``dt``.
+
+    Raises
+    ------
+    ValueError
+        If ``dt`` is not positive, ``weeks < 1``, or a week boundary is
+        not a whole number of steps.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if weeks < 1:
+        raise ValueError(f"weeks must be >= 1, got {weeks}")
+    indices = np.empty(weeks, dtype=int)
+    for w in range(weeks):
+        day = 7.0 * (w + 1)
+        idx = int(round(day / dt))
+        if abs(idx * dt - day) > 1e-9:
+            raise ValueError(f"dt={dt} does not place day {day} on the integration grid")
+        indices[w] = idx
+    return indices
+
+
 def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     """Resample a trajectory onto the weekly reporting grid.
 
@@ -132,18 +142,9 @@ def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     end of each week.  The step must divide the week boundaries (true for
     the defaults), otherwise the requested instants are not on the grid.
     """
-    if weeks < 1:
-        raise ValueError(f"weeks must be >= 1, got {weeks}")
     if traj.horizon_days < 7.0 * weeks - 1e-9:
         raise HorizonError(
             f"trajectory spans {traj.horizon_days:.3f} days, "
             f"need at least {7 * weeks} for {weeks} weeks"
         )
-    indices = np.empty(weeks, dtype=int)
-    for w in range(weeks):
-        day = 7.0 * (w + 1)
-        idx = int(round(day / traj.dt))
-        if abs(idx * traj.dt - day) > 1e-9:
-            raise ValueError(f"dt={traj.dt} does not place day {day} on the integration grid")
-        indices[w] = idx
-    return WeeklySeries(weeks=weeks, infected=traj.i[indices])
+    return WeeklySeries(weeks=weeks, infected=traj.i[week_indices(traj.dt, weeks)])

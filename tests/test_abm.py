@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from sirvar.abm import (
-    AgentState,
-    Population,
-    Status,
-    _replicate_seed,
-    run_abm,
-    run_abm_ensemble,
-    step_day,
-)
-from sirvar.core import SirParams, default_params
+from sirvar.abm import Population, Status, run_abm, run_abm_ensemble, step_day
+from sirvar.core import SirParams, replicate_rng
 from sirvar.network import NetworkGenParams, build_small_world
 
 
@@ -21,22 +13,27 @@ def params_for(n, c=5.0, p=0.1, d=4.2, i0=1):
 
 class TestAgentState:
     def test_invariant_days_iff_infectious(self):
-        AgentState(Status.INFECTIOUS, 4.2)
-        AgentState(Status.SUSCEPTIBLE, 0.0)
-        AgentState(Status.RECOVERED, 0.0)
-        with pytest.raises(ValueError):
-            AgentState(Status.SUSCEPTIBLE, 1.0)
-        with pytest.raises(ValueError):
-            AgentState(Status.INFECTIOUS, 0.0)
-        with pytest.raises(ValueError):
-            AgentState(Status.INFECTIOUS, -1.0)
+        topo = build_small_world(200, 6, 0.2, seed=8)
+        params = params_for(200, c=8.0, p=0.5, d=2.5, i0=5)
+        for exponential_recovery in (False, True):
+            rng = np.random.default_rng(8)
+            pop = Population(200)
+            pop.infect(np.arange(5), params.illness_duration)
+            for _day in range(30):
+                step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
+                infectious = pop.status == Status.INFECTIOUS
+                assert np.array_equal(pop.days_remaining > 0.0, infectious)
+                assert np.all(pop.days_remaining >= 0.0)
+            assert np.count_nonzero(pop.status == Status.RECOVERED) > 5
 
     def test_population_round_trip(self):
-        states = [AgentState(Status.SUSCEPTIBLE), AgentState(Status.INFECTIOUS, 2.0),
-                  AgentState(Status.RECOVERED)]
-        pop = Population.from_states(states)
-        assert [pop.agent(i) for i in range(3)] == states
+        pop = Population(3)
+        pop.infect([1], duration=2.0)
+        pop.status[2] = Status.RECOVERED
+        assert pop.status.tolist() == [Status.SUSCEPTIBLE, Status.INFECTIOUS, Status.RECOVERED]
+        assert pop.days_remaining.tolist() == [0.0, 2.0, 0.0]
         assert pop.counts() == (1, 1, 1)
+        assert len(pop) == 3
 
 
 class TestStepDay:
@@ -57,11 +54,11 @@ class TestStepDay:
         new = step_day(pop, topo, params_for(6, c=200.0, p=1.0, d=3.0),
                        np.random.default_rng(1))
         assert new == 2
-        assert pop.agent(1).status == Status.INFECTIOUS
-        assert pop.agent(3).status == Status.INFECTIOUS
-        assert pop.agent(1).days_remaining == 3.0
+        assert pop.status[1] == Status.INFECTIOUS
+        assert pop.status[3] == Status.INFECTIOUS
+        assert pop.days_remaining[1] == 3.0
         # the source keeps transmitting tomorrow with one day less
-        assert pop.agent(2).days_remaining == 2.0
+        assert pop.days_remaining[2] == 2.0
 
     def test_new_infectives_do_not_act_today(self):
         # with duration 1 the source recovers at the end of its first day;
@@ -70,9 +67,9 @@ class TestStepDay:
         pop = Population(6)
         pop.infect([0], duration=1.0)
         step_day(pop, topo, params_for(6, c=500.0, p=1.0, d=1.0), np.random.default_rng(2))
-        assert pop.agent(0).status == Status.RECOVERED
-        assert pop.agent(1).days_remaining == 1.0
-        assert pop.agent(5).days_remaining == 1.0
+        assert pop.status[0] == Status.RECOVERED
+        assert pop.days_remaining[1] == 1.0
+        assert pop.days_remaining[5] == 1.0
 
     def test_single_step_expectation(self):
         # mean new infections ~ contact_rate * infection_prob * susceptible
@@ -158,11 +155,9 @@ class TestEnsemble:
         params = params_for(200, c=6.0, p=0.2, i0=1)
         gen = NetworkGenParams(k=6, p_rewire=0.2)
         ens = run_abm_ensemble(params, gen, weeks=6, replicates=1, master_seed=55)
-        net_rng = np.random.default_rng(_replicate_seed(55, 0, 0))
-        topo = build_small_world(200, 6, 0.2, net_rng)
-        sim_rng = np.random.default_rng(_replicate_seed(55, 0, 1))
-        direct = run_abm(params, topo, weeks=6, seed=sim_rng)
-        assert ens.series[0] == direct
+        topo = build_small_world(200, 6, 0.2, replicate_rng(55, 0, 0))
+        direct = run_abm(params, topo, weeks=6, seed=replicate_rng(55, 0, 1))
+        assert np.array_equal(ens.matrix[0], direct.infected)
 
     def test_thread_count_does_not_change_results(self):
         params = params_for(400, c=6.0, p=0.2, i0=1)
@@ -189,3 +184,9 @@ class TestEnsemble:
         gen = NetworkGenParams(k=10, p_rewire=0.0)  # k == n is invalid
         with pytest.raises(RuntimeError, match="replicate 0"):
             run_abm_ensemble(params, gen, weeks=2, replicates=2, master_seed=0)
+
+    def test_pool_errors_are_tagged(self):
+        params = params_for(10, i0=1)
+        gen = NetworkGenParams(k=10, p_rewire=0.0)
+        with pytest.raises(RuntimeError, match="replicate 0 failed: k must be smaller than n"):
+            run_abm_ensemble(params, gen, weeks=2, replicates=4, master_seed=0, threads=2)

@@ -48,6 +48,28 @@ class TestUsage:
         capsys.readouterr()
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run-sd", "--dt", "0.3"], "dt=0.3"),
+        (["run-mc", "--vary", "all", "--dt", "0.3"], "dt=0.3"),
+        (["run-sd", "--dt", "0"], "dt must be > 0"),
+        (["run-sd", "--contact-rate", "-1"], "contact_rate must be >= 0, got -1.0"),
+        (["run-sd", "--infection-prob", "2"], "infection_prob must be in [0, 1], got 2.0"),
+        (["run-sd", "--illness-duration", "0"], "illness_duration=0.0"),
+        (["run-sd", "--infection-prob", "0"], "infection_prob=0.0"),
+        (["run-sd", "--population", "0"], "population must be >= 1, got 0"),
+        (["run-mc", "--vary", "all", "--sigma", "0"], "sigma_fraction must be > 0, got 0.0"),
+        (["run-mc", "--vary", "all", "--replicates", "0"], "replicates must be >= 1, got 0"),
+        (["run-abm", "--population", "50", "--initial-infected", "51"], "got 51"),
+        (["run-abm", "--population", "10", "--k", "10"], "--k must be < --population"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sirvar: usage error:") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRunSd:
     def test_defaults_write_15_weeks(self, tmp_path, capsys):
@@ -106,6 +128,18 @@ class TestRunMc:
         rerun = io.rerun_from_metadata(loaded["metadata"])
         assert np.array_equal(rerun.matrix, loaded["ensemble"].matrix)
         assert "elapsed_seconds" in loaded["metadata"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_clamped_draws_are_recorded_and_reloaded(self, tmp_path, capsys, fmt):
+        out = tmp_path / "mc"
+        assert run("run-mc", "--vary", "infection", "--sigma", "1000", "--replicates", "20",
+                   "--seed", "1", "--weeks", "3", "--format", fmt, "--out", str(out)) == 0
+        capsys.readouterr()
+        loaded = io.load_run(out)
+        clamped = loaded["metadata"]["clamped_draws"]
+        assert clamped > 0
+        assert loaded["ensemble"].clamped_draws == clamped
+        assert io.rerun_from_metadata(loaded["metadata"]).clamped_draws == clamped
 
 
 def read_summary_column(run_dir, col):

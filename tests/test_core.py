@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sirvar.core import (
-    CompartmentState,
     EnsembleResult,
     SirParams,
     Trajectory,
@@ -15,6 +14,7 @@ from sirvar.core import (
     default_params,
     derived_rates,
     final_size_reproduction_number,
+    run_replicates,
 )
 
 
@@ -49,10 +49,11 @@ class TestValidation:
         make_params(initial_infected=1000)
 
     def test_compartment_state_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CompartmentState(s=-1.0, i=0.0, r=0.0)
-        with pytest.raises(ValueError):
-            CompartmentState(s=0.0, i=0.0, r=-1e-9)
+        for column, value in ((0, -1.0), (1, -1.0), (2, -1e-9)):
+            states = np.ones((3, 3))
+            states[1, column] = value
+            with pytest.raises(ValueError):
+                Trajectory(dt=0.1, states=states)
 
     def test_trajectory_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -73,12 +74,11 @@ class TestValidation:
             WeeklySeries(weeks=2, infected=[1.0, -2.0])
 
     def test_ensemble_requires_equal_horizons(self):
-        a = WeeklySeries(weeks=2, infected=[1.0, 2.0])
-        b = WeeklySeries(weeks=3, infected=[1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            EnsembleResult(replicates=2, series=(a, b))
-        with pytest.raises(ValueError):
-            EnsembleResult(replicates=3, series=(a, a))
+            EnsembleResult([[1.0, 2.0], [1.0, 2.0, 3.0]])
+        for bad in ([1.0, 2.0], np.zeros((0, 2)), np.zeros((2, 0)), [[1.0, -2.0]]):
+            with pytest.raises(ValueError):
+                EnsembleResult(bad)
 
 
 class TestDerivedRates:
@@ -155,6 +155,12 @@ class TestCalibration:
         assert params.contact_rate == c
         assert basic_reproduction_number(params) == pytest.approx(1.5436, abs=5e-4)
 
+    @pytest.mark.parametrize("bad", [dict(infection_prob=0.0), dict(illness_duration=0.0),
+                                     dict(illness_duration=-1.0)])
+    def test_calibration_rejects_non_positive_inputs(self, bad):
+        with pytest.raises(ValueError, match="calibrating"):
+            calibrate_contact_rate(**bad)
+
 
 class TestContainers:
     def test_trajectory_accessors(self):
@@ -162,14 +168,38 @@ class TestContainers:
         traj = Trajectory(dt=0.5, states=states)
         assert len(traj) == 2
         assert traj.horizon_days == 0.5
-        assert traj.state(1) == CompartmentState(8.0, 1.5, 0.5)
+        assert np.array_equal(traj.states[1], [8.0, 1.5, 0.5])
         assert np.array_equal(traj.i, [1.0, 1.5])
         with pytest.raises(ValueError):
             traj.states[0, 0] = 5.0  # frozen storage
 
     def test_ensemble_matrix(self):
-        series = tuple(WeeklySeries(weeks=2, infected=[r, r + 1]) for r in range(3))
-        ens = EnsembleResult(replicates=3, series=series)
-        assert ens.weeks == 2
-        assert np.array_equal(ens.matrix, [[0, 1], [1, 2], [2, 3]])
-        assert ens == EnsembleResult(replicates=3, series=series)
+        rows = [[r, r + 1] for r in range(3)]
+        ens = EnsembleResult(rows)
+        assert (ens.replicates, ens.weeks, ens.clamped_draws) == (3, 2, 0)
+        assert np.array_equal(ens.matrix, rows)
+        rows[0][0] = 9  # the ensemble holds its own frozen copy
+        assert ens.matrix[0, 0] == 0
+        with pytest.raises(ValueError):
+            ens.matrix[0, 0] = 5.0
+
+
+def _fail_at_three(context, r):
+    if r == 3:
+        raise ValueError(f"bad draw for {context}")
+    return r * context
+
+
+class TestRunReplicates:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_in_replicate_order(self, threads):
+        assert run_replicates(_fail_at_three, 10, 3, threads=threads) == [0, 10, 20]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_is_tagged_with_its_replicate(self, threads):
+        with pytest.raises(RuntimeError, match="replicate 3 failed: bad draw for 10"):
+            run_replicates(_fail_at_three, 10, 6, threads=threads)
+
+    def test_needs_a_replicate(self):
+        with pytest.raises(ValueError):
+            run_replicates(_fail_at_three, 10, 0)

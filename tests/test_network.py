@@ -2,7 +2,11 @@ import numpy as np
 import networkx as nx
 import pytest
 
-from sirvar.network import NetworkGenParams, build_small_world, write_edge_list
+from sirvar.network import NetworkGenParams, build_small_world
+
+
+def row(topo, i):
+    return topo.neighbors[topo.offsets[i]:topo.offsets[i + 1]]
 
 
 def as_nx(topo):
@@ -20,8 +24,8 @@ class TestRingLattice:
 
     def test_k4_neighbours(self):
         topo = build_small_world(8, 4, 0.0, seed=0)
-        assert np.array_equal(topo.neighbors_of(0), [1, 2, 6, 7])
-        assert np.array_equal(topo.neighbors_of(3), [1, 2, 4, 5])
+        assert np.array_equal(row(topo, 0), [1, 2, 6, 7])
+        assert np.array_equal(row(topo, 3), [1, 2, 4, 5])
 
 
 class TestInvariants:
@@ -42,10 +46,10 @@ class TestInvariants:
             # no self-loops, sorted rows without duplicates, symmetric
             pairs = set()
             for i in range(n):
-                row = topo.neighbors_of(i)
-                assert np.all(np.diff(row) > 0)
-                assert i not in row
-                pairs.update((i, int(j)) for j in row)
+                neighbours = row(topo, i)
+                assert np.all(np.diff(neighbours) > 0)
+                assert i not in neighbours
+                pairs.update((i, int(j)) for j in neighbours)
             assert all((j, i) in pairs for i, j in pairs)
 
     def test_invalid_degree_rejected(self):
@@ -90,11 +94,14 @@ class TestDeterminismAndExport:
         b = build_small_world(200, 6, 0.3, seed=22)
         assert not np.array_equal(a.neighbors, b.neighbors)
 
-    def test_edge_list_round_trip(self, tmp_path):
+    def test_edge_list_round_trip(self):
+        # edges() lists each undirected CSR edge once, as (u, v) with u < v
         topo = build_small_world(50, 4, 0.2, seed=5)
-        path = tmp_path / "edges.txt"
-        write_edge_list(topo, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == topo.edge_count
-        parsed = {tuple(map(int, line.split())) for line in lines}
-        assert parsed == {tuple(e) for e in topo.edges()}
+        edges = topo.edges()
+        assert edges.shape == (topo.edge_count, 2)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        from_edges = {i: set() for i in range(topo.n)}
+        for u, v in edges.tolist():
+            from_edges[u].add(v)
+            from_edges[v].add(u)
+        assert all(sorted(from_edges[i]) == row(topo, i).tolist() for i in range(topo.n))

@@ -3,39 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from sirvar.core import CompartmentState, SirParams, Trajectory, attack_fraction, \
-    basic_reproduction_number, default_params
-from sirvar.sd import HorizonError, StepSizeError, integrate, sir_derivatives, weekly_sample
+from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
+    default_params, derived_rates
+from sirvar.sd import HorizonError, StepSizeError, integrate, week_indices, weekly_sample
+
+
+def rk4_reference(params, steps, dt):
+    """Textbook RK4 on the vector (S, I, R) with the SIR right-hand side."""
+    a, b = derived_rates(params)
+
+    def rhs(y):
+        infection, recovery = a * y[0] * y[1], b * y[1]
+        return np.array([-infection, infection - recovery, recovery])
+
+    y = np.array([params.population - params.initial_infected, params.initial_infected, 0.0])
+    out = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
 
 
 class TestDerivatives:
+    """The SIR right-hand side, as ``integrate`` applies it."""
+
     def test_no_infection_pressure(self):
-        state = CompartmentState(s=1000.0, i=0.0, r=0.0)
-        assert sir_derivatives(state, a=1e-3, b=0.2) == (0.0, 0.0, 0.0)
+        # a = 0: nobody is infected, S stays exactly where it started
+        params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
+                           illness_duration=5.0, initial_infected=10)
+        traj = integrate(params, horizon_days=30.0, dt=0.1)
+        assert np.array_equal(traj.s, np.full(len(traj), 990.0))
 
     def test_pure_decay(self):
-        state = CompartmentState(s=100.0, i=10.0, r=0.0)
-        ds, di, dr = sir_derivatives(state, a=0.0, b=0.2)
-        assert (ds, di, dr) == (0.0, -2.0, 2.0)
+        # a = 0: I(t) = I0 exp(-t / D), to RK4 accuracy (error O(dt^4))
+        params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
+                           illness_duration=5.0, initial_infected=100)
+        traj = integrate(params, horizon_days=30.0, dt=0.1)
+        t = np.arange(len(traj)) * 0.1
+        assert traj.i == pytest.approx(100.0 * np.exp(-t / 5.0), rel=1e-8)
+        assert traj.r == pytest.approx(100.0 - traj.i, abs=1e-9)
 
     def test_direct_evaluation(self):
-        state = CompartmentState(s=100.0, i=10.0, r=0.0)
-        ds, di, dr = sir_derivatives(state, a=0.001, b=0.2)
-        assert (ds, di, dr) == (-1.0, -1.0, 2.0)
-
-    def test_rates_sum_to_zero(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            state = CompartmentState(*rng.uniform(0.0, 1e5, 3))
-            ds, di, dr = sir_derivatives(state, a=float(rng.uniform(0, 1e-3)),
-                                         b=float(rng.uniform(0, 2)))
-            scale = max(abs(ds), abs(dr), 1.0)
-            assert abs(ds + di + dr) <= 1e-12 * scale
-
-    def test_negative_rates_rejected(self):
-        state = CompartmentState(s=1.0, i=1.0, r=0.0)
-        with pytest.raises(ValueError):
-            sir_derivatives(state, a=-1e-6, b=0.1)
+        params = SirParams(population=5000, contact_rate=6.0, infection_prob=0.2,
+                           illness_duration=3.0, initial_infected=20)
+        traj = integrate(params, horizon_days=20.0, dt=0.25)
+        assert traj.states == pytest.approx(rk4_reference(params, 80, 0.25), rel=1e-9, abs=1e-9)
 
 
 def random_params(rng):
@@ -71,7 +87,7 @@ class TestIntegrate:
         params = default_params()
         traj = integrate(params, horizon_days=10.0, dt=0.1)
         assert len(traj) == 101
-        assert traj.state(0) == CompartmentState(52909.0, 1.0, 0.0)
+        assert np.array_equal(traj.states[0], [52909.0, 1.0, 0.0])
 
     def test_peak_matches_analytic_oracle(self):
         # closed-form SIR peak: i_max = i0 + s0 - (1 + ln(r0 s0)) / r0 (fractions)
@@ -161,6 +177,17 @@ class TestWeeklySample:
         states = np.tile([1.0, 1.0, 0.0], (100, 1))
         with pytest.raises(ValueError):
             weekly_sample(Trajectory(dt=0.3, states=states), weeks=2)
+
+    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0])
+    def test_week_indices_reject_steps_off_the_week_grid(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            week_indices(dt, 2)
+
+    def test_week_indices(self):
+        assert week_indices(0.1, 3).tolist() == [70, 140, 210]
+        assert week_indices(7.0, 2).tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            week_indices(0.1, 0)
 
     def test_peak_week_matches_trajectory_argmax(self):
         params = default_params()

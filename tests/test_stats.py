@@ -12,12 +12,6 @@ from sirvar.stats import (
 )
 
 
-def ensemble_from(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    series = tuple(WeeklySeries(weeks=matrix.shape[1], infected=row) for row in matrix)
-    return EnsembleResult(replicates=matrix.shape[0], series=series)
-
-
 def enumeration_oracle(diffs):
     """Literal all-sign-assignments Wilcoxon oracle (two-sided, 2*min tail)."""
     diffs = np.asarray(diffs, dtype=float)
@@ -35,7 +29,7 @@ def enumeration_oracle(diffs):
 
 class TestWeeklySummary:
     def test_identical_replicates_have_zero_iqr(self):
-        ens = ensemble_from(np.tile([3.0, 7.0, 1.0], (10, 1)))
+        ens = EnsembleResult(np.tile([3.0, 7.0, 1.0], (10, 1)))
         summary = weekly_summary(ens)
         assert np.array_equal(summary.iqr, np.zeros(3))
         assert summary.total_variation == 0.0
@@ -44,7 +38,7 @@ class TestWeeklySummary:
     def test_linear_interpolation_rule(self):
         # four replicates {10, 20, 30, 40}: positions 1 + 3q give
         # q1 = 17.5, median = 25, q3 = 32.5 under the contract rule
-        ens = ensemble_from([[10.0], [20.0], [30.0], [40.0]])
+        ens = EnsembleResult([[10.0], [20.0], [30.0], [40.0]])
         summary = weekly_summary(ens)
         assert summary.q1[0] == 17.5
         assert summary.median[0] == 25.0
@@ -56,7 +50,7 @@ class TestWeeklySummary:
         rng = np.random.default_rng(8)
         for _ in range(20):
             matrix = rng.uniform(0.0, 100.0, size=(int(rng.integers(2, 40)), 6))
-            summary = weekly_summary(ensemble_from(matrix))
+            summary = weekly_summary(EnsembleResult(matrix))
             mins, maxs = matrix.min(axis=0), matrix.max(axis=0)
             assert np.all(mins <= summary.q1)
             assert np.all(summary.q1 <= summary.median)
@@ -66,8 +60,8 @@ class TestWeeklySummary:
     def test_shift_invariance(self):
         rng = np.random.default_rng(14)
         matrix = rng.uniform(0.0, 50.0, size=(30, 8))
-        base = weekly_summary(ensemble_from(matrix))
-        shifted = weekly_summary(ensemble_from(matrix + 11.25))
+        base = weekly_summary(EnsembleResult(matrix))
+        shifted = weekly_summary(EnsembleResult(matrix + 11.25))
         assert shifted.median == pytest.approx(base.median + 11.25, abs=1e-9)
         assert shifted.q1 == pytest.approx(base.q1 + 11.25, abs=1e-9)
         assert shifted.q3 == pytest.approx(base.q3 + 11.25, abs=1e-9)
@@ -77,15 +71,15 @@ class TestWeeklySummary:
     def test_median_series_consistent_with_summary(self):
         rng = np.random.default_rng(21)
         matrix = rng.uniform(0.0, 1000.0, size=(100, 15))
-        ens = ensemble_from(matrix)
+        ens = EnsembleResult(matrix)
         assert np.array_equal(median_series(ens).infected, weekly_summary(ens).median)
 
     def test_single_replicate_median_is_identity(self):
-        ens = ensemble_from([[5.0, 9.0, 2.0]])
+        ens = EnsembleResult([[5.0, 9.0, 2.0]])
         assert np.array_equal(median_series(ens).infected, [5.0, 9.0, 2.0])
 
     def test_odd_count_middle_order_statistic(self):
-        ens = ensemble_from([[4.0], [1.0], [9.0]])
+        ens = EnsembleResult([[4.0], [1.0], [9.0]])
         assert median_series(ens).infected[0] == 4.0
 
 
