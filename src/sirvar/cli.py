@@ -15,6 +15,7 @@ affecting any output value.  Exit codes: 0 success, 1 runtime error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -112,6 +113,14 @@ def _params_from_args(args) -> tuple[SirParams, dict]:
     return params, provenance
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def cmd_run_sd(args) -> int:
     _check_common(args)
     with _building_inputs():
@@ -159,6 +168,7 @@ def cmd_run_mc(args) -> int:
         replicates=spec.replicates,
         clamped_draws=ensemble.clamped_draws,
         threads=args.threads,
+        cpu_count=_cpu_count(),
         elapsed_seconds=elapsed,
         parameter_provenance=provenance,
     )
@@ -198,6 +208,7 @@ def cmd_run_abm(args) -> int:
         exponential_recovery=args.exponential_recovery,
         recovery_model="exponential" if args.exponential_recovery else "fixed-duration",
         threads=args.threads,
+        cpu_count=_cpu_count(),
         elapsed_seconds=elapsed,
         parameter_provenance=provenance,
     )

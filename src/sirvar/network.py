@@ -8,6 +8,22 @@ source itself nor already adjacent to it.  ``p_rewire = 0`` reproduces the
 exact ring lattice, ``p_rewire = 1`` gives a fully randomised graph; both
 extremes keep the edge count at ``n * k / 2``.
 
+The graph a seed yields is fixed by the order of random draws, which is
+part of this module's contract:
+
+1. ``rng.random(n * k / 2)`` picks the lattice edges to rewire (none is
+   drawn when ``p_rewire = 0``);
+2. ``rng.integers(0, n, size=(F, 8))`` draws 8 candidate targets for each
+   of the ``F`` picked edges, in lattice order (skipped when ``F = 0``);
+3. an edge takes its first candidate that is free when its turn comes,
+   and only an edge whose 8 candidates are all taken draws single
+   ``rng.integers(0, n)`` values, in edge order, until one is free.
+
+An edge whose source is already adjacent to every other node is left as
+it is and draws nothing.  Edges are resolved in bulk with numpy; an edge
+whose answer could depend on earlier rewirings is resolved on its own,
+so the result equals that of visiting the edges one by one.
+
 Adjacency is stored in compressed sparse row form (one flat neighbour
 array plus per-node offsets) so the agent-based simulator can index it
 without Python-level loops.
@@ -15,6 +31,7 @@ without Python-level loops.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +96,111 @@ def _ring_edges(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(us), np.concatenate(vs)
 
 
+def _lattice_edge(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Indices into :func:`_ring_edges` of the lattice edges {a, b}."""
+    ahead = (b - a) % n
+    back = 2 * ahead > n  # the edge runs from b forward to a
+    return np.where(back, (n - ahead - 1) * n + b, (ahead - 1) * n + a)
+
+
+def _rewire(u: np.ndarray, v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
+    """Rewire the lattice edges ``(u, v)`` in place, in lattice order.
+
+    Every picked edge ("row") first gets its optimistic answer: the first
+    candidate that is neither its source nor a lattice neighbour of it.
+    That answer equals the one-by-one answer unless an earlier row changed
+    what the row sees, which needs one of:
+
+    - its chosen edge was also chosen by an earlier row;
+    - a lattice candidate it checked before its pick belongs to an earlier
+      row, which may have rewired it away and so freed it;
+    - none of its candidates is free of the lattice.
+
+    Such rows are resolved one by one against the exact edge set, and the
+    runs of rows between them are applied in bulk.  A resolved row whose
+    answer differs from its optimistic one marks the later rows that
+    chose the same edge.  The degree guard needs no bulk check: a source
+    adjacent to every other node finds its optimistic pick already
+    chosen by an earlier row, or has none, so its row is resolved one by
+    one.
+    """
+    flagged = np.flatnonzero(rng.random(u.size) < p_rewire)
+    rows = flagged.size
+    if not rows:
+        return
+    candidates = rng.integers(0, n, size=(rows, 8))
+    src = u[flagged]
+    old = v[flagged]
+
+    gap = np.abs(candidates - src[:, None])
+    ring = np.minimum(gap, n - gap)
+    free = ring > half_k  # neither the source (ring 0) nor a lattice neighbour
+    first = free.argmax(axis=1)
+    target = candidates[np.arange(rows), first]
+    key = np.minimum(src, target) * n + np.maximum(src, target)
+    conflict = ~free.any(axis=1)
+    key[conflict] = -1  # no pick, and a key that matches no edge
+    by_key = np.argsort(key, kind="stable")
+    sorted_keys = key[by_key]
+    conflict[by_key[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+    row_of_edge = np.full(u.size, rows)
+    row_of_edge[flagged] = np.arange(rows)
+    r, j = np.nonzero((ring > 0) & (ring <= half_k) & (np.arange(8) < first[:, None]))
+    conflict[r[row_of_edge[_lattice_edge(src[r], candidates[r, j], n)] < r]] = True
+
+    degree = np.full(n, 2 * half_k)
+    old_key = np.minimum(src, old) * n + np.maximum(src, old)
+    added, removed = set(), set()  # edge keys the rows before `pos` add and remove
+
+    def taken(s: int, w: int) -> bool:
+        """Whether {s, w} is a self-loop or an edge once the earlier rows are applied."""
+        key = min(s, w) * n + max(s, w)
+        if w == s or key in added:
+            return True
+        return not half_k < (w - s) % n < n - half_k and key not in removed
+
+    pending = np.flatnonzero(conflict).tolist()  # sorted, so a heap
+    pos = 0
+    while pos < rows:
+        while pending and pending[0] < pos:
+            heapq.heappop(pending)
+        c = pending[0] if pending else rows
+        if c == rows:
+            break
+        if c > pos:  # apply rows pos .. c - 1 as they are
+            degree += np.bincount(target[pos:c], minlength=n)
+            degree -= np.bincount(old[pos:c], minlength=n)
+            added.update(key[pos:c].tolist())
+            removed.update(old_key[pos:c].tolist())
+
+        pos = c + 1
+        s = int(src[c])
+        if degree[s] >= n - 1:
+            target[c] = old[c]
+            continue  # s is already adjacent to every other node
+        for w in candidates[c].tolist():
+            if not taken(s, w):
+                break
+        else:
+            w = int(rng.integers(0, n))
+            while taken(s, w):
+                w = int(rng.integers(0, n))
+        w_key = min(s, w) * n + max(s, w)
+        if w_key != key[c]:
+            lo = sorted_keys.searchsorted(w_key)
+            hi = sorted_keys.searchsorted(w_key, side="right")
+            for later in by_key[lo:hi].tolist():
+                if later > c:
+                    heapq.heappush(pending, later)
+        added.add(w_key)
+        removed.add(int(old_key[c]))
+        target[c] = w
+        degree[old[c]] -= 1
+        degree[w] += 1
+
+    v[flagged] = target
+
+
 def build_small_world(
     n: int,
     k: int,
@@ -86,6 +208,11 @@ def build_small_world(
     seed,
 ) -> NetworkTopology:
     """Generate a Watts-Strogatz topology over ``n`` nodes.
+
+    Lattice edges are visited in the order of :func:`_ring_edges` (offset
+    1 for every node, then offset 2, ...), and random draws follow the
+    order stated in the module docstring, so a seed gives one graph and
+    leaves a caller's Generator in one state.
 
     Parameters
     ----------
@@ -110,47 +237,14 @@ def build_small_world(
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u, v = _ring_edges(n, k)
-
     if p_rewire > 0.0:
-        # Canonical integer keys make duplicate checks O(1); the set tracks
-        # the evolving edge list while edges are visited in lattice order.
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
-        edge_set = set(keys.tolist())
-        degree = np.full(n, k, dtype=np.int64)
-        flagged = np.flatnonzero(rng.random(u.size) < p_rewire)
-        # Candidate targets are drawn in bulk; rejections fall back to
-        # singles.  Retries happen only on self-loops or duplicates, which
-        # are rare for k << n.
-        candidates = rng.integers(0, n, size=(flagged.size, 8)) if flagged.size else None
-        for row, e in enumerate(flagged):
-            src = int(u[e])
-            if degree[src] >= n - 1:
-                continue  # src already adjacent to every other node
-            old = int(v[e])
-            old_key = int(keys[e])
-            new_target = -1
-            for w in candidates[row]:
-                w = int(w)
-                if w != src and min(src, w) * n + max(src, w) not in edge_set:
-                    new_target = w
-                    break
-            while new_target < 0:
-                w = int(rng.integers(0, n))
-                if w != src and min(src, w) * n + max(src, w) not in edge_set:
-                    new_target = w
-            edge_set.discard(old_key)
-            new_key = min(src, new_target) * n + max(src, new_target)
-            edge_set.add(new_key)
-            v[e] = new_target
-            keys[e] = new_key
-            degree[old] -= 1
-            degree[new_target] += 1
+        _rewire(u, v, n, k // 2, p_rewire, rng)
 
     # CSR assembly: both edge directions, rows sorted by (node, neighbour).
+    # The (src, dst) pairs are distinct, so one combined key sorts them.
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    neighbors = dst[order].astype(np.int32)
+    neighbors = (np.sort(src * n + dst) % n).astype(np.int32)
     degrees = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])

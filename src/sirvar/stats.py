@@ -21,10 +21,10 @@ correction is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .core import EnsembleResult, WeeklySeries
 
@@ -104,6 +104,17 @@ def median_series(ensemble: EnsembleResult) -> WeeklySeries:
     return WeeklySeries(weeks=ensemble.weeks, infected=med)
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their positions."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_low_tail(doubled_ranks: np.ndarray, doubled_w: int) -> float:
     """P(W+ <= w) under random signs, by dynamic programming.
 
@@ -126,8 +137,8 @@ def _normal_approx_p(w: float, n: int, tie_sizes: np.ndarray) -> float:
     variance = n * (n + 1) * (2 * n + 1) / 24.0
     if tie_sizes.size:
         variance -= float((tie_sizes**3 - tie_sizes).sum()) / 48.0
-    z = (w - mean + 0.5) / np.sqrt(variance)  # continuity correction
-    return min(1.0, 2.0 * float(norm.cdf(z)))
+    z = (w - mean + 0.5) / math.sqrt(variance)  # continuity correction
+    return min(1.0, math.erfc(-z / math.sqrt(2.0)))  # 2 * Phi(z)
 
 
 def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
@@ -170,7 +181,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     if n == 0:
         return WilcoxonResult(n_effective=0, w_statistic=0.0, p_value=1.0, reject_at_5pct=False)
 
-    ranks = rankdata(np.abs(diffs))
+    ranks = _midranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     w = min(w_plus, w_minus)

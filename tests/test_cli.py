@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sirvar
 from sirvar import io
 from sirvar.cli import main
 
@@ -69,6 +73,24 @@ class TestUsage:
         assert err.startswith("sirvar: usage error:") and named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_import_leaves_scipy_out(self):
+        package_root = str(Path(sirvar.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {package_root!r}); "
+                "import sirvar.cli; print('scipy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command", [
+        ("run-mc", "--vary", "all", "--replicates", "2"),
+        ("run-abm", "--population", "300", "--replicates", "1"),
+    ])
+    def test_metadata_records_cpu_count(self, tmp_path, capsys, command):
+        assert run(*command, "--weeks", "2", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        cpus = read_meta(tmp_path)["cpu_count"]
+        assert isinstance(cpus, int) and cpus > 0
 
 
 class TestRunSd:

@@ -1,12 +1,105 @@
+from collections import Counter
+
 import numpy as np
 import networkx as nx
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from sirvar.network import NetworkGenParams, build_small_world
 
 
 def row(topo, i):
     return topo.neighbors[topo.offsets[i]:topo.offsets[i + 1]]
+
+
+def reference_small_world(n, k, p_rewire, rng):
+    """CSR rows of the one-edge-at-a-time rewiring loop, and its events.
+
+    The loop is the package's earlier implementation, kept as the
+    reference the vectorised pass must equal.  ``events`` counts the rows
+    whose answer depends on earlier rows ("taken": the first
+    lattice-free candidate was already chosen; "freed": a lattice
+    candidate checked up to it had been rewired away; "no_free": no
+    candidate is lattice-free), rows that drew single targets
+    ("single_draw") and rows skipped because the source was adjacent to
+    every other node ("guard").
+    """
+    nodes = np.arange(n, dtype=np.int64)
+    u = np.concatenate([nodes] * (k // 2))
+    v = np.concatenate([(nodes + j) % n for j in range(1, k // 2 + 1)])
+    events = Counter()
+    if p_rewire > 0.0:
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        edge_set = set(keys.tolist())
+        lattice = frozenset(edge_set)
+        degree = np.full(n, k, dtype=np.int64)
+        flagged = np.flatnonzero(rng.random(u.size) < p_rewire)
+        candidates = rng.integers(0, n, size=(flagged.size, 8)) if flagged.size else None
+        for row, e in enumerate(flagged):
+            src = int(u[e])
+            if degree[src] >= n - 1:
+                events["guard"] += 1
+                continue
+            old = int(v[e])
+            old_key = int(keys[e])
+            checked = []
+            for w in candidates[row].tolist():
+                if w == src:
+                    continue
+                checked.append(min(src, w) * n + max(src, w))
+                if checked[-1] not in lattice:
+                    break
+            else:
+                events["no_free"] += 1
+            if checked and checked[-1] not in lattice and checked[-1] in edge_set:
+                events["taken"] += 1
+            if any(key in lattice and key not in edge_set for key in checked):
+                events["freed"] += 1
+            new_target = -1
+            for w in candidates[row]:
+                w = int(w)
+                if w != src and min(src, w) * n + max(src, w) not in edge_set:
+                    new_target = w
+                    break
+            if new_target < 0:
+                events["single_draw"] += 1
+            while new_target < 0:
+                w = int(rng.integers(0, n))
+                if w != src and min(src, w) * n + max(src, w) not in edge_set:
+                    new_target = w
+            edge_set.discard(old_key)
+            new_key = min(src, new_target) * n + max(src, new_target)
+            edge_set.add(new_key)
+            v[e] = new_target
+            keys[e] = new_key
+            degree[old] -= 1
+            degree[new_target] += 1
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return dst[order].astype(np.int32), offsets, events
+
+
+def assert_matches_reference(n, k, p, seed):
+    """Same CSR graph and same Generator state afterwards; returns the events."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    topo = build_small_world(n, k, p, seed=ours)
+    neighbors, offsets, events = reference_small_world(n, k, p, theirs)
+    assert np.array_equal(topo.neighbors, neighbors), (n, k, p, seed)
+    assert topo.neighbors.dtype == neighbors.dtype
+    assert np.array_equal(topo.offsets, offsets), (n, k, p, seed)
+    assert ours.bit_generator.state == theirs.bit_generator.state, (n, k, p, seed)
+    return events
+
+
+def mean_path_length(graph):
+    """Mean shortest-path length over ordered node pairs of a connected graph."""
+    dist = shortest_path(nx.to_scipy_sparse_array(graph), unweighted=True, directed=False)
+    assert np.isfinite(dist).all()
+    n = graph.number_of_nodes()
+    return dist.sum() / (n * (n - 1))
 
 
 def as_nx(topo):
@@ -80,6 +173,45 @@ class TestSmallWorldEffect:
         l_rewired = nx.average_shortest_path_length(rewired)
         assert c_rewired < c_lattice
         assert l_rewired < l_lattice
+
+
+class TestMatchesReferenceLoop:
+    def test_random_small_graphs(self):
+        rng = np.random.default_rng(2024)
+        cases = [(n, n - 2, p) for n in (4, 6, 10, 16) for p in (0.0, 0.5, 1.0)]
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            k = 2 * int(rng.integers(1, (n - 1) // 2 + 1))
+            cases.append((n, k, float(rng.choice([0.0, 1.0, rng.random()]))))
+        for i, (n, k, p) in enumerate(cases):
+            assert_matches_reference(n, k, p, seed=i)
+
+    @pytest.mark.parametrize("event, case", [
+        ("taken", (2000, 10, 1.0, 0)),
+        ("freed", (200, 10, 1.0, 0)),
+        ("no_free", (100, 60, 0.1, 0)),
+        ("single_draw", (60, 40, 0.1, 1)),
+        ("guard", (24, 20, 0.3, 1)),
+    ])
+    def test_rows_that_depend_on_earlier_rows(self, event, case):
+        assert assert_matches_reference(*case)[event] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paper_size(self, seed):
+        assert_matches_reference(52_910, 10, 0.1, seed)
+
+
+class TestNetworkxOracle:
+    def test_clustering_and_path_length_match_watts_strogatz(self):
+        ours_c, ours_l, nx_c, nx_l = [], [], [], []
+        for seed in range(5):
+            ours = as_nx(build_small_world(1000, 10, 0.1, seed=seed))
+            theirs = nx.watts_strogatz_graph(1000, 10, 0.1, seed=seed)
+            for graph, clustering, path in ((ours, ours_c, ours_l), (theirs, nx_c, nx_l)):
+                clustering.append(nx.average_clustering(graph))
+                path.append(mean_path_length(graph))
+        assert abs(np.mean(ours_c) - np.mean(nx_c)) < 0.02
+        assert np.mean(ours_l) == pytest.approx(np.mean(nx_l), rel=0.03)
 
 
 class TestDeterminismAndExport:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import rankdata, wilcoxon
 
 from sirvar.core import EnsembleResult, WeeklySeries
 from sirvar.stats import (
+    EXACT_LIMIT,
     WilcoxonResult,
+    _midranks,
     _normal_approx_p,
     median_series,
     weekly_summary,
@@ -175,3 +177,23 @@ class TestWilcoxon:
                 checked += 1
                 assert abs(exact - approx) < 0.02
         assert checked > 300  # the tail region is well exercised
+
+    def test_midranks_equal_scipy_on_tied_integers(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            values = rng.integers(0, int(rng.integers(1, 12)), size=int(rng.integers(1, 60)))
+            values = values.astype(float)
+            assert np.array_equal(_midranks(values), rankdata(values))
+
+    def test_normal_branch_matches_scipy(self):
+        # Non-zero integer differences: every pair counts, and ties abound.
+        rng = np.random.default_rng(43)
+        steps = np.r_[-6:0, 1:7].astype(float)
+        for n in range(EXACT_LIMIT + 1, 61):
+            for _ in range(5):
+                d = rng.choice(steps, size=n)
+                ours = wilcoxon_signed_rank(d, np.zeros(n))
+                theirs = wilcoxon(d, method="approx", correction=True)
+                assert ours.n_effective == n
+                assert ours.w_statistic == theirs.statistic
+                assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
