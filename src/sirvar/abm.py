@@ -21,6 +21,21 @@ Recovered agents never change state again.  Ensemble replicates draw
 their network and simulation randomness from
 :func:`sirvar.core.replicate_rng` streams and run through
 :func:`sirvar.core.run_replicates`.
+
+The daily counts a seed yields are fixed by the order of random draws,
+which is part of this module's contract.  Each day draws, in order:
+
+1. ``rng.poisson(contact_rate, I)``, one count per infectious agent, in
+   ascending agent index;
+2. ``rng.integers(0, degree)``, one neighbour slot per contact;
+3. ``rng.random(C)``, one transmission test per contact;
+4. with ``exponential_recovery`` only, ``rng.random(I)``, one recovery test
+   per agent infectious at the start of the day, in ascending agent index.
+
+A day with no infectious agent draws nothing.  A day costs time in
+proportion to its infectious agents and contacts, not to the population:
+:class:`Population` keeps the sorted index array of infectious agents, so
+its ``status`` must change only through ``infect`` and :func:`step_day`.
 """
 
 from __future__ import annotations
@@ -45,11 +60,27 @@ class Status(IntEnum):
     RECOVERED = 2
 
 
+# Plain ints for the daily step: IntEnum attribute lookups are slow.
+_SUSCEPTIBLE = int(Status.SUSCEPTIBLE)
+_INFECTIOUS = int(Status.INFECTIOUS)
+_RECOVERED = int(Status.RECOVERED)
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """Ascending distinct entries of ``a``, which is sorted in place."""
+    a.sort()
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class Population:
     """Mutable array-backed agent population.
 
-    Holds one status byte and one remaining-days float per agent; the
-    simulator mutates these in place.
+    Holds one status byte and one remaining-days float per agent, plus
+    ``infectious``, the ascending indices of the infectious agents.  The
+    simulator mutates these in place; change ``status`` only through
+    :meth:`infect` and :func:`step_day`, which keep ``infectious`` in step.
     """
 
     def __init__(self, n: int):
@@ -57,18 +88,23 @@ class Population:
             raise ValueError(f"population must have >= 1 agent, got {n}")
         self.status = np.zeros(n, dtype=np.int8)
         self.days_remaining = np.zeros(n, dtype=float)
+        self.infectious = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return self.status.size
 
     def infect(self, indices, duration: float) -> None:
-        self.status[indices] = Status.INFECTIOUS
+        """Make the agents at integer ``indices`` infectious for ``duration`` days."""
+        indices = np.asarray(indices, dtype=np.intp).ravel()
+        self.status[indices] = _INFECTIOUS
         self.days_remaining[indices] = duration
+        # The status write above has range-checked the indices.
+        self.infectious = _sorted_distinct(np.concatenate((self.infectious, indices % len(self))))
 
     def counts(self) -> tuple[int, int, int]:
         """(susceptible, infectious, recovered) totals."""
-        s = int(np.count_nonzero(self.status == Status.SUSCEPTIBLE))
-        i = int(np.count_nonzero(self.status == Status.INFECTIOUS))
+        s = int(np.count_nonzero(self.status == _SUSCEPTIBLE))
+        i = int(np.count_nonzero(self.status == _INFECTIOUS))
         return s, i, len(self) - s - i
 
 
@@ -87,36 +123,40 @@ def step_day(
         raise ValueError(f"population size {len(pop)} != topology size {topo.n}")
 
     status = pop.status
-    infectious = np.flatnonzero(status == Status.INFECTIOUS)
+    infectious = pop.infectious
     if infectious.size == 0:
         return 0
 
-    new_infections = 0
+    victims = infectious[:0]  # empty, of the index dtype
     contacts = rng.poisson(params.contact_rate, infectious.size)
     sources = np.repeat(infectious, contacts)
     if sources.size:
-        degrees = topo.degrees
-        slots = rng.integers(0, degrees[sources])
+        slots = rng.integers(0, topo.degrees[sources])
         targets = topo.neighbors[topo.offsets[sources] + slots]
         transmitted = targets[rng.random(sources.size) < params.infection_prob]
         # All contact draws above use start-of-day states, so infection is
         # synchronous: a target hit twice today gets two independent
         # chances, and today's new infectives neither transmit nor recover
         # before tomorrow.
-        victims = transmitted[status[transmitted] == Status.SUSCEPTIBLE]
-        if victims.size:
-            new_infections = int(np.unique(victims).size)
-            pop.infect(victims, params.illness_duration)
+        victims = _sorted_distinct(transmitted[status[transmitted] == _SUSCEPTIBLE])
+        status[victims] = _INFECTIOUS
+        pop.days_remaining[victims] = params.illness_duration
 
     # Recovery applies to agents infectious at the start of the day only.
     if exponential_recovery:
-        recovered = infectious[rng.random(infectious.size) < params.recovery_rate]
+        recovers = rng.random(infectious.size) < params.recovery_rate
     else:
-        pop.days_remaining[infectious] -= 1.0
-        recovered = infectious[pop.days_remaining[infectious] <= 0.0]
-    status[recovered] = Status.RECOVERED
+        left = pop.days_remaining[infectious] - 1.0
+        pop.days_remaining[infectious] = left
+        recovers = left <= 0.0
+    recovered = infectious[recovers]
+    status[recovered] = _RECOVERED
     pop.days_remaining[recovered] = 0.0
-    return new_infections
+    # Start-of-day infectives and today's victims are disjoint sets.
+    still = np.concatenate((infectious[~recovers], victims))
+    still.sort()
+    pop.infectious = still
+    return int(victims.size)
 
 
 def _simulate(
@@ -134,11 +174,15 @@ def _simulate(
 
     days = weeks * 7
     daily = np.empty((days + 1, 3), dtype=np.int64)
-    daily[0] = pop.counts()
+    n = topo.n
+    susceptible = n - pop.infectious.size
+    daily[0] = susceptible, pop.infectious.size, 0
     weekly = np.empty(weeks, dtype=float)
     for day in range(1, days + 1):
-        step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-        daily[day] = pop.counts()
+        susceptible -= step_day(pop, topo, params, rng,
+                                exponential_recovery=exponential_recovery)
+        infectious = pop.infectious.size
+        daily[day] = susceptible, infectious, n - susceptible - infectious
         if day % 7 == 0:
             weekly[day // 7 - 1] = daily[day, 1]
     return weekly, daily

@@ -258,16 +258,19 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     ``fn`` must be a module-level function so that pool workers can import
     it.  A failure in replicate ``r`` is re-raised as
     ``RuntimeError("replicate r failed: ...")``.  The result list is in
-    replicate order whatever ``threads`` is.
+    replicate order whatever ``threads`` is.  The pool has
+    ``min(threads, replicates)`` workers, since a fork pool starts every
+    worker up front; with one worker the replicates run in this process.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if threads <= 1:
+    workers = min(threads, replicates)
+    if workers <= 1:
         return [_run_one(fn, context, r) for r in range(replicates)]
-    with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, context)) as pool:
         return list(pool.map(_run_in_worker, range(replicates),
-                             chunksize=max(1, replicates // (4 * threads))))
+                             chunksize=max(1, replicates // (4 * workers))))
 
 
 def final_size_reproduction_number(attack_rate: float) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +70,13 @@ class NetworkTopology:
             arr = getattr(self, name)
             arr.setflags(write=False)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        # Computed on first use in each process, not at construction, so
+        # that building or forking a topology carries no extra array.
+        degrees = np.diff(self.offsets)
+        degrees.setflags(write=False)
+        return degrees
 
     @property
     def edge_count(self) -> int:

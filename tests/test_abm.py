@@ -1,14 +1,65 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sirvar.abm import Population, Status, run_abm, run_abm_ensemble, step_day
-from sirvar.core import SirParams, replicate_rng
+from sirvar.abm import Population, Status, _simulate, run_abm, run_abm_ensemble, step_day
+from sirvar.core import SirParams, default_params, replicate_rng
 from sirvar.network import NetworkGenParams, build_small_world
 
 
 def params_for(n, c=5.0, p=0.1, d=4.2, i0=1):
     return SirParams(population=n, contact_rate=c, infection_prob=p,
                      illness_duration=d, initial_infected=i0)
+
+
+def reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery):
+    """One day of the scan-everything step, on raw state arrays.
+
+    This is the package's earlier implementation, which found the
+    infectious agents with ``flatnonzero`` over all agents every day; it
+    is kept as the reference the incremental step must equal.
+    """
+    infectious = np.flatnonzero(status == Status.INFECTIOUS)
+    if infectious.size == 0:
+        return 0
+    new_infections = 0
+    contacts = rng.poisson(params.contact_rate, infectious.size)
+    sources = np.repeat(infectious, contacts)
+    if sources.size:
+        degrees = np.diff(topo.offsets)
+        slots = rng.integers(0, degrees[sources])
+        targets = topo.neighbors[topo.offsets[sources] + slots]
+        transmitted = targets[rng.random(sources.size) < params.infection_prob]
+        victims = transmitted[status[transmitted] == Status.SUSCEPTIBLE]
+        if victims.size:
+            new_infections = int(np.unique(victims).size)
+            status[victims] = Status.INFECTIOUS
+            days_remaining[victims] = params.illness_duration
+    if exponential_recovery:
+        recovered = infectious[rng.random(infectious.size) < params.recovery_rate]
+    else:
+        days_remaining[infectious] -= 1.0
+        recovered = infectious[days_remaining[infectious] <= 0.0]
+    status[recovered] = Status.RECOVERED
+    days_remaining[recovered] = 0.0
+    return new_infections
+
+
+def reference_daily_counts(params, topo, weeks, rng, exponential_recovery):
+    """Daily (S, I, R) rows of the reference step, counted from ``status``."""
+    status = np.zeros(topo.n, dtype=np.int8)
+    days_remaining = np.zeros(topo.n)
+    if params.initial_infected:
+        seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
+        status[seeds] = Status.INFECTIOUS
+        days_remaining[seeds] = params.illness_duration
+    rows = []
+    for day in range(weeks * 7 + 1):
+        if day:
+            reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery)
+        rows.append([np.count_nonzero(status == value) for value in Status])
+    return np.array(rows)
 
 
 class TestAgentState:
@@ -190,3 +241,83 @@ class TestEnsemble:
         gen = NetworkGenParams(k=10, p_rewire=0.0)
         with pytest.raises(RuntimeError, match="replicate 0 failed: k must be smaller than n"):
             run_abm_ensemble(params, gen, weeks=2, replicates=4, master_seed=0, threads=2)
+
+
+def random_case(rng):
+    """A random small-world graph and parameter set with n in [3, 2000]."""
+    n = int(np.exp(rng.uniform(np.log(3), np.log(2000))))
+    k = 2 * int(rng.integers(1, min(5, (n - 1) // 2) + 1))
+    topo = build_small_world(n, k, float(rng.random()), seed=rng)
+    infection_prob = [0.0, 1.0, float(rng.random())][int(rng.integers(3))]
+    params = params_for(n, c=float(rng.uniform(0, 10)), p=infection_prob,
+                        d=float(rng.uniform(0.5, 8)), i0=int(rng.integers(0, n + 1)))
+    return topo, params
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    def test_random_graphs_step_for_step(self, exponential_recovery):
+        cases = np.random.default_rng(2024)
+        for case in range(60):
+            topo, params = random_case(cases)
+            seeds = cases.choice(topo.n, size=params.initial_infected, replace=False)
+            pop = Population(topo.n)
+            pop.infect(seeds, params.illness_duration)
+            status, days_remaining = pop.status.copy(), pop.days_remaining.copy()
+            rng = np.random.default_rng(case)
+            ref_rng = np.random.default_rng(case)
+            for day in range(25):
+                new = step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
+                expected = reference_step_day(status, days_remaining, topo, params, ref_rng,
+                                              exponential_recovery)
+                where = f"case {case}, n={topo.n}, day {day}"
+                assert new == expected, where
+                assert np.array_equal(pop.status, status), where
+                assert np.array_equal(pop.days_remaining, days_remaining), where
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paper_default_daily_counts(self, seed, exponential_recovery):
+        # replicate 0 of run-abm --seed <seed> --initial-infected 10
+        params = default_params(initial_infected=10)
+        topo = build_small_world(params.population, 10, 0.1, replicate_rng(seed, 0, 0))
+        _, daily = _simulate(params, topo, 15, replicate_rng(seed, 0, 1),
+                             exponential_recovery)
+        expected = reference_daily_counts(params, topo, 15, replicate_rng(seed, 0, 1),
+                                          exponential_recovery)
+        assert np.array_equal(daily, expected)
+
+
+class TestInfectiousSet:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponential_recovery=st.booleans())
+    def test_tracks_status_after_every_step(self, seed, exponential_recovery):
+        rng = np.random.default_rng(seed)
+        topo, params = random_case(rng)
+        pop = Population(topo.n)
+        # repeated and negative indices, and a second call that overlaps the first
+        pop.infect(rng.integers(-topo.n, topo.n, size=params.initial_infected),
+                   params.illness_duration)
+        pop.infect(rng.integers(0, topo.n, size=2), params.illness_duration)
+        for _day in range(30):
+            assert np.array_equal(pop.infectious, np.flatnonzero(pop.status == Status.INFECTIOUS))
+            assert pop.infectious.dtype == np.intp
+            assert np.all(np.diff(pop.infectious) > 0)
+            step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponential_recovery=st.booleans())
+    def test_daily_counts_match_status(self, seed, exponential_recovery):
+        topo, params = random_case(np.random.default_rng(seed))
+        _, daily = _simulate(params, topo, 4, np.random.default_rng(seed), exponential_recovery)
+        rng = np.random.default_rng(seed)
+        pop = Population(topo.n)
+        if params.initial_infected:
+            pop.infect(rng.choice(topo.n, size=params.initial_infected, replace=False),
+                       params.illness_duration)
+        rows = [pop.counts()]
+        for _day in range(28):
+            step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
+            rows.append(pop.counts())
+        assert np.array_equal(daily, np.array(rows))

@@ -92,6 +92,14 @@ class TestUsage:
         cpus = read_meta(tmp_path)["cpu_count"]
         assert isinstance(cpus, int) and cpus > 0
 
+    def test_metadata_records_requested_threads(self, tmp_path, capsys, monkeypatch):
+        # one replicate runs in this process, so opening a pool would fail
+        monkeypatch.setattr(sirvar.core, "ProcessPoolExecutor", None)
+        assert run("run-abm", "--population", "300", "--replicates", "1", "--threads", "8",
+                   "--weeks", "2", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert read_meta(tmp_path)["threads"] == 8
+
 
 class TestRunSd:
     def test_defaults_write_15_weeks(self, tmp_path, capsys):

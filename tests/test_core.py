@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import sirvar.core
+from sirvar.abm import run_abm_ensemble
 from sirvar.core import (
     EnsembleResult,
     SirParams,
@@ -16,6 +18,7 @@ from sirvar.core import (
     final_size_reproduction_number,
     run_replicates,
 )
+from sirvar.network import NetworkGenParams
 
 
 def make_params(**overrides):
@@ -203,3 +206,33 @@ class TestRunReplicates:
     def test_needs_a_replicate(self):
         with pytest.raises(ValueError):
             run_replicates(_fail_at_three, 10, 0)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Record the ``max_workers`` of every pool ``run_replicates`` opens."""
+        sizes = []
+        real = sirvar.core.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(sirvar.core, "ProcessPoolExecutor", recording)
+        return sizes
+
+    def _ensemble(self, replicates, threads):
+        params = make_params(population=300, contact_rate=6.0, infection_prob=0.2)
+        return run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=4,
+                                replicates=replicates, master_seed=21, threads=threads)
+
+    def test_no_more_workers_than_replicates(self, pool_sizes):
+        pooled = self._ensemble(replicates=2, threads=8)
+        assert pool_sizes == [2]
+        assert np.array_equal(pooled.matrix, self._ensemble(replicates=2, threads=1).matrix)
+
+    def test_one_replicate_runs_without_a_pool(self, pool_sizes):
+        single = self._ensemble(replicates=1, threads=8)
+        assert pool_sizes == []
+        assert np.array_equal(single.matrix, self._ensemble(replicates=1, threads=1).matrix)
