@@ -101,12 +101,6 @@ class Population:
         # The status write above has range-checked the indices.
         self.infectious = _sorted_distinct(np.concatenate((self.infectious, indices % len(self))))
 
-    def counts(self) -> tuple[int, int, int]:
-        """(susceptible, infectious, recovered) totals."""
-        s = int(np.count_nonzero(self.status == _SUSCEPTIBLE))
-        i = int(np.count_nonzero(self.status == _INFECTIOUS))
-        return s, i, len(self) - s - i
-
 
 def step_day(
     pop: Population,

@@ -8,8 +8,10 @@ validation against a reference series plus variance totals).
 Every command writes one run directory under ``--out`` containing the
 results and a ``metadata.json`` sufficient to reproduce them bit-exactly,
 and honours ``--seed`` and ``--threads`` without the thread count
-affecting any output value.  Exit codes: 0 success, 1 runtime error,
-2 usage error.
+affecting any output value.  ``run-mc`` and ``run-abm`` build that
+metadata first and execute it through :func:`sirvar.io.rerun_from_metadata`,
+so a saved ensemble reruns through the code that wrote it.  Exit codes:
+0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, io, stats
-from .abm import run_abm_ensemble
 from .core import (
     DEFAULT_ILLNESS_DURATION,
     DEFAULT_INFECTION_PROB,
@@ -30,7 +32,7 @@ from .core import (
     SirParams,
     calibrate_contact_rate,
 )
-from .montecarlo import VariationSpec, run_sd_ensemble
+from .montecarlo import VariationSpec
 from .network import NetworkGenParams
 from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
 
@@ -44,16 +46,6 @@ _SCENARIOS = {
 
 class UsageError(ValueError):
     """An invalid flag value; maps to exit code 2."""
-
-
-def _check_common(args) -> None:
-    """Checks of flags that no domain type validates."""
-    if args.weeks < 1:
-        raise UsageError(f"--weeks must be >= 1, got {args.weeks}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    if not 0 <= args.seed < 2**64:
-        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
 
 
 @contextmanager
@@ -88,6 +80,14 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> tuple[SirParams, dict]:
+    """Parameters and their provenance from the flags every run command shares,
+    after checking the flags that no domain type validates."""
+    if args.weeks < 1:
+        raise UsageError(f"--weeks must be >= 1, got {args.weeks}")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    if not 0 <= args.seed < 2**64:
+        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     if args.contact_rate is None:
         contact_rate = calibrate_contact_rate(
             infection_prob=args.infection_prob,
@@ -122,7 +122,6 @@ def _cpu_count() -> int:
 
 
 def cmd_run_sd(args) -> int:
-    _check_common(args)
     with _building_inputs():
         params, provenance = _params_from_args(args)
         week_indices(args.dt, args.weeks)
@@ -142,78 +141,50 @@ def cmd_run_sd(args) -> int:
     return 0
 
 
-def cmd_run_mc(args) -> int:
-    _check_common(args)
-    with _building_inputs():
-        params, provenance = _params_from_args(args)
-        spec = VariationSpec(
-            sigma_fraction=args.sigma,
-            replicates=args.replicates,
-            master_seed=args.seed,
-            **_SCENARIOS[args.vary],
-        )
-        week_indices(args.dt, args.weeks)
-    start = time.perf_counter()
-    ensemble = run_sd_ensemble(params, spec, args.weeks, dt=args.dt, threads=args.threads)
-    elapsed = time.perf_counter() - start
-    summary = stats.weekly_summary(ensemble)
-    meta = io.make_metadata(
-        "sd-mc", params, args.weeks, args.seed,
-        dt=args.dt,
-        scenario=args.vary,
-        vary_illness=spec.vary_illness,
-        vary_contact=spec.vary_contact,
-        vary_infection=spec.vary_infection,
-        sigma_fraction=spec.sigma_fraction,
-        replicates=spec.replicates,
-        clamped_draws=ensemble.clamped_draws,
-        threads=args.threads,
-        cpu_count=_cpu_count(),
-        elapsed_seconds=elapsed,
-        parameter_provenance=provenance,
-    )
-    io.save_ensemble(ensemble, summary, args.out, meta, fmt=args.format)
-    print(f"run-mc[{args.vary}]: {spec.replicates}x{args.weeks} matrix in {args.out}, "
-          f"total variation {summary.total_variation:.0f}, {elapsed:.2f}s")
-    return 0
+def _mc_inputs(args) -> tuple[str, dict]:
+    spec = VariationSpec(sigma_fraction=args.sigma, replicates=args.replicates,
+                         master_seed=args.seed, **_SCENARIOS[args.vary])
+    week_indices(args.dt, args.weeks)
+    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec))
 
 
-def cmd_run_abm(args) -> int:
-    _check_common(args)
+def _abm_inputs(args) -> tuple[str, dict]:
     if args.k >= args.population:
         raise UsageError(
             f"--k must be < --population, got k={args.k}, population={args.population}")
     if args.replicates < 1:
         raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
-    with _building_inputs():
-        params, provenance = _params_from_args(args)
-        gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
-    start = time.perf_counter()
-    ensemble = run_abm_ensemble(
-        params, gen, args.weeks,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        threads=args.threads,
-        reuse_network=args.reuse_network,
-        exponential_recovery=args.exponential_recovery,
-    )
-    elapsed = time.perf_counter() - start
-    summary = stats.weekly_summary(ensemble)
-    meta = io.make_metadata(
-        "abm", params, args.weeks, args.seed,
+    gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
+    return "abm", dict(
         replicates=args.replicates,
         network_k=gen.k,
         network_p_rewire=gen.p_rewire,
         reuse_network=args.reuse_network,
         exponential_recovery=args.exponential_recovery,
         recovery_model="exponential" if args.exponential_recovery else "fixed-duration",
+    )
+
+
+def cmd_run_ensemble(args) -> int:
+    """Run-mc and run-abm: execute the metadata that ``args.inputs`` builds, then save."""
+    with _building_inputs():
+        params, provenance = _params_from_args(args)
+        kind, inputs = args.inputs(args)
+    meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
+    start = time.perf_counter()
+    ensemble = io.rerun_from_metadata(meta, threads=args.threads)
+    elapsed = time.perf_counter() - start
+    meta.update(
+        clamped_draws=ensemble.clamped_draws,
         threads=args.threads,
         cpu_count=_cpu_count(),
         elapsed_seconds=elapsed,
         parameter_provenance=provenance,
     )
+    summary = stats.weekly_summary(ensemble)
     io.save_ensemble(ensemble, summary, args.out, meta, fmt=args.format)
-    print(f"run-abm: {args.replicates}x{args.weeks} matrix in {args.out}, "
+    scenario = f"[{args.vary}]" if kind == "sd-mc" else ""
+    print(f"{args.command}{scenario}: {ensemble.replicates}x{args.weeks} matrix in {args.out}, "
           f"total variation {summary.total_variation:.0f}, {elapsed:.2f}s")
     return 0
 
@@ -292,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="standard deviation as a fraction of each varied parameter's mean")
     p_mc.add_argument("--replicates", type=int, default=100, help="ensemble size")
     p_mc.add_argument("--dt", type=float, default=DEFAULT_DT, help="integration step in days")
-    p_mc.set_defaults(func=cmd_run_mc)
+    p_mc.set_defaults(func=cmd_run_ensemble, inputs=_mc_inputs)
 
     p_abm = sub.add_parser("run-abm", formatter_class=fmt,
                            help="agent-based ensemble on a small-world network")
@@ -305,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="share one topology across replicates instead of regenerating")
     p_abm.add_argument("--exponential-recovery", action="store_true",
                        help="recover with daily probability 1/duration instead of a fixed duration")
-    p_abm.set_defaults(func=cmd_run_abm)
+    p_abm.set_defaults(func=cmd_run_ensemble, inputs=_abm_inputs)
 
     p_cmp = sub.add_parser("compare", formatter_class=fmt,
                            help="signed-rank validation of runs against a reference series")

@@ -22,11 +22,17 @@ and then only replicate indices.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # glibc's; other C libraries have none
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 #: Population of the Osterlovsta study region (Russian influenza, Sweden,
 #: 1889-90) used as the default experiment size.
@@ -261,12 +267,17 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     replicate order whatever ``threads`` is.  The pool has
     ``min(threads, replicates)`` workers, since a fork pool starts every
     worker up front; with one worker the replicates run in this process.
+    A forked worker starts with every resident page of this process, even
+    freed heap that glibc kept because a live block sits above it, so the
+    free heap is handed back first: workers start from the live data alone.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     workers = min(threads, replicates)
     if workers <= 1:
         return [_run_one(fn, context, r) for r in range(replicates)]
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, context)) as pool:
         return list(pool.map(_run_in_worker, range(replicates),

@@ -1,14 +1,16 @@
 """Reference-data ingestion and experiment-output persistence.
 
 Reference series use a minimal CSV schema: a ``week,infected`` header, one
-row per 1-indexed week, UTF-8, comma-separated, non-negative counts.
+row per 1-indexed week, UTF-8, comma-separated, finite non-negative counts.
 
 Saved runs are one directory per run.  In ``csv`` format the directory
 holds ``series.csv`` or ``ensemble.csv``, a ``summary.csv`` for ensembles,
 and ``metadata.json``; in ``json`` format everything lives in a single
 ``run.json``.  Metadata records the seeds, parameters, conventions and
 versions needed to re-execute the run bit-identically, and
-:func:`rerun_from_metadata` does exactly that.
+:func:`rerun_from_metadata` does exactly that.  The CLI's ensemble commands
+also execute fresh runs through :func:`rerun_from_metadata`, so a saved
+ensemble reruns through the code that wrote it.
 
 Floats are written with ``repr``, which round-trips doubles exactly.
 """
@@ -16,8 +18,9 @@ Floats are written with ``repr``, which round-trips doubles exactly.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -87,8 +90,9 @@ def load_reference(path, region: str | None = None, provenance: str | None = Non
             raise ReferenceFormatError(
                 f"{path}: line {lineno}: weeks must be 1-indexed and consecutive, got {week}"
             )
-        if count < 0:
-            raise ReferenceFormatError(f"{path}: line {lineno}: negative count {count}")
+        if not 0 <= count < math.inf:
+            raise ReferenceFormatError(
+                f"{path}: line {lineno}: count must be finite and >= 0, got {count}")
         values.append(count)
     if not values:
         raise ReferenceFormatError(f"{path}: no data rows")
@@ -150,7 +154,7 @@ def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) 
 
 
 def rerun_from_metadata(meta: dict, threads: int = 1):
-    """Re-execute a saved run from its metadata alone.
+    """Execute a run from its metadata alone: a fresh ensemble run or a rerun of a saved one.
 
     Returns a :class:`WeeklySeries` for deterministic runs and an
     :class:`EnsembleResult` for ensembles.
@@ -162,37 +166,19 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
         traj = integrate(params, horizon_days=7.0 * weeks, dt=meta["dt"])
         return weekly_sample(traj, weeks)
     if kind == "sd-mc":
-        spec = VariationSpec(
-            vary_illness=meta["vary_illness"],
-            vary_contact=meta["vary_contact"],
-            vary_infection=meta["vary_infection"],
-            sigma_fraction=meta["sigma_fraction"],
-            replicates=meta["replicates"],
-            master_seed=meta["master_seed"],
-        )
+        spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, dt=meta["dt"], threads=threads)
     if kind == "abm":
         gen = NetworkGenParams(k=meta["network_k"], p_rewire=meta["network_p_rewire"])
         return run_abm_ensemble(
-            params,
-            gen,
-            weeks,
-            replicates=meta["replicates"],
-            master_seed=meta["master_seed"],
-            threads=threads,
-            reuse_network=meta["reuse_network"],
-            exponential_recovery=meta["exponential_recovery"],
-        )
+            params, gen, weeks, replicates=meta["replicates"], master_seed=meta["master_seed"],
+            threads=threads, reuse_network=meta["reuse_network"],
+            exponential_recovery=meta["exponential_recovery"])
     raise ValueError(f"unknown run kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # run directories
-
-
-def _summary_rows(summary: WeeklySummary):
-    for w in range(summary.weeks):
-        yield w + 1, summary.median[w], summary.q1[w], summary.q3[w], summary.iqr[w]
 
 
 def save_series_run(series: WeeklySeries, out_dir, metadata: dict, fmt: str = "csv") -> None:
@@ -232,8 +218,9 @@ def save_ensemble(
                 fh.write(f"{r},{row}\n")
         with open(out / "summary.csv", "w", encoding="utf-8") as fh:
             fh.write("week,median,q1,q3,iqr\n")
-            for week, med, q1, q3, iqr in _summary_rows(summary):
-                fh.write(f"{week},{_fmt(med)},{_fmt(q1)},{_fmt(q3)},{_fmt(iqr)}\n")
+            rows = zip(summary.median, summary.q1, summary.q3, summary.iqr)
+            for week, values in enumerate(rows, start=1):
+                fh.write(f"{week},{','.join(_fmt(v) for v in values)}\n")
         with open(out / "metadata.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
     elif fmt == "json":

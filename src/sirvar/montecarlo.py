@@ -8,27 +8,31 @@ vary infection probability, and vary all three together.
 
 The draw for a given parameter of a given replicate comes from the
 :func:`sirvar.core.replicate_rng` stream keyed by the parameter's id, and
-replicates run through :func:`sirvar.core.run_replicates`.
+replicates run through :func:`sirvar.core.run_replicates`.  ``_VARIED``
+lists the parameters a :class:`VariationSpec` can vary: its order is the
+draw order, and its stream ids are part of the reproducibility contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
 from .sd import DEFAULT_DT, integrate, weekly_sample
 
-# Stream ids for per-parameter RNG derivation; fixed, part of the
-# reproducibility contract.
-_STREAM_ILLNESS = 0
-_STREAM_CONTACT = 1
-_STREAM_INFECTION = 2
-
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
+
+# (VariationSpec flag, SirParams field, stream id, lower, upper, lower bound
+# open), in draw order.
+_VARIED = (
+    ("vary_illness", "illness_duration", 0, 0.0, math.inf, True),
+    ("vary_contact", "contact_rate", 1, 0.0, math.inf, False),
+    ("vary_infection", "infection_prob", 2, 0.0, 1.0, False),
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class VariationSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.vary_illness or self.vary_contact or self.vary_infection):
+        if not any(getattr(self, flag) for flag, *_ in _VARIED):
             raise ValueError("at least one vary flag must be set")
         if not self.sigma_fraction > 0.0:
             raise ValueError(f"sigma_fraction must be > 0, got {self.sigma_fraction}")
@@ -90,41 +94,16 @@ def sample_params(
         raise ValueError(
             f"replicate_index must be in [0, {spec.replicates}), got {replicate_index}"
         )
-    illness = base.illness_duration
-    contact = base.contact_rate
-    infection = base.infection_prob
+    drawn = {}
     clamped = 0
-
-    if spec.vary_illness:
-        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_ILLNESS)
-        illness, c = _draw_truncated(
-            rng, base.illness_duration, spec.sigma_fraction * base.illness_duration,
-            lower=0.0, upper=math.inf, lower_open=True,
-        )
-        clamped += c
-    if spec.vary_contact:
-        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_CONTACT)
-        contact, c = _draw_truncated(
-            rng, base.contact_rate, spec.sigma_fraction * base.contact_rate,
-            lower=0.0, upper=math.inf, lower_open=False,
-        )
-        clamped += c
-    if spec.vary_infection:
-        rng = replicate_rng(spec.master_seed, replicate_index, _STREAM_INFECTION)
-        infection, c = _draw_truncated(
-            rng, base.infection_prob, spec.sigma_fraction * base.infection_prob,
-            lower=0.0, upper=1.0, lower_open=False,
-        )
-        clamped += c
-
-    params = SirParams(
-        population=base.population,
-        contact_rate=contact,
-        infection_prob=infection,
-        illness_duration=illness,
-        initial_infected=base.initial_infected,
-    )
-    return params, clamped
+    for flag, field, stream, lower, upper, lower_open in _VARIED:
+        if getattr(spec, flag):
+            mean = getattr(base, field)
+            rng = replicate_rng(spec.master_seed, replicate_index, stream)
+            drawn[field], c = _draw_truncated(
+                rng, mean, spec.sigma_fraction * mean, lower, upper, lower_open)
+            clamped += c
+    return replace(base, **drawn), clamped
 
 
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:

@@ -46,6 +46,13 @@ def reference_step_day(status, days_remaining, topo, params, rng, exponential_re
     return new_infections
 
 
+def counts(pop):
+    """(susceptible, infectious, recovered) totals of a population, scanned from ``status``."""
+    s = int(np.count_nonzero(pop.status == Status.SUSCEPTIBLE))
+    i = int(np.count_nonzero(pop.status == Status.INFECTIOUS))
+    return s, i, len(pop) - s - i
+
+
 def reference_daily_counts(params, topo, weeks, rng, exponential_recovery):
     """Daily (S, I, R) rows of the reference step, counted from ``status``."""
     status = np.zeros(topo.n, dtype=np.int8)
@@ -83,7 +90,7 @@ class TestAgentState:
         pop.status[2] = Status.RECOVERED
         assert pop.status.tolist() == [Status.SUSCEPTIBLE, Status.INFECTIOUS, Status.RECOVERED]
         assert pop.days_remaining.tolist() == [0.0, 2.0, 0.0]
-        assert pop.counts() == (1, 1, 1)
+        assert counts(pop) == (1, 1, 1)
         assert len(pop) == 3
 
 
@@ -180,11 +187,11 @@ class TestRunAbm:
                                 i0=int(rng.integers(1, 5)))
             pop = Population(n)
             pop.infect(np.arange(params.initial_infected), params.illness_duration)
-            prev_s, prev_i, prev_r = pop.counts()
+            prev_s, prev_i, prev_r = counts(pop)
             cumulative = prev_i
             for _day in range(56):
                 new = step_day(pop, topo, params, rng)
-                s, i, r = pop.counts()
+                s, i, r = counts(pop)
                 assert s + i + r == n
                 assert s <= prev_s
                 assert r >= prev_r
@@ -316,8 +323,8 @@ class TestInfectiousSet:
         if params.initial_infected:
             pop.infect(rng.choice(topo.n, size=params.initial_infected, replace=False),
                        params.illness_duration)
-        rows = [pop.counts()]
+        rows = [counts(pop)]
         for _day in range(28):
             step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-            rows.append(pop.counts())
+            rows.append(counts(pop))
         assert np.array_equal(daily, np.array(rows))

@@ -101,6 +101,29 @@ class TestUsage:
         assert read_meta(tmp_path)["threads"] == 8
 
 
+RUN_KEYS = ["kind", "tool", "version", "created_unix", "params", "weeks", "master_seed",
+            "conventions"]
+ENSEMBLE_KEYS = ["clamped_draws", "threads", "cpu_count", "elapsed_seconds",
+                 "parameter_provenance", "total_variation"]
+
+
+class TestMetadataSchema:
+    @pytest.mark.parametrize("argv, keys", [
+        (["run-sd"], [*RUN_KEYS, "dt", "parameter_provenance", "peak_infected", "peak_day",
+                      "cumulative_recovered_final"]),
+        (["run-mc", "--vary", "all", "--replicates", "2"],
+         [*RUN_KEYS, "dt", "scenario", "vary_illness", "vary_contact", "vary_infection",
+          "sigma_fraction", "replicates", *ENSEMBLE_KEYS]),
+        (["run-abm", "--population", "300", "--replicates", "2"],
+         [*RUN_KEYS, "replicates", "network_k", "network_p_rewire", "reuse_network",
+          "exponential_recovery", "recovery_model", *ENSEMBLE_KEYS]),
+    ], ids=["run-sd", "run-mc", "run-abm"])
+    def test_keys_in_order(self, tmp_path, capsys, argv, keys):
+        assert run(*argv, "--weeks", "2", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert list(read_meta(tmp_path)) == keys
+
+
 class TestRunSd:
     def test_defaults_write_15_weeks(self, tmp_path, capsys):
         out = tmp_path / "sd"
@@ -219,6 +242,22 @@ class TestRunAbm:
         loaded = io.load_run(out)
         assert loaded["ensemble"].replicates == 2
 
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("--reuse-network", "--threads", "2"),
+        ("--exponential-recovery", "--contact-rate", "8"),
+        ("--format", "json"),
+    ], ids=["fresh", "reuse-network-pool", "exponential", "json"])
+    def test_saved_run_is_its_rerun(self, tmp_path, capsys, argv):
+        out = tmp_path / "abm"
+        assert run("run-abm", "--out", str(out), "--population", "400", "--replicates", "4",
+                   "--seed", "7", "--initial-infected", "10", "--weeks", "6", *argv) == 0
+        capsys.readouterr()
+        loaded = io.load_run(out)
+        saved = loaded["ensemble"].matrix
+        assert saved.any()
+        assert np.array_equal(io.rerun_from_metadata(loaded["metadata"]).matrix, saved)
+
 
 class TestCompare:
     def test_input_equal_to_reference_gives_p_one(self, tmp_path, capsys):
@@ -252,6 +291,18 @@ class TestCompare:
         mc_row = lines[2].split(",")
         assert mc_row[1] == "ensemble"
         assert float(mc_row[-1]) > 0.0
+
+    @pytest.mark.parametrize("count", ["inf", "nan"])
+    def test_non_finite_reference_exits_1_naming_the_line(self, tmp_path, capsys, count):
+        sd_dir = tmp_path / "sd"
+        assert run("run-sd", "--out", str(sd_dir), "--weeks", "2") == 0
+        reference = tmp_path / "ref.csv"
+        reference.write_text(f"week,infected\n1,5\n2,{count}\n", encoding="utf-8")
+        code = run("compare", "--reference", str(reference), "--inputs", str(sd_dir),
+                   "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ref.csv: line 3" in err and count in err
 
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         sd_dir = tmp_path / "sd"

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sirvar
 import sirvar.core
 from sirvar.abm import run_abm_ensemble
 from sirvar.core import (
@@ -236,3 +241,37 @@ class TestPoolSize:
         single = self._ensemble(replicates=1, threads=8)
         assert pool_sizes == []
         assert np.array_equal(single.matrix, self._ensemble(replicates=1, threads=1).matrix)
+
+
+# Run in a fresh interpreter, whose heap holds nothing freed yet.
+_PINNED_HEAP = """
+import numpy as np
+from sirvar.core import run_replicates
+
+def rss_anon_mb(context=None, r=0):
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("RssAnon:"))
+
+baseline = rss_anon_mb()
+big = np.ones(529_100)
+del big  # freeing a large mapped block raises glibc's mmap threshold
+temps = [np.ones(529_100) for _ in range(5)]  # about 21 MB, now on the heap
+keep = np.ones(200_000)  # a live block above them
+del temps
+print(baseline, rss_anon_mb(), *run_replicates(rss_anon_mb, None, replicates=2, threads=2))
+"""
+
+
+@pytest.mark.skipif(sirvar.core._malloc_trim is None or not os.path.exists("/proc/self/status"),
+                    reason="needs glibc and /proc")
+def test_pool_workers_do_not_inherit_freed_heap():
+    """Temporaries freed under a live block stay resident in glibc's heap;
+    a forked worker would start with them unless the pool trims first."""
+    package_root = str(Path(sirvar.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {package_root!r})\n" + _PINNED_HEAP
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    baseline, pinned, *workers = map(float, done.stdout.split())
+    if pinned < baseline + 15:
+        pytest.skip("the heap returned the temporaries by itself")
+    assert max(workers) < pinned - 10

@@ -28,6 +28,12 @@ class TestLoadReference:
         with pytest.raises(io.ReferenceFormatError, match="line 4"):
             io.load_reference(path)
 
+    @pytest.mark.parametrize("count", ["inf", "nan"])
+    def test_non_finite_count_names_line(self, tmp_path, count):
+        path = write(tmp_path / "bad.csv", f"week,infected\n1,5\n2,{count}\n")
+        with pytest.raises(io.ReferenceFormatError, match=f"bad.csv: line 3: .*{count}"):
+            io.load_reference(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             io.load_reference(tmp_path / "nope.csv")
