@@ -198,7 +198,7 @@ def _compare_row(name: str, run: dict, reference) -> dict:
         kind = "ensemble"
         series = stats.median_series(run["ensemble"])
         total_variation = stats.weekly_summary(run["ensemble"]).total_variation
-    result = stats.wilcoxon_signed_rank(series, reference.series)
+    result = stats.wilcoxon_signed_rank(series, reference)
     return {
         "input": name,
         "kind": kind,
@@ -227,7 +227,7 @@ def cmd_compare(args) -> int:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
 
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-    lines = [f"reference: {reference.region} ({reference.series.weeks} weeks)"]
+    lines = [f"reference: {Path(args.reference).stem} ({reference.weeks} weeks)"]
     lines.append("  ".join(c.ljust(widths[c]) for c in columns))
     for row in rows:
         lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in columns))

@@ -1,7 +1,10 @@
 """Reference-data ingestion and experiment-output persistence.
 
-Reference series use a minimal CSV schema: a ``week,infected`` header, one
-row per 1-indexed week, UTF-8, comma-separated, finite non-negative counts.
+Every weekly-count file (a ``week,infected`` reference series, and a run's
+``series.csv``, ``ensemble.csv`` and ``summary.csv``) is one UTF-8,
+comma-separated table: a header line, then rows of an index (weeks count
+from 1, replicates from 0) and finite non-negative counts.  Every run file,
+``run.json`` too, is read through the same count check, which names the file.
 
 Saved runs are one directory per run.  In ``csv`` format the directory
 holds ``series.csv`` or ``ensemble.csv``, a ``summary.csv`` for ensembles,
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -47,20 +50,63 @@ _CONVENTIONS = {
 
 
 class ReferenceFormatError(ValueError):
-    """A reference CSV file violates the week,infected schema."""
+    """A reference file or saved run file violates the weekly-count table schema."""
 
 
-@dataclass(frozen=True)
-class ReferenceSeries:
-    """Observed (or synthetic) weekly infected counts for one region."""
+def _check_counts(values, where: str):
+    """Return ``values`` after checking that each is a finite count >= 0."""
+    for count in values:
+        if not 0 <= count < math.inf:
+            raise ReferenceFormatError(f"{where}: count must be finite and >= 0, got {count}")
+    return values
 
-    region: str
-    series: WeeklySeries
-    provenance: str
+
+def _read_table(path, header: str | None, first_index: int) -> list[list[float]]:
+    """Rows of a weekly-count table without their index, checked against
+    ``header`` (None accepts any) and indices counting up from ``first_index``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if header is not None and (not lines or lines[0].strip() != header):
+        raise ReferenceFormatError(f"{path}: line 1: expected header '{header}'")
+    columns = lines[0].split(",") if lines else []
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        parts = raw.split(",")
+        if len(parts) != len(columns):
+            raise ReferenceFormatError(f"{where}: expected {len(columns)} fields, got {len(parts)}")
+        try:
+            index = int(parts[0])
+            values = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ReferenceFormatError(f"{where}: {exc}") from None
+        if index != first_index + len(rows):
+            raise ReferenceFormatError(
+                f"{where}: {columns[0]}s must be {first_index}-indexed and consecutive, "
+                f"got {index}")
+        rows.append(_check_counts(values, where))
+    if not rows:
+        raise ReferenceFormatError(f"{path}: no data rows")
+    return rows
 
 
-def load_reference(path, region: str | None = None, provenance: str | None = None) -> ReferenceSeries:
-    """Parse and validate a reference CSV file.
+def _fmt(value: float) -> str:
+    v = float(value)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+def _write_table(path, header: str, first_index: int, rows) -> None:
+    """Write a weekly-count table: ``header``, then each row's index and values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for index, values in enumerate(rows, start=first_index):
+            fh.write(f"{index},{','.join(_fmt(v) for v in values)}\n")
+
+
+def load_reference(path) -> WeeklySeries:
+    """Parse and validate a reference CSV file (header ``week,infected``).
 
     Raises
     ------
@@ -69,52 +115,13 @@ def load_reference(path, region: str | None = None, provenance: str | None = Non
     ReferenceFormatError
         On schema violations; the message names the offending line.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "week,infected":
-        raise ReferenceFormatError(f"{path}: line 1: expected header 'week,infected'")
-    values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ReferenceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            week = int(parts[0])
-            count = float(parts[1])
-        except ValueError as exc:
-            raise ReferenceFormatError(f"{path}: line {lineno}: {exc}") from None
-        if week != len(values) + 1:
-            raise ReferenceFormatError(
-                f"{path}: line {lineno}: weeks must be 1-indexed and consecutive, got {week}"
-            )
-        if not 0 <= count < math.inf:
-            raise ReferenceFormatError(
-                f"{path}: line {lineno}: count must be finite and >= 0, got {count}")
-        values.append(count)
-    if not values:
-        raise ReferenceFormatError(f"{path}: no data rows")
-    series = WeeklySeries(weeks=len(values), infected=values)
-    return ReferenceSeries(
-        region=region if region is not None else path.stem,
-        series=series,
-        provenance=provenance if provenance is not None else f"loaded from {path}",
-    )
-
-
-def _fmt(value: float) -> str:
-    v = float(value)
-    return str(int(v)) if v.is_integer() else repr(v)
+    values = [count for count, in _read_table(path, "week,infected", 1)]
+    return WeeklySeries(weeks=len(values), infected=values)
 
 
 def save_series(series: WeeklySeries, path) -> None:
     """Write a weekly series in the reference CSV schema."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("week,infected\n")
-        for w, value in enumerate(series.infected, start=1):
-            fh.write(f"{w},{_fmt(value)}\n")
+    _write_table(path, "week,infected", 1, series.infected[:, None])
 
 
 def synthetic_reference_path() -> Path:
@@ -181,20 +188,29 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
 # run directories
 
 
-def save_series_run(series: WeeklySeries, out_dir, metadata: dict, fmt: str = "csv") -> None:
-    """Persist a deterministic single-series run."""
+def _save_run(out_dir, metadata: dict, fmt: str, results: dict, tables: dict) -> None:
+    """Write ``run.json`` holding ``metadata`` and ``results``, or, for ``csv``,
+    each of ``tables`` (file name to ``(header, first_index, rows)``) and
+    ``metadata.json``."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        save_series(series, out / "series.csv")
-        with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2)
-    elif fmt == "json":
-        payload = {"metadata": metadata, "series": [float(v) for v in series.infected]}
-        with open(out / "run.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+    if fmt == "json":
+        name, payload = "run.json", {"metadata": metadata, **results}
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        for table, (header, first_index, rows) in tables.items():
+            _write_table(out / table, header, first_index, rows)
+        name, payload = "metadata.json", metadata
+    with open(out / name, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def save_series_run(series: WeeklySeries, out_dir, metadata: dict, fmt: str = "csv") -> None:
+    """Persist a deterministic single-series run."""
+    _save_run(out_dir, metadata, fmt,
+              results={"series": series.infected.tolist()},
+              tables={"series.csv": ("week,infected", 1, series.infected[:, None])})
 
 
 def save_ensemble(
@@ -205,73 +221,43 @@ def save_ensemble(
     fmt: str = "csv",
 ) -> None:
     """Persist an ensemble run: replicate matrix, summary and metadata."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = dict(metadata)
-    meta["total_variation"] = summary.total_variation
-    if fmt == "csv":
-        with open(out / "ensemble.csv", "w", encoding="utf-8") as fh:
-            header = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
-            fh.write(f"replicate,{header}\n")
-            for r, values in enumerate(ensemble.matrix):
-                row = ",".join(_fmt(v) for v in values)
-                fh.write(f"{r},{row}\n")
-        with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-            fh.write("week,median,q1,q3,iqr\n")
-            rows = zip(summary.median, summary.q1, summary.q3, summary.iqr)
-            for week, values in enumerate(rows, start=1):
-                fh.write(f"{week},{','.join(_fmt(v) for v in values)}\n")
-        with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-    elif fmt == "json":
-        payload = {
-            "metadata": meta,
-            "ensemble": ensemble.matrix.tolist(),
-            "summary": {
-                "median": summary.median.tolist(),
-                "q1": summary.q1.tolist(),
-                "q3": summary.q3.tolist(),
-                "iqr": summary.iqr.tolist(),
-                "total_variation": summary.total_variation,
-            },
-        }
-        with open(out / "run.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    meta = {**metadata, "total_variation": summary.total_variation}
+    columns = {name: getattr(summary, name) for name in ("median", "q1", "q3", "iqr")}
+    weeks = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
+    _save_run(out_dir, meta, fmt,
+              results={"ensemble": ensemble.matrix.tolist(),
+                       "summary": {**{name: col.tolist() for name, col in columns.items()},
+                                   "total_variation": summary.total_variation}},
+              tables={"ensemble.csv": (f"replicate,{weeks}", 0, ensemble.matrix),
+                      "summary.csv": (f"week,{','.join(columns)}", 1, zip(*columns.values()))})
 
 
 def load_run(run_dir) -> dict:
-    """Load a saved run directory (either format).
+    """Load a saved run directory (either format), checking every count it holds.
 
     Returns a dict with ``metadata`` plus either ``series``
     (:class:`WeeklySeries`) or ``ensemble`` (:class:`EnsembleResult`).
+    A bad count raises :class:`ReferenceFormatError` naming its file and line or row.
     """
     run = Path(run_dir)
     json_path = run / "run.json"
     if json_path.exists():
         with open(json_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        meta = payload["metadata"]
-        if "series" in payload:
-            values = payload["series"]
-            return {"metadata": meta,
-                    "series": WeeklySeries(weeks=len(values), infected=values)}
-        return {"metadata": meta,
-                "ensemble": EnsembleResult(payload["ensemble"], meta.get("clamped_draws", 0))}
-
-    with open(run / "metadata.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    series_path = run / "series.csv"
-    if series_path.exists():
-        ref = load_reference(series_path)
-        return {"metadata": meta, "series": ref.series}
-    with open(run / "ensemble.csv", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        rows.append([float(v) for v in parts[1:]])
-    return {"metadata": meta, "ensemble": EnsembleResult(rows, meta.get("clamped_draws", 0))}
+            results = json.load(fh)
+        meta = results.pop("metadata")
+        rows = results["ensemble"] if "ensemble" in results else [results["series"]]
+        for r, row in enumerate(rows):
+            _check_counts(row, f"{json_path}: row {r}")
+    else:
+        with open(run / "metadata.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        series_path = run / "series.csv"
+        if series_path.exists():
+            results = {"series": load_reference(series_path).infected}
+        else:
+            results = {"ensemble": _read_table(run / "ensemble.csv", None, 0)}
+    if "series" in results:
+        values = results["series"]
+        return {"metadata": meta, "series": WeeklySeries(weeks=len(values), infected=values)}
+    return {"metadata": meta,
+            "ensemble": EnsembleResult(results["ensemble"], meta.get("clamped_draws", 0))}

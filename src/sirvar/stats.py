@@ -44,23 +44,27 @@ class WeeklySummary:
     the scalar spread measure used to rank experiments.
     """
 
-    weeks: int
     median: np.ndarray
     q1: np.ndarray
     q3: np.ndarray
-    iqr: np.ndarray
-    total_variation: float
 
     def __post_init__(self):
-        for name in ("median", "q1", "q3", "iqr"):
-            arr = getattr(self, name)
-            if arr.shape != (self.weeks,):
-                raise ValueError(f"{name} must have shape ({self.weeks},), got {arr.shape}")
+        for arr in (self.median, self.q1, self.q3):
             arr.setflags(write=False)
         if np.any(self.q1 > self.median) or np.any(self.median > self.q3):
             raise ValueError("quartiles must satisfy q1 <= median <= q3")
-        if abs(self.total_variation - float(self.iqr.sum())) > 1e-9 * max(1.0, self.total_variation):
-            raise ValueError("total_variation must equal the sum of weekly IQRs")
+
+    @property
+    def weeks(self) -> int:
+        return self.median.size
+
+    @property
+    def iqr(self) -> np.ndarray:
+        return self.q3 - self.q1
+
+    @property
+    def total_variation(self) -> float:
+        return float(self.iqr.sum())
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,8 @@ class WilcoxonResult:
 
 def weekly_summary(ensemble: EnsembleResult) -> WeeklySummary:
     """Quartiles, IQR and total variation across replicates, per week."""
-    matrix = ensemble.matrix
-    q1, med, q3 = np.quantile(matrix, [0.25, 0.5, 0.75], axis=0, method="linear")
-    iqr = q3 - q1
-    return WeeklySummary(
-        weeks=ensemble.weeks,
-        median=med,
-        q1=q1,
-        q3=q3,
-        iqr=iqr,
-        total_variation=float(iqr.sum()),
-    )
+    q1, med, q3 = np.quantile(ensemble.matrix, [0.25, 0.5, 0.75], axis=0, method="linear")
+    return WeeklySummary(median=med, q1=q1, q3=q3)
 
 
 def median_series(ensemble: EnsembleResult) -> WeeklySeries:

@@ -65,6 +65,12 @@ class TestUsage:
         (["run-mc", "--vary", "all", "--replicates", "0"], "replicates must be >= 1, got 0"),
         (["run-abm", "--population", "50", "--initial-infected", "51"], "got 51"),
         (["run-abm", "--population", "10", "--k", "10"], "--k must be < --population"),
+        (["run-sd", "--weeks", "0"], "--weeks must be >= 1, got 0"),
+        (["run-mc", "--vary", "all", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["run-abm", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+        (["run-abm", "--seed", str(2**64)],
+         f"--seed must be an unsigned 64-bit integer, got {2**64}"),
+        (["run-abm", "--replicates", "0"], "--replicates must be >= 1, got 0"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -130,7 +136,7 @@ class TestRunSd:
         assert run("run-sd", "--out", str(out)) == 0
         capsys.readouterr()
         ref = io.load_reference(out / "series.csv")
-        assert ref.series.weeks == 15
+        assert ref.weeks == 15
         meta = read_meta(out)
         assert meta["kind"] == "sd"
         assert meta["params"]["contact_rate"] == pytest.approx(5.654, abs=2e-3)
@@ -140,7 +146,7 @@ class TestRunSd:
         out = tmp_path / "sd1"
         assert run("run-sd", "--out", str(out), "--weeks", "1") == 0
         capsys.readouterr()
-        assert io.load_reference(out / "series.csv").series.weeks == 1
+        assert io.load_reference(out / "series.csv").weeks == 1
 
     def test_dt_convergence(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -288,6 +294,8 @@ class TestCompare:
         lines = (report / "report.csv").read_text().splitlines()
         assert len(lines) == 4
         assert (report / "report.txt").exists()
+        report_txt = (report / "report.txt").read_text(encoding="utf-8")
+        assert report_txt.startswith("reference: synthetic_reference (15 weeks)\n")
         mc_row = lines[2].split(",")
         assert mc_row[1] == "ensemble"
         assert float(mc_row[-1]) > 0.0
@@ -303,6 +311,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 1
         assert "ref.csv: line 3" in err and count in err
+
+    def test_bad_count_in_run_exits_1_naming_the_file(self, tmp_path, capsys):
+        mc_dir = tmp_path / "mc"
+        assert run("run-mc", "--vary", "all", "--replicates", "3", "--out", str(mc_dir)) == 0
+        ensemble_csv = mc_dir / "ensemble.csv"
+        lines = ensemble_csv.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split(",")
+        fields[1] = "-1"
+        lines[1] = ",".join(fields)
+        ensemble_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("compare", "--reference", str(io.synthetic_reference_path()),
+                   "--inputs", str(mc_dir), "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{ensemble_csv}: line 2: count must be finite and >= 0" in err
 
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         sd_dir = tmp_path / "sd"

@@ -19,9 +19,8 @@ class TestLoadReference:
         rows = "\n".join(f"{w},{w * 10}" for w in range(1, 16))
         path = write(tmp_path / "obs.csv", f"week,infected\n{rows}\n")
         ref = io.load_reference(path)
-        assert ref.series.weeks == 15
-        assert ref.region == "obs"
-        assert ref.series.infected[14] == 150.0
+        assert ref.weeks == 15
+        assert ref.infected[14] == 150.0
 
     def test_negative_count_names_line(self, tmp_path):
         path = write(tmp_path / "bad.csv", "week,infected\n1,5\n2,7\n3,-5\n")
@@ -58,6 +57,15 @@ class TestLoadReference:
         with pytest.raises(io.ReferenceFormatError, match="2 fields"):
             io.load_reference(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path / "obs.csv", "week,infected\n1,5\n\n2,7\n  \n")
+        assert io.load_reference(path) == WeeklySeries(weeks=2, infected=[5.0, 7.0])
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = write(tmp_path / "empty.csv", "week,infected\n")
+        with pytest.raises(io.ReferenceFormatError, match="empty.csv: no data rows"):
+            io.load_reference(path)
+
 
 class TestSeriesRoundTrip:
     def test_integer_counts_exact(self, tmp_path):
@@ -65,7 +73,7 @@ class TestSeriesRoundTrip:
         path = tmp_path / "s.csv"
         io.save_series(series, path)
         loaded = io.load_reference(path)
-        assert loaded.series == series
+        assert loaded == series
 
     def test_real_counts_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -74,7 +82,7 @@ class TestSeriesRoundTrip:
         io.save_series(series, path)
         loaded = io.load_reference(path)
         # repr round-trips doubles exactly, comfortably within 1e-12 relative
-        assert np.array_equal(loaded.series.infected, series.infected)
+        assert np.array_equal(loaded.infected, series.infected)
 
 
 class TestEnsemblePersistence:
@@ -124,6 +132,40 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError):
             io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt="parquet")
 
+    @pytest.mark.parametrize("fmt, where", [("csv", "ensemble.csv: line 3"),
+                                            ("json", "run.json: row 1")], ids=["csv", "json"])
+    @pytest.mark.parametrize("count", ["inf", "nan", "-1"])
+    def test_bad_count_names_file_and_row(self, tmp_path, small_run, fmt, where, count):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        io.save_ensemble(ensemble, summary, run_dir, meta, fmt=fmt)
+        if fmt == "csv":
+            lines = (run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines()
+            lines[2] = lines[2].rsplit(",", 1)[0] + f",{count}"
+            write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
+        else:
+            payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+            payload["ensemble"][1][-1] = float(count)
+            write(run_dir / "run.json", json.dumps(payload))
+        message = f"{where}: count must be finite and >= 0, got {float(count)}"
+        with pytest.raises(io.ReferenceFormatError, match=message):
+            io.load_run(run_dir)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + ",7", "line 3: expected 6 fields, got 7"),
+        (lambda line: "2" + line[1:],
+         "line 3: replicates must be 0-indexed and consecutive, got 2"),
+    ], ids=["field-count", "skipped-replicate"])
+    def test_malformed_ensemble_csv_names_line(self, tmp_path, small_run, edit, message):
+        ensemble, summary, meta = small_run
+        io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt="csv")
+        path = tmp_path / "run" / "ensemble.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = edit(lines[2])
+        write(path, "\n".join(lines) + "\n")
+        with pytest.raises(io.ReferenceFormatError, match=f"ensemble.csv: {message}"):
+            io.load_run(tmp_path / "run")
+
 
 class TestSeriesRun:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -151,7 +193,7 @@ class TestSyntheticReference:
 
     def test_bundled_file_is_loadable(self):
         ref = io.load_reference(io.synthetic_reference_path())
-        assert ref.series.weeks == 15
-        assert float(ref.series.infected.max()) == pytest.approx(3741, abs=1)
+        assert ref.weeks == 15
+        assert float(ref.infected.max()) == pytest.approx(3741, abs=1)
         # whole counts by construction
-        assert np.array_equal(ref.series.infected, np.round(ref.series.infected))
+        assert np.array_equal(ref.infected, np.round(ref.infected))
