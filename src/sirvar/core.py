@@ -63,12 +63,13 @@ class SirParams:
     population : int
         Total number of individuals, N >= 1.
     contact_rate : float
-        Contacts per individual per day, >= 0.
+        Contacts per individual per day, finite and >= 0.
     infection_prob : float
         Probability of transmission per susceptible-infectious contact,
         in [0, 1].
     illness_duration : float
-        Days spent infectious, > 0.  The recovery rate is its inverse.
+        Days spent infectious, > 0.  The recovery rate is its inverse, so
+        ``inf`` means no recovery.
     initial_infected : int
         Index cases at t = 0, in [0, population].
     """
@@ -82,6 +83,8 @@ class SirParams:
     def __post_init__(self):
         _require(self.population >= 1, f"population must be >= 1, got {self.population}")
         _require(self.contact_rate >= 0.0, f"contact_rate must be >= 0, got {self.contact_rate}")
+        _require(self.contact_rate < math.inf,
+                 f"contact_rate must be finite, got {self.contact_rate}")
         _require(
             0.0 <= self.infection_prob <= 1.0,
             f"infection_prob must be in [0, 1], got {self.infection_prob}",

@@ -237,25 +237,37 @@ def load_run(run_dir) -> dict:
 
     Returns a dict with ``metadata`` plus either ``series``
     (:class:`WeeklySeries`) or ``ensemble`` (:class:`EnsembleResult`).
-    A bad count raises :class:`ReferenceFormatError` naming its file and line or row.
+    A bad count raises :class:`ReferenceFormatError` naming its file and line or row,
+    and so does a table whose shape is not the metadata's ``replicates`` (1 for a
+    single series) by ``weeks``.
     """
     run = Path(run_dir)
-    json_path = run / "run.json"
-    if json_path.exists():
-        with open(json_path, encoding="utf-8") as fh:
+    path = run / "run.json"
+    if path.exists():
+        with open(path, encoding="utf-8") as fh:
             results = json.load(fh)
         meta = results.pop("metadata")
-        rows = results["ensemble"] if "ensemble" in results else [results["series"]]
-        for r, row in enumerate(rows):
-            _check_counts(row, f"{json_path}: row {r}")
     else:
         with open(run / "metadata.json", encoding="utf-8") as fh:
             meta = json.load(fh)
-        series_path = run / "series.csv"
-        if series_path.exists():
-            results = {"series": load_reference(series_path).infected}
+        path = run / "series.csv"
+        if path.exists():
+            results = {"series": load_reference(path).infected}
         else:
-            results = {"ensemble": _read_table(run / "ensemble.csv", None, 0)}
+            path = run / "ensemble.csv"
+            results = {"ensemble": _read_table(path, None, 0)}
+    rows = results["ensemble"] if "ensemble" in results else [results["series"]]
+    replicates, weeks = meta.get("replicates", 1), meta["weeks"]
+    if len(rows) != replicates:
+        raise ReferenceFormatError(
+            f"{path}: expected {replicates} rows (replicates in the metadata), got {len(rows)}")
+    for r, row in enumerate(rows):
+        if len(row) != weeks:
+            raise ReferenceFormatError(
+                f"{path}: row {r}: expected {weeks} counts (weeks in the metadata), "
+                f"got {len(row)}")
+        if path.name == "run.json":  # the CSV reader checked its counts already
+            _check_counts(row, f"{path}: row {r}")
     if "series" in results:
         values = results["series"]
         return {"metadata": meta, "series": WeeklySeries(weeks=len(values), infected=values)}

@@ -40,7 +40,7 @@ class VariationSpec:
     """Which parameters a Monte-Carlo experiment perturbs, and how much.
 
     ``sigma_fraction`` is the per-parameter standard deviation expressed
-    as a fraction of the parameter's base value.
+    as a fraction of the parameter's base value; it is finite and > 0.
     """
 
     vary_illness: bool = False
@@ -55,6 +55,8 @@ class VariationSpec:
             raise ValueError("at least one vary flag must be set")
         if not self.sigma_fraction > 0.0:
             raise ValueError(f"sigma_fraction must be > 0, got {self.sigma_fraction}")
+        if not self.sigma_fraction < math.inf:
+            raise ValueError(f"sigma_fraction must be finite, got {self.sigma_fraction}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.master_seed < 2**64:

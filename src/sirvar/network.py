@@ -154,15 +154,28 @@ def _rewire(u: np.ndarray, v: np.ndarray, n: int, half_k: int, p_rewire: float, 
     conflict[r[row_of_edge[_lattice_edge(src[r], candidates[r, j], n)] < r]] = True
 
     degree = np.full(n, 2 * half_k)
-    old_key = np.minimum(src, old) * n + np.maximum(src, old)
-    added, removed = set(), set()  # edge keys the rows before `pos` add and remove
+    resolved = set()  # rows resolved one by one so far
+    added = set()  # edge keys of the resolved rows, once resolved
 
-    def taken(s: int, w: int) -> bool:
-        """Whether {s, w} is a self-loop or an edge once the earlier rows are applied."""
-        key = min(s, w) * n + max(s, w)
-        if w == s or key in added:
+    def taken(s: int, w: int, c: int) -> bool:
+        """Whether {s, w} is a self-loop or an edge once the rows before ``c`` are applied.
+
+        A row before ``c`` is either resolved, and then in ``added``, or applied
+        in bulk with its optimistic ``key``.  A lattice edge is gone once the
+        row that picked it is applied, unless that row kept it (then it is in
+        ``added``).
+        """
+        if w == s:
             return True
-        return not half_k < (w - s) % n < n - half_k and key not in removed
+        key = min(s, w) * n + max(s, w)
+        if key in added:
+            return True
+        lo, hi = sorted_keys.searchsorted((key, key + 1))
+        if any(r < c and r not in resolved for r in by_key[lo:hi].tolist()):
+            return True
+        if half_k < (w - s) % n < n - half_k:
+            return False
+        return row_of_edge[_lattice_edge(s, w, n)] >= c
 
     pending = np.flatnonzero(conflict).tolist()  # sorted, so a heap
     pos = 0
@@ -175,30 +188,28 @@ def _rewire(u: np.ndarray, v: np.ndarray, n: int, half_k: int, p_rewire: float, 
         if c > pos:  # apply rows pos .. c - 1 as they are
             degree += np.bincount(target[pos:c], minlength=n)
             degree -= np.bincount(old[pos:c], minlength=n)
-            added.update(key[pos:c].tolist())
-            removed.update(old_key[pos:c].tolist())
 
         pos = c + 1
+        resolved.add(c)
         s = int(src[c])
         if degree[s] >= n - 1:
             target[c] = old[c]
+            added.add(min(s, int(old[c])) * n + max(s, int(old[c])))
             continue  # s is already adjacent to every other node
         for w in candidates[c].tolist():
-            if not taken(s, w):
+            if not taken(s, w, c):
                 break
         else:
             w = int(rng.integers(0, n))
-            while taken(s, w):
+            while taken(s, w, c):
                 w = int(rng.integers(0, n))
         w_key = min(s, w) * n + max(s, w)
         if w_key != key[c]:
-            lo = sorted_keys.searchsorted(w_key)
-            hi = sorted_keys.searchsorted(w_key, side="right")
+            lo, hi = sorted_keys.searchsorted((w_key, w_key + 1))
             for later in by_key[lo:hi].tolist():
                 if later > c:
                     heapq.heappush(pending, later)
         added.add(w_key)
-        removed.add(int(old_key[c]))
         target[c] = w
         degree[old[c]] -= 1
         degree[w] += 1

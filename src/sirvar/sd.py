@@ -9,9 +9,19 @@ The model is the classic coupled system
 integrated with fixed-step classical 4th-order Runge-Kutta.  SIR is smooth
 and non-stiff, so a fixed step keeps weekly sampling exact and results
 bit-reproducible; the default step is 0.1 day.
+
+The order of the floating-point operations in a step is part of the output
+contract, as the draw order is in :mod:`sirvar.abm` and
+:mod:`sirvar.network`: each stage computes its infection flux
+``x = a * S * I`` once, with ``dS = -x`` and ``dI = x - b * I``, and the
+stage and step sums keep their textbook order.  Rewriting the step must
+keep every rounding; ``reference_integrate`` in ``tests/test_sd.py`` holds
+the earlier loop, and the trajectory bytes and errors must equal it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,8 +66,9 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     Raises
     ------
     StepSizeError
-        If any step leaves the valid region (negative compartments beyond
-        roundoff, or conservation drift above ``CONSERVATION_RTOL * N``).
+        At the first step that leaves the valid region: a compartment below
+        zero beyond roundoff, or not finite, or conservation drift above
+        ``CONSERVATION_RTOL * N``.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -67,12 +78,11 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     a, b = derived_rates(params)
     n = float(params.population)
     steps = int(np.floor(horizon_days / dt + 1e-12))
-    out = np.empty((steps + 1, 3), dtype=float)
 
     s = n - float(params.initial_infected)
     i = float(params.initial_infected)
     r = 0.0
-    out[0] = (s, i, r)
+    flat = [s, i, r]
 
     neg_tol = _NEGATIVE_RTOL * n
     cons_tol = CONSERVATION_RTOL * n
@@ -80,36 +90,44 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     sixth = dt / 6.0
 
     for k in range(steps):
-        s1, i1 = -a * s * i, a * s * i - b * i
-        sa, ia = s + half * s1, i + half * i1
-        s2, i2 = -a * sa * ia, a * sa * ia - b * ia
-        sb, ib = s + half * s2, i + half * i2
-        s3, i3 = -a * sb * ib, a * sb * ib - b * ib
-        sc, ic = s + dt * s3, i + dt * i3
-        s4, i4 = -a * sc * ic, a * sc * ic - b * ic
-        ds = sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        di = sixth * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
-        s += ds
+        # x is a stage's infection flux a*S*I: dS = -x, dI = x - b*I.
+        x1 = a * s * i
+        i1 = x1 - b * i
+        ia = i + half * i1
+        x2 = a * (s - half * x1) * ia
+        i2 = x2 - b * ia
+        ib = i + half * i2
+        x3 = a * (s - half * x2) * ib
+        i3 = x3 - b * ib
+        ic = i + dt * i3
+        x4 = a * (s - dt * x3) * ic
+        ds = sixth * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        di = sixth * (i1 + 2.0 * i2 + 2.0 * i3 + (x4 - b * ic))
+        s -= ds
         i += di
-        r -= ds + di  # dR = -(dS + dI); keeps the sum conserved to roundoff
+        r -= di - ds  # dR = -(dS + dI); keeps the sum conserved to roundoff
 
-        if s < -neg_tol or i < -neg_tol or r < -neg_tol:
-            raise StepSizeError(
-                f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
-                f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; reduce dt"
-            )
-        if abs(s + i + r - n) > cons_tol:
-            raise StepSizeError(
-                f"conservation drift exceeds {cons_tol:.3g} at step {k + 1} with dt={dt}"
-            )
-        # Clip roundoff-scale negatives so downstream types stay valid.
-        if s < 0.0:
-            s = 0.0
-        if i < 0.0:
-            i = 0.0
-        out[k + 1] = (s, i, r)
+        drift = s + i + r - n
+        if s < 0.0 or i < 0.0 or r < 0.0 or not -cons_tol <= drift <= cons_tol:
+            # Written so that a NaN or infinite state fails too.
+            if not (-neg_tol <= s < math.inf and -neg_tol <= i < math.inf
+                    and -neg_tol <= r < math.inf):
+                raise StepSizeError(
+                    f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
+                    f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; reduce dt"
+                )
+            if not -cons_tol <= drift <= cons_tol:
+                raise StepSizeError(
+                    f"conservation drift exceeds {cons_tol:.3g} at step {k + 1} with dt={dt}"
+                )
+            # Clip roundoff-scale negatives so downstream types stay valid.
+            if s < 0.0:
+                s = 0.0
+            if i < 0.0:
+                i = 0.0
+        flat += (s, i, r)
 
-    return Trajectory(dt=dt, states=out)
+    return Trajectory(dt=dt, states=np.array(flat).reshape(steps + 1, 3))
 
 
 def week_indices(dt: float, weeks: int) -> np.ndarray:

@@ -71,6 +71,9 @@ class TestUsage:
         (["run-abm", "--seed", str(2**64)],
          f"--seed must be an unsigned 64-bit integer, got {2**64}"),
         (["run-abm", "--replicates", "0"], "--replicates must be >= 1, got 0"),
+        (["run-sd", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
+        (["run-mc", "--vary", "all", "--sigma", "inf"], "sigma_fraction must be finite, got inf"),
+        (["run-abm", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -156,6 +159,13 @@ class TestRunSd:
         ra = read_meta(a)["cumulative_recovered_final"]
         rb = read_meta(b)["cumulative_recovered_final"]
         assert abs(ra - rb) / rb < 1e-4
+
+    def test_overflowing_step_exits_1_naming_the_step(self, tmp_path, capsys):
+        out = tmp_path / "sd"
+        assert run("run-sd", "--contact-rate", "1e308", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "state left the valid region at step 1 " in err and "S=nan" in err
+        assert not out.exists()
 
 
 class TestRunMc:
@@ -326,6 +336,28 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{ensemble_csv}: line 2: count must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dropped_week_in_run_exits_1_naming_the_file(self, tmp_path, capsys, fmt):
+        mc_dir = tmp_path / "mc"
+        assert run("run-mc", "--vary", "all", "--replicates", "3", "--format", fmt,
+                   "--out", str(mc_dir)) == 0
+        if fmt == "csv":
+            path = mc_dir / "ensemble.csv"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n",
+                            encoding="utf-8")
+        else:
+            path = mc_dir / "run.json"
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["ensemble"][1].pop()
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        code = run("compare", "--reference", str(io.synthetic_reference_path()),
+                   "--inputs", str(mc_dir), "--out", str(tmp_path / "report"))
+        err = capsys.readouterr().err
+        assert code == 1
+        row = 0 if fmt == "csv" else 1
+        assert f"{path}: row {row}: expected 15 counts (weeks in the metadata), got 14" in err
 
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         sd_dir = tmp_path / "sd"

@@ -44,6 +44,7 @@ class TestValidation:
         dict(illness_duration=-1.0),
         dict(initial_infected=-1),
         dict(initial_infected=1001),
+        dict(contact_rate=math.inf),
     ])
     def test_out_of_range_params_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -53,6 +54,7 @@ class TestValidation:
         make_params(infection_prob=0.0)
         make_params(infection_prob=1.0)
         make_params(contact_rate=0.0)
+        assert make_params(illness_duration=math.inf).recovery_rate == 0.0  # no recovery
         make_params(initial_infected=0)
         make_params(initial_infected=1000)
 

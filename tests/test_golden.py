@@ -38,11 +38,24 @@ GOLDEN = [
         "ensemble.csv": "ddce890d01c7b5fa6f6b18ce3a5c459fb191deae67b8dc04d59b3cccd589e416",
         "summary.csv": "37a26c63924c84e05407723ef577ac7e89637df64bdc4351d693db4999c68c37",
     }),
+    # coarse steps and fast epidemics, where a reordered rounding in the RK4
+    # step would show first
+    (["run-sd", "--dt", "0.5", "--contact-rate", "20"], {
+        "series.csv": "a02fb293d79a865520ddb81062621f4767fbf19a2bd850a4ff4f1a515123a641",
+    }),
+    (["run-sd", "--dt", "1", "--contact-rate", "40"], {
+        "series.csv": "1422c568955818256a509299feadcd2d0eae77f45ea6e5808f13347288624895",
+    }),
+    (["run-mc", "--vary", "illness", "--sigma", "0.5", "--replicates", "50", "--seed", "3"], {
+        "ensemble.csv": "dc17344ca59bd851322fbe320df0d56d30b0e8a701ae1778b093954b30c96074",
+        "summary.csv": "826d5ae71793fd3d254c351c471a9c5640d4ff1d44df178006efb15b617eb16d",
+    }),
 ]
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN,
-                         ids=["sd", "mc-all", "abm", "abm-shared-pool", "abm-exponential"])
+                         ids=["sd", "mc-all", "abm", "abm-shared-pool", "abm-exponential",
+                              "sd-dt-0.5", "sd-dt-1", "mc-illness-wide"])
 def test_outputs_match_golden_hashes(tmp_path, capsys, argv, digests):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -166,6 +166,27 @@ class TestEnsemblePersistence:
         with pytest.raises(io.ReferenceFormatError, match=f"ensemble.csv: {message}"):
             io.load_run(tmp_path / "run")
 
+    @pytest.mark.parametrize("fmt, edit, message", [
+        ("json", lambda p: p["ensemble"][1].pop(), "run.json: row 1: expected 5 counts"),
+        ("json", lambda p: p["ensemble"].pop(), "run.json: expected 6 rows"),
+        ("csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+         "ensemble.csv: row 0: expected 5 counts"),
+        ("csv", lambda lines: lines[:-1], "ensemble.csv: expected 6 rows"),
+    ], ids=["json-short-row", "json-missing-row", "csv-dropped-week", "csv-missing-row"])
+    def test_table_shape_must_match_metadata(self, tmp_path, small_run, fmt, edit, message):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        io.save_ensemble(ensemble, summary, run_dir, meta, fmt=fmt)
+        if fmt == "csv":
+            lines = edit((run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines())
+            write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
+        else:
+            payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+            edit(payload)
+            write(run_dir / "run.json", json.dumps(payload))
+        with pytest.raises(io.ReferenceFormatError, match=message):
+            io.load_run(run_dir)
+
 
 class TestSeriesRun:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -176,6 +197,16 @@ class TestSeriesRun:
         loaded = io.load_run(tmp_path / "run")
         assert loaded["series"] == series
         assert loaded["metadata"]["kind"] == "sd"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_series_length_must_match_metadata(self, tmp_path, fmt):
+        series = WeeklySeries(weeks=3, infected=[1.5, 2.0, 0.25])
+        meta = io.make_metadata("sd", default_params(), 4, 42, dt=0.1)
+        io.save_series_run(series, tmp_path / "run", meta, fmt=fmt)
+        name = "series.csv" if fmt == "csv" else "run.json"
+        message = f"{name}: row 0: expected 4 counts .weeks in the metadata., got 3"
+        with pytest.raises(io.ReferenceFormatError, match=message):
+            io.load_run(tmp_path / "run")
 
     def test_rerun_sd(self, tmp_path):
         meta = io.make_metadata("sd", default_params(), 15, 42, dt=0.1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ class TestVariationSpec:
             spec_with(sigma_fraction=0.0)
         with pytest.raises(ValueError):
             spec_with(sigma_fraction=-0.1)
+        with pytest.raises(ValueError, match="sigma_fraction must be finite, got inf"):
+            spec_with(sigma_fraction=math.inf)
         with pytest.raises(ValueError):
             spec_with(replicates=0)
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
     default_params, derived_rates
-from sirvar.sd import HorizonError, StepSizeError, integrate, week_indices, weekly_sample
+from sirvar.sd import CONSERVATION_RTOL, HorizonError, StepSizeError, integrate, week_indices, \
+    weekly_sample
 
 
 def rk4_reference(params, steps, dt):
@@ -26,6 +29,66 @@ def rk4_reference(params, steps, dt):
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.array(out)
+
+
+def reference_integrate(params, horizon_days, dt, clipped=None):
+    """The package's earlier step loop, kept as the reference ``integrate`` must
+    equal bit for bit, in states and in errors.
+
+    It evaluates each stage's S derivative as ``-a * s * i`` apart from the
+    I derivative's ``a * s * i``, and checks the state with ``abs``.  Steps
+    whose state it clips are appended to ``clipped`` when that is a list.
+    """
+    a, b = derived_rates(params)
+    n = float(params.population)
+    steps = int(np.floor(horizon_days / dt + 1e-12))
+    out = np.empty((steps + 1, 3), dtype=float)
+    s = n - float(params.initial_infected)
+    i = float(params.initial_infected)
+    r = 0.0
+    out[0] = (s, i, r)
+    neg_tol = 1e-9 * n
+    cons_tol = CONSERVATION_RTOL * n
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for k in range(steps):
+        s1, i1 = -a * s * i, a * s * i - b * i
+        sa, ia = s + half * s1, i + half * i1
+        s2, i2 = -a * sa * ia, a * sa * ia - b * ia
+        sb, ib = s + half * s2, i + half * i2
+        s3, i3 = -a * sb * ib, a * sb * ib - b * ib
+        sc, ic = s + dt * s3, i + dt * i3
+        s4, i4 = -a * sc * ic, a * sc * ic - b * ic
+        ds = sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        di = sixth * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+        s += ds
+        i += di
+        r -= ds + di
+        if s < -neg_tol or i < -neg_tol or r < -neg_tol:
+            raise StepSizeError(
+                f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
+                f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; reduce dt"
+            )
+        if abs(s + i + r - n) > cons_tol:
+            raise StepSizeError(
+                f"conservation drift exceeds {cons_tol:.3g} at step {k + 1} with dt={dt}"
+            )
+        if (s < 0.0 or i < 0.0) and clipped is not None:
+            clipped.append(k + 1)
+        if s < 0.0:
+            s = 0.0
+        if i < 0.0:
+            i = 0.0
+        out[k + 1] = (s, i, r)
+    return Trajectory(dt=dt, states=out)
+
+
+def outcome(integrator, params, horizon_days, dt, **kwargs):
+    """The bytes of a trajectory's states, or the type and message of its error."""
+    try:
+        return integrator(params, horizon_days, dt, **kwargs).states.tobytes()
+    except StepSizeError as exc:
+        return type(exc), str(exc)
 
 
 class TestDerivatives:
@@ -154,6 +217,78 @@ class TestIntegrate:
     def test_dt_larger_than_horizon_rejected(self):
         with pytest.raises(ValueError):
             integrate(default_params(), horizon_days=1.0, dt=2.0)
+
+
+# Step sizes found by bisecting between a dt that integrates and one that
+# fails: in each run some steps overshoot below zero by less than the
+# tolerance and are clipped.
+CLIPPED = [
+    (SirParams(population=7889, contact_rate=26.554489473951953,
+               infection_prob=0.5311461683267507, illness_duration=5.212297981793817,
+               initial_infected=743), 56.0, 0.37820939239766843),
+    (SirParams(population=49592, contact_rate=44.76364412409049,
+               infection_prob=0.7499483273279057, illness_duration=6.952105024779734,
+               initial_infected=14787), 56.0, 0.12639036876436877),
+    # no recovery: S decays into subnormals, where roundoff takes it below zero
+    (SirParams(population=164856, contact_rate=53.88346735474491,
+               infection_prob=0.1271033015349553, illness_duration=math.inf,
+               initial_infected=43035), 364.0, 0.25),
+]
+
+STEPS = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+
+
+class TestMatchesReferenceLoop:
+    """``integrate`` reorders no rounding of the earlier loop: same bytes, same errors."""
+
+    def test_randomized(self):
+        rng = np.random.default_rng(2013)
+        kinds = {bytes: 0, tuple: 0}
+        for _ in range(320):
+            n = int(rng.integers(1, 200_001))
+            params = SirParams(
+                population=n,
+                contact_rate=float(rng.uniform(0.0, 60.0)),
+                infection_prob=float(rng.uniform(0.0, 1.0)),
+                illness_duration=float(rng.uniform(0.1, 30.0)),
+                initial_infected=int(rng.integers(0, n + 1)),
+            )
+            dt = float(rng.choice(STEPS))
+            expected = outcome(reference_integrate, params, 56.0, dt)
+            assert outcome(integrate, params, 56.0, dt) == expected, (params, dt)
+            kinds[type(expected)] += 1
+        assert min(kinds.values()) >= 50, kinds  # both trajectories and step-size errors
+
+    @pytest.mark.parametrize("params, horizon_days, dt", CLIPPED)
+    def test_clipped_steps(self, params, horizon_days, dt):
+        clipped = []
+        expected = outcome(reference_integrate, params, horizon_days, dt, clipped=clipped)
+        assert clipped and isinstance(expected, bytes)
+        assert outcome(integrate, params, horizon_days, dt) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(population=st.integers(1, 200_000), infected_share=st.floats(0.0, 1.0),
+           contact_rate=st.floats(0.0, 60.0), infection_prob=st.floats(0.0, 1.0),
+           illness_duration=st.floats(0.1, 30.0) | st.just(math.inf),
+           dt=st.sampled_from(STEPS))
+    def test_property(self, population, infected_share, contact_rate, infection_prob,
+                      illness_duration, dt):
+        params = SirParams(population=population, contact_rate=contact_rate,
+                           infection_prob=infection_prob, illness_duration=illness_duration,
+                           initial_infected=round(infected_share * population))
+        expected = outcome(reference_integrate, params, 56.0, dt)
+        assert outcome(integrate, params, 56.0, dt) == expected
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("contact_rate", [1e100, 1e308])
+    def test_first_non_finite_step_raises(self, contact_rate):
+        # a * S * I overflows in the first step; the earlier loop let the NaN
+        # state through to the Trajectory constructor ("negative compartment counts")
+        params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
+                           illness_duration=4.2)
+        with pytest.raises(StepSizeError, match=r"at step 1 \(t=0.100 d\)"):
+            integrate(params, horizon_days=7.0, dt=0.1)
 
 
 class TestWeeklySample:
