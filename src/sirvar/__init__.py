@@ -24,13 +24,7 @@ from .sd import integrate, weekly_sample
 from .montecarlo import VariationSpec, run_sd_ensemble, sample_params
 from .network import NetworkGenParams, NetworkTopology, build_small_world
 from .abm import Population, Status, run_abm, run_abm_ensemble, step_day
-from .stats import (
-    WeeklySummary,
-    WilcoxonResult,
-    median_series,
-    weekly_summary,
-    wilcoxon_signed_rank,
-)
+from .stats import WeeklySummary, WilcoxonResult, weekly_summary, wilcoxon_signed_rank
 
 __all__ = [
     "EnsembleResult",
@@ -50,7 +44,6 @@ __all__ = [
     "default_params",
     "derived_rates",
     "integrate",
-    "median_series",
     "replicate_rng",
     "run_abm",
     "run_abm_ensemble",

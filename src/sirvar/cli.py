@@ -142,18 +142,16 @@ def cmd_run_sd(args) -> int:
 
 
 def _mc_inputs(args) -> tuple[str, dict]:
-    spec = VariationSpec(sigma_fraction=args.sigma, replicates=args.replicates,
-                         master_seed=args.seed, **_SCENARIOS[args.vary])
+    spec = VariationSpec(sigma_fraction=args.sigma, **_SCENARIOS[args.vary])
     week_indices(args.dt, args.weeks)
-    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec))
+    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec),
+                         replicates=args.replicates)
 
 
 def _abm_inputs(args) -> tuple[str, dict]:
     if args.k >= args.population:
         raise UsageError(
             f"--k must be < --population, got k={args.k}, population={args.population}")
-    if args.replicates < 1:
-        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
     gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
     return "abm", dict(
         replicates=args.replicates,
@@ -169,6 +167,8 @@ def cmd_run_ensemble(args) -> int:
     """Run-mc and run-abm: execute the metadata that ``args.inputs`` builds, then save."""
     with _building_inputs():
         params, provenance = _params_from_args(args)
+        if args.replicates < 1:
+            raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
         kind, inputs = args.inputs(args)
     meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
     start = time.perf_counter()
@@ -196,8 +196,9 @@ def _compare_row(name: str, run: dict, reference) -> dict:
         total_variation = ""
     else:
         kind = "ensemble"
-        series = stats.median_series(run["ensemble"])
-        total_variation = stats.weekly_summary(run["ensemble"]).total_variation
+        summary = stats.weekly_summary(run["ensemble"])
+        series = summary.median
+        total_variation = summary.total_variation
     result = stats.wilcoxon_signed_rank(series, reference)
     return {
         "input": name,

@@ -113,8 +113,7 @@ def derived_rates(params: SirParams) -> tuple[float, float]:
     population and +1 in each of contact rate and infection probability.
     """
     a = params.contact_rate * params.infection_prob / params.population
-    b = 1.0 / params.illness_duration
-    return a, b
+    return a, params.recovery_rate
 
 
 def basic_reproduction_number(params: SirParams) -> float:
@@ -233,8 +232,11 @@ def replicate_rng(master_seed: int, replicate: int, stream: int) -> np.random.Ge
 
     The stream depends only on ``(master_seed, replicate, stream)``; the
     spawn key ``(replicate, stream)`` is part of the reproducibility
-    contract of every saved ensemble.
+    contract of every saved ensemble.  The replicates of both ensembles draw
+    only from here, so this is where a master seed from flags or metadata is checked.
     """
+    if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
+        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(replicate, stream))
     )
@@ -333,7 +335,11 @@ def calibrate_contact_rate(
              f"calibrating a contact rate needs infection_prob > 0 and illness_duration > 0, "
              f"got infection_prob={infection_prob}, illness_duration={illness_duration}")
     r0 = final_size_reproduction_number(target_attack)
-    return r0 / (infection_prob * illness_duration)
+    scale = infection_prob * illness_duration
+    _require(scale > 0.0 and r0 / scale < math.inf,
+             f"calibrating a contact rate overflows at infection_prob={infection_prob}, "
+             f"illness_duration={illness_duration}")
+    return r0 / scale
 
 
 def default_params(

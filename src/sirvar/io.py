@@ -174,7 +174,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
         return weekly_sample(traj, weeks)
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
-        return run_sd_ensemble(params, spec, weeks, dt=meta["dt"], threads=threads)
+        return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],
+                               master_seed=meta["master_seed"], dt=meta["dt"], threads=threads)
     if kind == "abm":
         gen = NetworkGenParams(k=meta["network_k"], p_rewire=meta["network_p_rewire"])
         return run_abm_ensemble(

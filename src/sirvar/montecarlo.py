@@ -8,9 +8,12 @@ vary infection probability, and vary all three together.
 
 The draw for a given parameter of a given replicate comes from the
 :func:`sirvar.core.replicate_rng` stream keyed by the parameter's id, and
-replicates run through :func:`sirvar.core.run_replicates`.  ``_VARIED``
-lists the parameters a :class:`VariationSpec` can vary: its order is the
-draw order, and its stream ids are part of the reproducibility contract.
+replicates run through :func:`sirvar.core.run_replicates`.  Those two own
+the seed and size rules of both ensembles: as for the agent-based one, the
+ensemble size and master seed are arguments of :func:`run_sd_ensemble`,
+not part of a :class:`VariationSpec`.  ``_VARIED`` lists the parameters a
+:class:`VariationSpec` can vary: its order is the draw order, and its
+stream ids are part of the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ class VariationSpec:
 
     ``sigma_fraction`` is the per-parameter standard deviation expressed
     as a fraction of the parameter's base value; it is finite and > 0.
+    The ensemble size and seed are :func:`run_sd_ensemble` arguments.
     """
 
     vary_illness: bool = False
     vary_contact: bool = False
     vary_infection: bool = False
     sigma_fraction: float = 0.1
-    replicates: int = 100
-    master_seed: int = 0
 
     def __post_init__(self):
         if not any(getattr(self, flag) for flag, *_ in _VARIED):
@@ -57,10 +59,6 @@ class VariationSpec:
             raise ValueError(f"sigma_fraction must be > 0, got {self.sigma_fraction}")
         if not self.sigma_fraction < math.inf:
             raise ValueError(f"sigma_fraction must be finite, got {self.sigma_fraction}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
 
 
 def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
@@ -83,25 +81,20 @@ def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
     return min(max(value, floor), upper), True
 
 
-def sample_params(
-    base: SirParams, spec: VariationSpec, replicate_index: int
-) -> tuple[SirParams, int]:
-    """Parameter set for one Monte-Carlo replicate, and how many draws were clamped.
+def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
+                  replicate_index: int) -> tuple[SirParams, int]:
+    """Parameter set for one replicate of a seeded ensemble, and how many draws were clamped.
 
     Flagged parameters are redrawn from Normal(base, sigma_fraction * base)
     truncated to their valid domain; unflagged parameters are returned
     bit-identical to the base values.
     """
-    if not 0 <= replicate_index < spec.replicates:
-        raise ValueError(
-            f"replicate_index must be in [0, {spec.replicates}), got {replicate_index}"
-        )
     drawn = {}
     clamped = 0
     for flag, field, stream, lower, upper, lower_open in _VARIED:
         if getattr(spec, flag):
             mean = getattr(base, field)
-            rng = replicate_rng(spec.master_seed, replicate_index, stream)
+            rng = replicate_rng(master_seed, replicate_index, stream)
             drawn[field], c = _draw_truncated(
                 rng, mean, spec.sigma_fraction * mean, lower, upper, lower_open)
             clamped += c
@@ -109,8 +102,8 @@ def sample_params(
 
 
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
-    base, spec, weeks, dt = context
-    params, clamped = sample_params(base, spec, r)
+    base, spec, weeks, master_seed, dt = context
+    params, clamped = sample_params(base, spec, master_seed, r)
     traj = integrate(params, horizon_days=7.0 * weeks, dt=dt)
     return weekly_sample(traj, weeks).infected, clamped
 
@@ -119,17 +112,21 @@ def run_sd_ensemble(
     base: SirParams,
     spec: VariationSpec,
     weeks: int,
+    replicates: int,
+    master_seed: int,
     dt: float = DEFAULT_DT,
     threads: int = 1,
 ) -> EnsembleResult:
     """Run the Monte-Carlo ensemble for one variation scenario.
 
-    Replicate ``r`` integrates ``sample_params(base, spec, r)`` and samples
-    it weekly.  The result counts the clamped draws of all replicates and
-    is a pure function of the inputs, independent of ``threads``.
+    Replicate ``r`` integrates ``sample_params(base, spec, master_seed, r)``
+    and samples it weekly; ``replicates`` and ``master_seed`` are checked
+    where the agent-based ensemble's are.  The result counts the clamped
+    draws of all replicates and is a pure function of the inputs,
+    independent of ``threads``.
     """
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
-    rows = run_replicates(_sd_replicate, (base, spec, weeks, dt), spec.replicates, threads)
+    rows = run_replicates(_sd_replicate, (base, spec, weeks, master_seed, dt), replicates, threads)
     return EnsembleResult([row for row, _ in rows],
                           clamped_draws=sum(clamped for _, clamped in rows))

@@ -112,9 +112,11 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
             # Written so that a NaN or infinite state fails too.
             if not (-neg_tol <= s < math.inf and -neg_tol <= i < math.inf
                     and -neg_tol <= r < math.inf):
+                finite = all(map(math.isfinite, (s, i, r)))
                 raise StepSizeError(
                     f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
-                    f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; reduce dt"
+                    f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; "
+                    f"{'reduce dt' if finite else 'the state is not finite'}"
                 )
             if not -cons_tol <= drift <= cons_tol:
                 raise StepSizeError(

@@ -74,29 +74,20 @@ class WilcoxonResult:
     n_effective: int
     w_statistic: float
     p_value: float
-    reject_at_5pct: bool
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
-        if self.reject_at_5pct != (self.p_value < ALPHA):
-            raise ValueError("reject_at_5pct must equal (p_value < 0.05)")
+
+    @property
+    def reject_at_5pct(self) -> bool:
+        return self.p_value < ALPHA
 
 
 def weekly_summary(ensemble: EnsembleResult) -> WeeklySummary:
     """Quartiles, IQR and total variation across replicates, per week."""
     q1, med, q3 = np.quantile(ensemble.matrix, [0.25, 0.5, 0.75], axis=0, method="linear")
     return WeeklySummary(median=med, q1=q1, q3=q3)
-
-
-def median_series(ensemble: EnsembleResult) -> WeeklySeries:
-    """Per-week median across replicates, as a weekly series.
-
-    Uses the same quantile rule as :func:`weekly_summary`, so the two
-    agree element-wise.
-    """
-    med = np.quantile(ensemble.matrix, 0.5, axis=0, method="linear")
-    return WeeklySeries(weeks=ensemble.weeks, infected=med)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -174,7 +165,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     diffs = diffs[diffs != 0.0]
     n = int(diffs.size)
     if n == 0:
-        return WilcoxonResult(n_effective=0, w_statistic=0.0, p_value=1.0, reject_at_5pct=False)
+        return WilcoxonResult(n_effective=0, w_statistic=0.0, p_value=1.0)
 
     ranks = _midranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
@@ -188,9 +179,4 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
         _, tie_counts = np.unique(ranks, return_counts=True)
         p = _normal_approx_p(w, n, tie_counts[tie_counts > 1].astype(float))
 
-    return WilcoxonResult(
-        n_effective=n,
-        w_statistic=w,
-        p_value=p,
-        reject_at_5pct=p < ALPHA,
-    )
+    return WilcoxonResult(n_effective=n, w_statistic=w, p_value=p)

@@ -74,6 +74,8 @@ class TestUsage:
         (["run-sd", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
         (["run-mc", "--vary", "all", "--sigma", "inf"], "sigma_fraction must be finite, got inf"),
         (["run-abm", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
+        (["run-sd", "--infection-prob", "1e-320"], "infection_prob=1e-320"),
+        (["run-sd", "--illness-duration", "1e-320"], "illness_duration=1e-320"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

@@ -166,7 +166,8 @@ class TestCalibration:
         assert basic_reproduction_number(params) == pytest.approx(1.5436, abs=5e-4)
 
     @pytest.mark.parametrize("bad", [dict(infection_prob=0.0), dict(illness_duration=0.0),
-                                     dict(illness_duration=-1.0)])
+                                     dict(illness_duration=-1.0), dict(infection_prob=1e-320),
+                                     dict(infection_prob=1e-200, illness_duration=1e-200)])
     def test_calibration_rejects_non_positive_inputs(self, bad):
         with pytest.raises(ValueError, match="calibrating"):
             calibrate_contact_rate(**bad)

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from sirvar.cli import main
+from sirvar.io import synthetic_reference_path
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -79,3 +80,21 @@ def test_json_outputs_match_golden_hashes(tmp_path, capsys, argv, digest):
     payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
     del payload["metadata"]
     assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
+
+
+COMPARE_GOLDEN = {
+    "report.csv": "d86a54815f2247f0f5ccff7a920766d108fd0b117d37e3ccb3afa39294d75ecf",
+    "report.txt": "06cfa5195b8edcbb93bb12c6d443688f569a7e8557fbe496e369cf89093d5ea4",
+}
+
+
+def test_compare_report_matches_golden_hashes(tmp_path, capsys):
+    runs = {"sd": GOLDEN[0][0], "mc": GOLDEN[1][0], "abm": GOLDEN[2][0]}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert main(["compare", "--reference", str(synthetic_reference_path()),
+                 "--inputs", *(str(tmp_path / name) for name in runs),
+                 "--out", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
+    for name, digest in COMPARE_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest() == digest, name

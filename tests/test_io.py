@@ -89,9 +89,8 @@ class TestEnsemblePersistence:
     @pytest.fixture()
     def small_run(self):
         params = default_params()
-        spec = VariationSpec(vary_contact=True, sigma_fraction=0.1, replicates=6,
-                             master_seed=11)
-        ensemble = run_sd_ensemble(params, spec, weeks=5)
+        spec = VariationSpec(vary_contact=True, sigma_fraction=0.1)
+        ensemble = run_sd_ensemble(params, spec, weeks=5, replicates=6, master_seed=11)
         meta = io.make_metadata(
             "sd-mc", params, 5, 11,
             dt=0.1, scenario="contact",
@@ -126,6 +125,19 @@ class TestEnsemblePersistence:
         first = io.rerun_from_metadata(meta)
         second = io.rerun_from_metadata(meta, threads=2)
         assert np.array_equal(first.matrix, second.matrix)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("kind, extra", [
+        ("sd-mc", dict(dt=0.1, vary_illness=True, vary_contact=False, vary_infection=False,
+                       sigma_fraction=0.1, replicates=2)),
+        ("abm", dict(replicates=2, network_k=6, network_p_rewire=0.2,
+                     reuse_network=False, exponential_recovery=False)),
+    ])
+    def test_rerun_rejects_a_bad_master_seed(self, kind, extra, seed):
+        meta = io.make_metadata(kind, default_params(population=300), 2, seed, **extra)
+        with pytest.raises(RuntimeError,
+                           match=f"master_seed must be an unsigned 64-bit integer, got {seed}"):
+            io.rerun_from_metadata(meta)
 
     def test_unknown_format_rejected(self, tmp_path, small_run):
         ensemble, summary, meta = small_run

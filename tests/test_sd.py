@@ -290,6 +290,18 @@ class TestNonFinite:
         with pytest.raises(StepSizeError, match=r"at step 1 \(t=0.100 d\)"):
             integrate(params, horizon_days=7.0, dt=0.1)
 
+    @pytest.mark.parametrize("contact_rate", [1e100, 1e308])
+    def test_overflow_does_not_advise_a_smaller_step(self, contact_rate):
+        params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
+                           illness_duration=4.2)
+        with pytest.raises(StepSizeError, match="the state is not finite$") as overflow:
+            integrate(params, horizon_days=7.0, dt=0.1)
+        assert "reduce dt" not in str(overflow.value)
+        too_large = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
+                              illness_duration=0.2, initial_infected=10)
+        with pytest.raises(StepSizeError, match="; reduce dt$"):
+            integrate(too_large, horizon_days=20.0, dt=2.0)
+
 
 class TestWeeklySample:
     def test_constant_trajectory(self):

@@ -8,7 +8,6 @@ from sirvar.stats import (
     WilcoxonResult,
     _midranks,
     _normal_approx_p,
-    median_series,
     weekly_summary,
     wilcoxon_signed_rank,
 )
@@ -70,19 +69,13 @@ class TestWeeklySummary:
         assert shifted.iqr == pytest.approx(base.iqr, abs=1e-9)
         assert shifted.total_variation == pytest.approx(base.total_variation, abs=1e-9)
 
-    def test_median_series_consistent_with_summary(self):
-        rng = np.random.default_rng(21)
-        matrix = rng.uniform(0.0, 1000.0, size=(100, 15))
-        ens = EnsembleResult(matrix)
-        assert np.array_equal(median_series(ens).infected, weekly_summary(ens).median)
-
     def test_single_replicate_median_is_identity(self):
         ens = EnsembleResult([[5.0, 9.0, 2.0]])
-        assert np.array_equal(median_series(ens).infected, [5.0, 9.0, 2.0])
+        assert np.array_equal(weekly_summary(ens).median, [5.0, 9.0, 2.0])
 
     def test_odd_count_middle_order_statistic(self):
         ens = EnsembleResult([[4.0], [1.0], [9.0]])
-        assert median_series(ens).infected[0] == 4.0
+        assert weekly_summary(ens).median[0] == 4.0
 
 
 class TestWilcoxon:
@@ -152,11 +145,9 @@ class TestWilcoxon:
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
-            WilcoxonResult(n_effective=3, w_statistic=1.0, p_value=0.01,
-                           reject_at_5pct=False)
-        with pytest.raises(ValueError):
-            WilcoxonResult(n_effective=3, w_statistic=1.0, p_value=1.5,
-                           reject_at_5pct=False)
+            WilcoxonResult(n_effective=3, w_statistic=1.0, p_value=1.5)
+        assert WilcoxonResult(n_effective=3, w_statistic=1.0, p_value=0.01).reject_at_5pct
+        assert not WilcoxonResult(n_effective=3, w_statistic=1.0, p_value=0.05).reject_at_5pct
 
     def test_exact_and_normal_branches_agree_in_tail(self):
         # The normal approximation cannot track the exact p everywhere: the
