@@ -17,10 +17,12 @@ Time advances in synchronous daily steps.  Within one day:
    day, which matches the ODE's linear recovery term in expectation and is
    the right mode for mean-field comparisons.
 
-Recovered agents never change state again.  Ensemble replicates draw
-their network and simulation randomness from
-:func:`sirvar.core.replicate_rng` streams and run through
-:func:`sirvar.core.run_replicates`.
+Recovered agents never change state again.  A run yields a
+:class:`sirvar.core.Trajectory` of daily (S, I, R) counts with a one-day
+step, which :func:`sirvar.sd.weekly_sample` turns into end-of-week values
+as it does the ODE's trajectory.  Ensemble replicates draw their network
+and simulation randomness from :func:`sirvar.core.replicate_rng` streams
+and run through :func:`sirvar.core.run_replicates`.
 
 The daily counts a seed yields are fixed by the order of random draws,
 which is part of this module's contract.  Each day draws, in order:
@@ -44,8 +46,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, WeeklySeries, replicate_rng, run_replicates
+from .core import EnsembleResult, SirParams, Trajectory, WeeklySeries, replicate_rng, run_replicates
 from .network import NetworkGenParams, NetworkTopology, build_small_world
+from .sd import weekly_sample
 
 # RNG stream ids per replicate (part of the reproducibility contract).
 _STREAM_NETWORK = 0
@@ -159,8 +162,13 @@ def _simulate(
     weeks: int,
     rng: np.random.Generator,
     exponential_recovery: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Daily engine; returns (weekly infectious counts, daily SIR counts)."""
+) -> Trajectory:
+    """Daily engine: the (S, I, R) counts of days 0 to ``7 * weeks``.
+
+    Row ``d`` of the returned one-day trajectory holds the counts at the end
+    of day ``d``; row 0 is the state after seeding the index cases.  The
+    counts are at most N, far below 2**53, so they are exact as floats.
+    """
     pop = Population(topo.n)
     if params.initial_infected:
         seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
@@ -171,15 +179,12 @@ def _simulate(
     n = topo.n
     susceptible = n - pop.infectious.size
     daily[0] = susceptible, pop.infectious.size, 0
-    weekly = np.empty(weeks, dtype=float)
     for day in range(1, days + 1):
         susceptible -= step_day(pop, topo, params, rng,
                                 exponential_recovery=exponential_recovery)
         infectious = pop.infectious.size
         daily[day] = susceptible, infectious, n - susceptible - infectious
-        if day % 7 == 0:
-            weekly[day // 7 - 1] = daily[day, 1]
-    return weekly, daily
+    return Trajectory(dt=1.0, states=daily)
 
 
 def run_abm(
@@ -192,9 +197,9 @@ def run_abm(
     """Run one agent-based simulation and report end-of-week prevalence.
 
     All agents start susceptible except ``params.initial_infected``
-    uniformly random index cases.  The weekly convention matches the ODE
-    side: entry ``w`` is the infectious count at the end of day
-    ``7 * (w + 1)``.
+    uniformly random index cases.  The daily counts are sampled by
+    :func:`sirvar.sd.weekly_sample`, as the ODE's trajectory is: entry ``w``
+    is the infectious count at the end of day ``7 * (w + 1)``.
 
     Raises
     ------
@@ -208,8 +213,7 @@ def run_abm(
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    weekly, _ = _simulate(params, topo, weeks, rng, exponential_recovery)
-    return WeeklySeries(weeks=weeks, infected=weekly)
+    return weekly_sample(_simulate(params, topo, weeks, rng, exponential_recovery), weeks)
 
 
 def _abm_replicate(context, r: int) -> np.ndarray:
@@ -241,9 +245,7 @@ def run_abm_ensemble(
     """
     shared = None
     if reuse_network:
-        net_rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=_SHARED_NETWORK_KEY)
-        )
+        net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)
         shared = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
     context = (params, gen, weeks, master_seed, shared, exponential_recovery)
     return EnsembleResult(run_replicates(_abm_replicate, context, replicates, threads))

@@ -176,26 +176,27 @@ class WeeklySeries:
 
     ``infected[w]`` is the prevalence at the end of week ``w + 1``
     (day ``7 * (w + 1)``), the end-of-week convention used throughout.
+    ``infected`` is one-dimensional, non-empty and non-negative; its length
+    is the number of weeks.
     """
 
-    weeks: int
     infected: np.ndarray
 
     def __post_init__(self):
-        _require(self.weeks >= 1, f"weeks must be >= 1, got {self.weeks}")
         infected = _frozen_array(self.infected)
-        _require(infected.ndim == 1 and infected.size == self.weeks,
-                 f"expected {self.weeks} weekly values, got {infected.size}")
+        _require(infected.ndim == 1 and infected.size >= 1,
+                 f"weekly values must be a non-empty 1-D array, got shape {infected.shape}")
         _require(bool((infected >= 0.0).all()), "weekly infected counts must be non-negative")
         object.__setattr__(self, "infected", infected)
 
-    def __len__(self) -> int:
-        return self.weeks
+    @property
+    def weeks(self) -> int:
+        return self.infected.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeeklySeries):
             return NotImplemented
-        return self.weeks == other.weeks and bool(np.array_equal(self.infected, other.infected))
+        return bool(np.array_equal(self.infected, other.infected))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,19 +228,19 @@ class EnsembleResult:
         return self.matrix.shape[1]
 
 
-def replicate_rng(master_seed: int, replicate: int, stream: int) -> np.random.Generator:
-    """Generator for one random stream of one ensemble replicate.
+def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
+    """Generator for one random stream of an ensemble.
 
-    The stream depends only on ``(master_seed, replicate, stream)``; the
-    spawn key ``(replicate, stream)`` is part of the reproducibility
-    contract of every saved ensemble.  The replicates of both ensembles draw
+    The stream depends only on ``master_seed`` and the ``spawn_key``
+    integers.  Replicate ``r`` keys its streams ``(r, stream)``, and the one
+    network that ``reuse_network`` shares among ABM replicates is keyed
+    ``sirvar.abm._SHARED_NETWORK_KEY``; these keys are part of the
+    reproducibility contract of every saved ensemble.  Both ensembles draw
     only from here, so this is where a master seed from flags or metadata is checked.
     """
     if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(replicate, stream))
-    )
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
 
 def _run_one(fn, context, r: int):

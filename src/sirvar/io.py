@@ -115,8 +115,7 @@ def load_reference(path) -> WeeklySeries:
     ReferenceFormatError
         On schema violations; the message names the offending line.
     """
-    values = [count for count, in _read_table(path, "week,infected", 1)]
-    return WeeklySeries(weeks=len(values), infected=values)
+    return WeeklySeries([count for count, in _read_table(path, "week,infected", 1)])
 
 
 def save_series(series: WeeklySeries, path) -> None:
@@ -140,7 +139,7 @@ def write_synthetic_reference(path, weeks: int = 15) -> None:
 
     traj = integrate(default_params(), horizon_days=7.0 * weeks)
     weekly = weekly_sample(traj, weeks)
-    rounded = WeeklySeries(weeks=weeks, infected=[round(v) for v in weekly.infected])
+    rounded = WeeklySeries([round(v) for v in weekly.infected])
     save_series(rounded, path)
 
 
@@ -270,7 +269,6 @@ def load_run(run_dir) -> dict:
         if path.name == "run.json":  # the CSV reader checked its counts already
             _check_counts(row, f"{path}: row {r}")
     if "series" in results:
-        values = results["series"]
-        return {"metadata": meta, "series": WeeklySeries(weeks=len(values), infected=values)}
+        return {"metadata": meta, "series": WeeklySeries(results["series"])}
     return {"metadata": meta,
             "ensemble": EnsembleResult(results["ensemble"], meta.get("clamped_draws", 0))}

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, integrate, weekly_sample
+from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
@@ -121,12 +121,12 @@ def run_sd_ensemble(
 
     Replicate ``r`` integrates ``sample_params(base, spec, master_seed, r)``
     and samples it weekly; ``replicates`` and ``master_seed`` are checked
-    where the agent-based ensemble's are.  The result counts the clamped
-    draws of all replicates and is a pure function of the inputs,
-    independent of ``threads``.
+    where the agent-based ensemble's are, and ``dt`` and ``weeks`` by
+    :func:`sirvar.sd.week_indices` before any replicate runs.  The result
+    counts the clamped draws of all replicates and is a pure function of
+    the inputs, independent of ``threads``.
     """
-    if weeks < 1:
-        raise ValueError(f"weeks must be >= 1, got {weeks}")
+    week_indices(dt, weeks)
     rows = run_replicates(_sd_replicate, (base, spec, weeks, master_seed, dt), replicates, threads)
     return EnsembleResult([row for row, _ in rows],
                           clamped_draws=sum(clamped for _, clamped in rows))

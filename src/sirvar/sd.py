@@ -149,7 +149,7 @@ def week_indices(dt: float, weeks: int) -> np.ndarray:
     for w in range(weeks):
         day = 7.0 * (w + 1)
         idx = int(round(day / dt))
-        if abs(idx * dt - day) > 1e-9:
+        if not abs(idx * dt - day) <= 1e-9:  # NaN fails too: dt = inf gives 0 * inf
             raise ValueError(f"dt={dt} does not place day {day} on the integration grid")
         indices[w] = idx
     return indices
@@ -159,12 +159,15 @@ def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     """Resample a trajectory onto the weekly reporting grid.
 
     ``infected[w]`` is the prevalence at day ``7 * (w + 1)``, i.e. at the
-    end of each week.  The step must divide the week boundaries (true for
-    the defaults), otherwise the requested instants are not on the grid.
+    end of each week.  This is the one end-of-week rule of both paradigms:
+    it samples the ODE's trajectory and the ABM's one-day trajectory of
+    daily counts alike.  The step must divide the week boundaries (true for
+    the defaults and for one day), otherwise the requested instants are
+    not on the grid.
     """
     if traj.horizon_days < 7.0 * weeks - 1e-9:
         raise HorizonError(
             f"trajectory spans {traj.horizon_days:.3f} days, "
             f"need at least {7 * weeks} for {weeks} weeks"
         )
-    return WeeklySeries(weeks=weeks, infected=traj.i[week_indices(traj.dt, weeks)])
+    return WeeklySeries(traj.i[week_indices(traj.dt, weeks)])

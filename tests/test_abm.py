@@ -200,6 +200,20 @@ class TestRunAbm:
                 assert cumulative == n - s
                 prev_s, prev_i, prev_r = s, i, r
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weeks=st.integers(1, 4),
+           exponential_recovery=st.booleans())
+    def test_daily_trajectory_is_conserved_and_sampled_at_week_ends(
+            self, seed, weeks, exponential_recovery):
+        topo, params = random_case(np.random.default_rng(seed))
+        traj = _simulate(params, topo, weeks, np.random.default_rng(seed), exponential_recovery)
+        assert traj.dt == 1.0 and len(traj) == 7 * weeks + 1
+        assert np.all(traj.s + traj.i + traj.r == topo.n)
+        assert np.all(np.diff(traj.s) <= 0) and np.all(np.diff(traj.r) >= 0)
+        series = run_abm(params, topo, weeks, np.random.default_rng(seed),
+                         exponential_recovery=exponential_recovery)
+        assert np.array_equal(series.infected, traj.i[7::7])
+
     def test_epidemic_extinction_within_horizon(self):
         params = params_for(150, c=10.0, p=0.9, d=3.0, i0=1)
         for seed in range(10):
@@ -289,8 +303,8 @@ class TestMatchesReference:
         # replicate 0 of run-abm --seed <seed> --initial-infected 10
         params = default_params(initial_infected=10)
         topo = build_small_world(params.population, 10, 0.1, replicate_rng(seed, 0, 0))
-        _, daily = _simulate(params, topo, 15, replicate_rng(seed, 0, 1),
-                             exponential_recovery)
+        daily = _simulate(params, topo, 15, replicate_rng(seed, 0, 1),
+                          exponential_recovery).states
         expected = reference_daily_counts(params, topo, 15, replicate_rng(seed, 0, 1),
                                           exponential_recovery)
         assert np.array_equal(daily, expected)
@@ -317,7 +331,7 @@ class TestInfectiousSet:
     @given(seed=st.integers(0, 2**32 - 1), exponential_recovery=st.booleans())
     def test_daily_counts_match_status(self, seed, exponential_recovery):
         topo, params = random_case(np.random.default_rng(seed))
-        _, daily = _simulate(params, topo, 4, np.random.default_rng(seed), exponential_recovery)
+        daily = _simulate(params, topo, 4, np.random.default_rng(seed), exponential_recovery).states
         rng = np.random.default_rng(seed)
         pop = Population(topo.n)
         if params.initial_infected:

@@ -76,6 +76,8 @@ class TestUsage:
         (["run-abm", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
         (["run-sd", "--infection-prob", "1e-320"], "infection_prob=1e-320"),
         (["run-sd", "--illness-duration", "1e-320"], "illness_duration=1e-320"),
+        (["run-sd", "--dt", "inf"], "dt=inf"),
+        (["run-mc", "--vary", "all", "--dt", "inf"], "dt=inf"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

@@ -79,9 +79,9 @@ class TestValidation:
 
     def test_weekly_series_length_must_match(self):
         with pytest.raises(ValueError):
-            WeeklySeries(weeks=3, infected=[1.0, 2.0])
+            WeeklySeries([])
         with pytest.raises(ValueError):
-            WeeklySeries(weeks=2, infected=[1.0, -2.0])
+            WeeklySeries([1.0, -2.0])
 
     def test_ensemble_requires_equal_horizons(self):
         with pytest.raises(ValueError):

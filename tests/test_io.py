@@ -59,7 +59,7 @@ class TestLoadReference:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path / "obs.csv", "week,infected\n1,5\n\n2,7\n  \n")
-        assert io.load_reference(path) == WeeklySeries(weeks=2, infected=[5.0, 7.0])
+        assert io.load_reference(path) == WeeklySeries([5.0, 7.0])
 
     def test_header_only_has_no_data_rows(self, tmp_path):
         path = write(tmp_path / "empty.csv", "week,infected\n")
@@ -69,7 +69,7 @@ class TestLoadReference:
 
 class TestSeriesRoundTrip:
     def test_integer_counts_exact(self, tmp_path):
-        series = WeeklySeries(weeks=5, infected=[0.0, 3.0, 17.0, 9.0, 1.0])
+        series = WeeklySeries([0.0, 3.0, 17.0, 9.0, 1.0])
         path = tmp_path / "s.csv"
         io.save_series(series, path)
         loaded = io.load_reference(path)
@@ -77,7 +77,7 @@ class TestSeriesRoundTrip:
 
     def test_real_counts_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        series = WeeklySeries(weeks=8, infected=rng.uniform(0.0, 4000.0, 8))
+        series = WeeklySeries(rng.uniform(0.0, 4000.0, 8))
         path = tmp_path / "s.csv"
         io.save_series(series, path)
         loaded = io.load_reference(path)
@@ -132,11 +132,22 @@ class TestEnsemblePersistence:
                        sigma_fraction=0.1, replicates=2)),
         ("abm", dict(replicates=2, network_k=6, network_p_rewire=0.2,
                      reuse_network=False, exponential_recovery=False)),
+        ("abm", dict(replicates=2, network_k=6, network_p_rewire=0.2,
+                     reuse_network=True, exponential_recovery=False)),
     ])
     def test_rerun_rejects_a_bad_master_seed(self, kind, extra, seed):
         meta = io.make_metadata(kind, default_params(population=300), 2, seed, **extra)
-        with pytest.raises(RuntimeError,
+        # a shared network is seeded before any replicate runs
+        error = ValueError if extra.get("reuse_network") else RuntimeError
+        with pytest.raises(error,
                            match=f"master_seed must be an unsigned 64-bit integer, got {seed}"):
+            io.rerun_from_metadata(meta)
+
+    def test_rerun_rejects_an_off_grid_dt_before_any_replicate(self):
+        meta = io.make_metadata("sd-mc", default_params(population=300), 2, 1, dt=0.3,
+                                vary_illness=True, vary_contact=False, vary_infection=False,
+                                sigma_fraction=0.1, replicates=2)
+        with pytest.raises(ValueError, match=r"dt=0\.3 does not place day 7\.0 on the integration"):
             io.rerun_from_metadata(meta)
 
     def test_unknown_format_rejected(self, tmp_path, small_run):
@@ -203,7 +214,7 @@ class TestEnsemblePersistence:
 class TestSeriesRun:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_save_and_load(self, tmp_path, fmt):
-        series = WeeklySeries(weeks=3, infected=[1.5, 2.0, 0.25])
+        series = WeeklySeries([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 3, 42, dt=0.1)
         io.save_series_run(series, tmp_path / "run", meta, fmt=fmt)
         loaded = io.load_run(tmp_path / "run")
@@ -212,7 +223,7 @@ class TestSeriesRun:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_series_length_must_match_metadata(self, tmp_path, fmt):
-        series = WeeklySeries(weeks=3, infected=[1.5, 2.0, 0.25])
+        series = WeeklySeries([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 4, 42, dt=0.1)
         io.save_series_run(series, tmp_path / "run", meta, fmt=fmt)
         name = "series.csv" if fmt == "csv" else "run.json"

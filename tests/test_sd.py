@@ -325,7 +325,7 @@ class TestWeeklySample:
         with pytest.raises(ValueError):
             weekly_sample(Trajectory(dt=0.3, states=states), weeks=2)
 
-    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0])
+    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0, math.inf])
     def test_week_indices_reject_steps_off_the_week_grid(self, dt):
         with pytest.raises(ValueError, match="dt"):
             week_indices(dt, 2)

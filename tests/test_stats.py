@@ -80,7 +80,7 @@ class TestWeeklySummary:
 
 class TestWilcoxon:
     def test_identical_series(self):
-        x = WeeklySeries(weeks=4, infected=[1.0, 2.0, 3.0, 4.0])
+        x = WeeklySeries([1.0, 2.0, 3.0, 4.0])
         res = wilcoxon_signed_rank(x, x)
         assert res.n_effective == 0
         assert res.p_value == 1.0
