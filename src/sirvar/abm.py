@@ -2,14 +2,13 @@
 
 Time advances in synchronous daily steps.  Within one day:
 
-1. every currently infectious agent draws its contact count from
-   Poisson(contact_rate) and picks that many targets uniformly with
-   replacement from its neighbour list;
-2. each contacted susceptible independently becomes infected with
-   probability ``infection_prob``.  Eligibility is judged against the
+1. every currently infectious agent makes Poisson(contact_rate) contacts,
+   each with a target picked uniformly with replacement from its neighbour
+   list, and each contacted susceptible independently becomes infected
+   with probability ``infection_prob``.  Eligibility is judged against the
    start-of-day states, and new infectives only start transmitting the
    next day;
-3. agents that were infectious at the start of the day progress towards
+2. agents that were infectious at the start of the day progress towards
    recovery.  By default an agent stays infectious for a fixed
    ``illness_duration`` days (its remaining time drops by one per day and
    it recovers on reaching zero).  With ``exponential_recovery`` each such
@@ -25,14 +24,20 @@ and simulation randomness from :func:`sirvar.core.replicate_rng` streams
 and run through :func:`sirvar.core.run_replicates`.
 
 The daily counts a seed yields are fixed by the order of random draws,
-which is part of this module's contract.  Each day draws, in order:
+which is part of this module's contract; it is version 2 of the ``abm``
+stream in :data:`sirvar.io.STREAM_VERSIONS`.  Each day draws, in order:
 
-1. ``rng.poisson(contact_rate, I)``, one count per infectious agent, in
-   ascending agent index;
-2. ``rng.integers(0, degree)``, one neighbour slot per contact;
-3. ``rng.random(C)``, one transmission test per contact;
-4. with ``exponential_recovery`` only, ``rng.random(I)``, one recovery test
+1. ``rng.poisson(contact_rate * infection_prob, I)``, one count of
+   transmitting contacts per infectious agent, in ascending agent index;
+2. ``rng.integers(0, degree)``, one neighbour slot per transmitting contact;
+3. with ``exponential_recovery`` only, ``rng.random(I)``, one recovery test
    per agent infectious at the start of the day, in ascending agent index.
+
+Only transmitting contacts are drawn: by Poisson thinning (Kingman,
+*Poisson Processes*, 1993), Poisson(c) contacts each kept with probability
+p, independently of their uniform slots, are Poisson(c * p) contacts with
+uniform slots.  So version 1, which drew every contact and one
+``rng.random`` transmission test per contact, has the same law.
 
 A day with no infectious agent draws nothing.  A day costs time in
 proportion to its infectious agents and contacts, not to the population:
@@ -125,17 +130,16 @@ def step_day(
         return 0
 
     victims = infectious[:0]  # empty, of the index dtype
-    contacts = rng.poisson(params.contact_rate, infectious.size)
-    sources = np.repeat(infectious, contacts)
+    transmissions = rng.poisson(params.contact_rate * params.infection_prob, infectious.size)
+    sources = np.repeat(infectious, transmissions)
     if sources.size:
         slots = rng.integers(0, topo.degrees[sources])
         targets = topo.neighbors[topo.offsets[sources] + slots]
-        transmitted = targets[rng.random(sources.size) < params.infection_prob]
-        # All contact draws above use start-of-day states, so infection is
+        # All draws above use start-of-day states, so infection is
         # synchronous: a target hit twice today gets two independent
         # chances, and today's new infectives neither transmit nor recover
         # before tomorrow.
-        victims = _sorted_distinct(transmitted[status[transmitted] == _SUSCEPTIBLE])
+        victims = _sorted_distinct(targets[status[targets] == _SUSCEPTIBLE])
         status[victims] = _INFECTIOUS
         pop.days_remaining[victims] = params.illness_duration
 

@@ -48,6 +48,13 @@ _CONVENTIONS = {
                 "exact two-sided p for n<=20 else normal approximation",
 }
 
+#: Version of each random-stream family (``sd_mc``: Monte-Carlo draws,
+#: ``network``: rewiring, ``abm``: the day step).  A change to a family's
+#: draws bumps it, and :func:`rerun_from_metadata` refuses other versions.
+STREAM_VERSIONS = {"sd_mc": 1, "network": 1, "abm": 2}
+# The stream families each run kind draws from.
+_KIND_STREAMS = {"sd": (), "sd-mc": ("sd_mc",), "abm": ("network", "abm")}
+
 
 class ReferenceFormatError(ValueError):
     """A reference file or saved run file violates the weekly-count table schema."""
@@ -154,6 +161,7 @@ def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) 
         "weeks": weeks,
         "master_seed": seed,
         "conventions": dict(_CONVENTIONS),
+        "streams": dict(STREAM_VERSIONS),
     }
     meta.update(extra)
     return meta
@@ -163,9 +171,16 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
     """Execute a run from its metadata alone: a fresh ensemble run or a rerun of a saved one.
 
     Returns a :class:`WeeklySeries` for deterministic runs and an
-    :class:`EnsembleResult` for ensembles.
+    :class:`EnsembleResult` for ensembles.  A run that records another stream
+    version than :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``.
     """
     kind = meta["kind"]
+    streams = meta.get("streams", {})
+    for family in _KIND_STREAMS.get(kind, ()):
+        version = streams.get(family, 1)
+        if version != STREAM_VERSIONS[family]:
+            raise ValueError(f"{kind} run records {family} stream version {version}, but this "
+                             f"sirvar draws version {STREAM_VERSIONS[family]}")
     params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":

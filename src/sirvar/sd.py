@@ -163,11 +163,12 @@ def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     it samples the ODE's trajectory and the ABM's one-day trajectory of
     daily counts alike.  The step must divide the week boundaries (true for
     the defaults and for one day), otherwise the requested instants are
-    not on the grid.
+    not on the grid and :func:`week_indices` raises before the horizon check.
     """
+    indices = week_indices(traj.dt, weeks)
     if traj.horizon_days < 7.0 * weeks - 1e-9:
         raise HorizonError(
             f"trajectory spans {traj.horizon_days:.3f} days, "
             f"need at least {7 * weeks} for {weeks} weeks"
         )
-    return WeeklySeries(traj.i[week_indices(traj.dt, weeks)])
+    return WeeklySeries(traj.i[indices])

@@ -7,43 +7,80 @@ from sirvar.abm import Population, Status, _simulate, run_abm, run_abm_ensemble,
 from sirvar.core import SirParams, default_params, replicate_rng
 from sirvar.network import NetworkGenParams, build_small_world
 
+from same_law import MIN_REPLICATES, assert_same_law, outcomes
+
+
+# Plain ints for the reference steps: comparing an array with an IntEnum is slow.
+SUSCEPTIBLE, INFECTIOUS, RECOVERED = map(int, Status)
+
 
 def params_for(n, c=5.0, p=0.1, d=4.2, i0=1):
     return SirParams(population=n, contact_rate=c, infection_prob=p,
                      illness_duration=d, initial_infected=i0)
 
 
-def reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery):
+def reference_targets_v1(infectious, topo, params, rng):
+    """Targets of one day's transmissions under ``abm`` stream version 1.
+
+    Every infectious agent draws Poisson(contact_rate) contacts and a
+    neighbour slot for each, then each contact draws one transmission test.
+    """
+    contacts = rng.poisson(params.contact_rate, infectious.size)
+    sources = np.repeat(infectious, contacts)
+    if not sources.size:
+        return sources
+    slots = rng.integers(0, np.diff(topo.offsets)[sources])
+    targets = topo.neighbors[topo.offsets[sources] + slots]
+    return targets[rng.random(sources.size) < params.infection_prob]
+
+
+def reference_targets_v2(infectious, topo, params, rng):
+    """Targets of one day's transmissions under ``abm`` stream version 2.
+
+    Every infectious agent draws Poisson(contact_rate * infection_prob)
+    transmitting contacts and a neighbour slot for each.
+    """
+    transmissions = rng.poisson(params.contact_rate * params.infection_prob, infectious.size)
+    sources = np.repeat(infectious, transmissions)
+    if not sources.size:
+        return sources
+    slots = rng.integers(0, np.diff(topo.offsets)[sources])
+    return topo.neighbors[topo.offsets[sources] + slots]
+
+
+def reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
+                       targets_of=reference_targets_v2):
     """One day of the scan-everything step, on raw state arrays.
 
-    This is the package's earlier implementation, which found the
-    infectious agents with ``flatnonzero`` over all agents every day; it
-    is kept as the reference the incremental step must equal.
+    It finds the infectious agents with ``flatnonzero`` over all agents
+    every day, as the package's step did before it kept an index set; it is
+    kept as the reference the incremental step must equal.  ``targets_of``
+    draws the day's transmissions in one stream version.
     """
-    infectious = np.flatnonzero(status == Status.INFECTIOUS)
+    infectious = np.flatnonzero(status == INFECTIOUS)
     if infectious.size == 0:
         return 0
     new_infections = 0
-    contacts = rng.poisson(params.contact_rate, infectious.size)
-    sources = np.repeat(infectious, contacts)
-    if sources.size:
-        degrees = np.diff(topo.offsets)
-        slots = rng.integers(0, degrees[sources])
-        targets = topo.neighbors[topo.offsets[sources] + slots]
-        transmitted = targets[rng.random(sources.size) < params.infection_prob]
-        victims = transmitted[status[transmitted] == Status.SUSCEPTIBLE]
-        if victims.size:
-            new_infections = int(np.unique(victims).size)
-            status[victims] = Status.INFECTIOUS
-            days_remaining[victims] = params.illness_duration
+    transmitted = targets_of(infectious, topo, params, rng)
+    victims = transmitted[status[transmitted] == SUSCEPTIBLE]
+    if victims.size:
+        new_infections = int(np.unique(victims).size)
+        status[victims] = INFECTIOUS
+        days_remaining[victims] = params.illness_duration
     if exponential_recovery:
         recovered = infectious[rng.random(infectious.size) < params.recovery_rate]
     else:
         days_remaining[infectious] -= 1.0
         recovered = infectious[days_remaining[infectious] <= 0.0]
-    status[recovered] = Status.RECOVERED
+    status[recovered] = RECOVERED
     days_remaining[recovered] = 0.0
     return new_infections
+
+
+def reference_step_day_v1(status, days_remaining, topo, params, rng, exponential_recovery):
+    """The step of ``abm`` stream version 1, which the package ran before version 2."""
+    return reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
+                              targets_of=reference_targets_v1)
 
 
 def counts(pop):
@@ -53,19 +90,20 @@ def counts(pop):
     return s, i, len(pop) - s - i
 
 
-def reference_daily_counts(params, topo, weeks, rng, exponential_recovery):
-    """Daily (S, I, R) rows of the reference step, counted from ``status``."""
+def reference_daily_counts(params, topo, weeks, rng, exponential_recovery,
+                           step=reference_step_day):
+    """Daily (S, I, R) rows of a reference ``step``, counted from ``status``."""
     status = np.zeros(topo.n, dtype=np.int8)
     days_remaining = np.zeros(topo.n)
     if params.initial_infected:
         seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
         status[seeds] = Status.INFECTIOUS
         days_remaining[seeds] = params.illness_duration
-    rows = []
-    for day in range(weeks * 7 + 1):
-        if day:
-            reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery)
-        rows.append([np.count_nonzero(status == value) for value in Status])
+    rows = [np.bincount(status, minlength=len(Status))]
+    for _day in range(weeks * 7):
+        if rows[-1][INFECTIOUS]:  # else the day draws and changes nothing
+            step(status, days_remaining, topo, params, rng, exponential_recovery)
+        rows.append(np.bincount(status, minlength=len(Status)))
     return np.array(rows)
 
 
@@ -308,6 +346,24 @@ class TestMatchesReference:
         expected = reference_daily_counts(params, topo, 15, replicate_rng(seed, 0, 1),
                                           exponential_recovery)
         assert np.array_equal(daily, expected)
+
+
+class TestSameLawAsVersion1:
+    """``abm`` stream version 2 draws only the transmitting contacts; by Poisson
+    thinning its epidemics have the law of version 1's, on one fixed graph."""
+
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    def test_outcomes_match_the_version_1_step(self, exponential_recovery):
+        params = default_params(population=2000, initial_infected=10)
+        topo = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
+        weeks, replicates = 10, MIN_REPLICATES
+        new = [outcomes(_simulate(params, topo, weeks, replicate_rng(1, r),
+                                  exponential_recovery).states)
+               for r in range(replicates)]
+        old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(2, r),
+                                               exponential_recovery, step=reference_step_day_v1))
+               for r in range(replicates)]
+        assert_same_law(new, old)
 
 
 class TestInfectiousSet:

@@ -115,7 +115,7 @@ class TestUsage:
 
 
 RUN_KEYS = ["kind", "tool", "version", "created_unix", "params", "weeks", "master_seed",
-            "conventions"]
+            "conventions", "streams"]
 ENSEMBLE_KEYS = ["clamped_draws", "threads", "cpu_count", "elapsed_seconds",
                  "parameter_provenance", "total_variation"]
 

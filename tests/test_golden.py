@@ -5,6 +5,10 @@ any digest means a change in the numbers the package produces for that
 seed: a change to the random streams, the models or the output format.
 The ``run.json`` digests leave out its ``metadata`` member, which holds a
 timestamp and elapsed times, and re-serialize the rest with ``indent=2``.
+
+The digests hold for the stream versions in ``STREAMS``.  A change that
+bumps a version re-pins the digests of the runs that draw from it, and only
+those: the SD and Monte-Carlo digests predate the ``abm`` version 2 step.
 """
 
 import hashlib
@@ -13,7 +17,9 @@ import json
 import pytest
 
 from sirvar.cli import main
-from sirvar.io import synthetic_reference_path
+from sirvar.io import STREAM_VERSIONS, synthetic_reference_path
+
+STREAMS = {"sd_mc": 1, "network": 1, "abm": 2}
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -26,18 +32,18 @@ GOLDEN = [
         "summary.csv": "3dd78f7b473d7d9f5531c70a38b8a71157e829d69ba58653002db6bd73d720c1",
     }),
     ([*ABM, "--replicates", "4"], {
-        "ensemble.csv": "41d047db299b669aa078fd8e7b1bd84d485bcaf174a621dbc9c1fcee426e88bd",
-        "summary.csv": "329985497bfe53e03d9303b0cda368554c8ba129782f9e094448e071878c2d6e",
+        "ensemble.csv": "f2a3e9788ea02453f95beb1f2c193723b2b0626c96fe02e43e943f982d574fb3",
+        "summary.csv": "26cfae05e36a6658d6fd0d233b0a5919d7f0ad44d8016f864d9369204ac39070",
     }),
     ([*ABM, "--replicates", "6", "--reuse-network", "--initial-infected", "10",
       "--threads", "2"], {
-        "ensemble.csv": "f4005ae4c7fd24e12d701ca139d1ec332d8a827fd381e788a3b18f03a9dfca01",
-        "summary.csv": "8568095648a6770330aa8e5eab30f95539ec4986c8ba2fffc0fde0697e3441fc",
+        "ensemble.csv": "f9c236159d460ac9af8bc1de0b01895f24f3445617f7cfc8971c46d6aa7b8bcf",
+        "summary.csv": "fefe4d4eb93a60503888dfc5477ea4238058bbcfd1a2d25db2abd6e0e7cafced",
     }),
     ([*ABM, "--replicates", "5", "--exponential-recovery", "--initial-infected", "10",
       "--contact-rate", "8"], {
-        "ensemble.csv": "ddce890d01c7b5fa6f6b18ce3a5c459fb191deae67b8dc04d59b3cccd589e416",
-        "summary.csv": "37a26c63924c84e05407723ef577ac7e89637df64bdc4351d693db4999c68c37",
+        "ensemble.csv": "eeb99b6bd72efce49e365daeb2847bcf5b624ad9d9cb28311796d63bae2f863e",
+        "summary.csv": "0b6f7fbf5d428e6ddbfc00c735b40d4d870d7d0ae8422a59d294bb321ac3ad1b",
     }),
     # coarse steps and fast epidemics, where a reordered rounding in the RK4
     # step would show first
@@ -52,6 +58,10 @@ GOLDEN = [
         "summary.csv": "826d5ae71793fd3d254c351c471a9c5640d4ff1d44df178006efb15b617eb16d",
     }),
 ]
+
+
+def test_digests_are_pinned_for_the_current_stream_versions():
+    assert STREAM_VERSIONS == STREAMS
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN,
@@ -69,7 +79,7 @@ JSON_GOLDEN = [
     (["run-mc", "--vary", "all", "--replicates", "20", "--seed", "7"],
      "986e827901d5d786522d9ee167d5d5e689019d24bf664bb4ebcdcaf31ceffdf1"),
     ([*ABM, "--replicates", "4"],
-     "674e1fab62e00f13b119901d9bb554a935877e3b5ea024d8ca6b6642fdbcbf58"),
+     "525ba37aff065b0c99137978c21755229b7d8bec112632e53bc465df174f135f"),
 ]
 
 
@@ -83,8 +93,8 @@ def test_json_outputs_match_golden_hashes(tmp_path, capsys, argv, digest):
 
 
 COMPARE_GOLDEN = {
-    "report.csv": "d86a54815f2247f0f5ccff7a920766d108fd0b117d37e3ccb3afa39294d75ecf",
-    "report.txt": "06cfa5195b8edcbb93bb12c6d443688f569a7e8557fbe496e369cf89093d5ea4",
+    "report.csv": "9a91a3285ba88618f458b82744dde75fe33b18879d2c4baf4ecb668572f9d3ee",
+    "report.txt": "bb366724411917cca11912a6df53e6a2c920832bc2a8012930d256644114db48",
 }
 
 

@@ -150,6 +150,43 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError, match=r"dt=0\.3 does not place day 7\.0 on the integration"):
             io.rerun_from_metadata(meta)
 
+    def test_runs_record_the_stream_versions(self):
+        meta = io.make_metadata("sd", default_params(), 2, 1, dt=0.1)
+        assert meta["streams"] == {"sd_mc": 1, "network": 1, "abm": 2}
+        assert meta["streams"] is not io.STREAM_VERSIONS
+
+    @pytest.mark.parametrize("streams", [None, {"sd_mc": 1, "network": 1, "abm": 1}],
+                             ids=["no-streams-key", "abm-1"])
+    def test_rerun_refuses_an_abm_run_of_stream_version_1(self, streams):
+        meta = io.make_metadata("abm", default_params(population=300), 2, 1, replicates=1,
+                                network_k=6, network_p_rewire=0.2, reuse_network=False,
+                                exponential_recovery=False)
+        if streams is None:
+            del meta["streams"]
+        else:
+            meta["streams"] = streams
+        with pytest.raises(ValueError,
+                           match="abm run records abm stream version 1, but this sirvar "
+                                 "draws version 2"):
+            io.rerun_from_metadata(meta)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("sd", dict(dt=0.1)),
+        ("sd-mc", dict(dt=0.1, vary_illness=True, vary_contact=False, vary_infection=False,
+                       sigma_fraction=0.1, replicates=2)),
+    ])
+    def test_rerun_of_a_run_without_stream_versions(self, kind, extra):
+        # runs saved before the version table count as version 1 of every
+        # family, which is still what the SD and Monte-Carlo streams draw
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **extra)
+        expected = io.rerun_from_metadata(meta)
+        del meta["streams"]
+        rerun = io.rerun_from_metadata(meta)
+        if kind == "sd":
+            assert rerun == expected
+        else:
+            assert np.array_equal(rerun.matrix, expected.matrix)
+
     def test_unknown_format_rejected(self, tmp_path, small_run):
         ensemble, summary, meta = small_run
         with pytest.raises(ValueError):
@@ -230,6 +267,13 @@ class TestSeriesRun:
         message = f"{name}: row 0: expected 4 counts .weeks in the metadata., got 3"
         with pytest.raises(io.ReferenceFormatError, match=message):
             io.load_run(tmp_path / "run")
+
+    def test_rerun_sd_rejects_an_off_grid_dt(self):
+        # the grid is checked before the horizon, which dt = 0.3 misses too
+        meta = io.make_metadata("sd", default_params(population=300), 2, 1, dt=0.3)
+        with pytest.raises(ValueError,
+                           match=r"dt=0\.3 does not place day 7\.0 on the integration grid"):
+            io.rerun_from_metadata(meta)
 
     def test_rerun_sd(self, tmp_path):
         meta = io.make_metadata("sd", default_params(), 15, 42, dt=0.1)
