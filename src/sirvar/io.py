@@ -24,7 +24,6 @@ import json
 import math
 import time
 from dataclasses import asdict, fields
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -35,10 +34,11 @@ from .network import NetworkGenParams
 from .sd import integrate, weekly_sample
 from .stats import WeeklySummary
 
-#: Name of the bundled, synthetic weekly reference file.  It is produced
-#: by :func:`write_synthetic_reference` from the calibrated deterministic
-#: run, with values rounded to whole counts.  It is a stand-in with the
-#: right shape and scale, not observed surveillance data.
+#: Name of the bundled, synthetic weekly reference file in ``sirvar/data``:
+#: the calibrated deterministic run's weekly prevalence, rounded to whole
+#: counts.  ``tests/synthetic_reference.py`` holds the generator, and a test
+#: checks the bundled file against it byte for byte.  It is a stand-in with
+#: the right shape and scale, not observed surveillance data.
 SYNTHETIC_REFERENCE_NAME = "synthetic_reference.csv"
 
 _CONVENTIONS = {
@@ -128,26 +128,6 @@ def load_reference(path) -> WeeklySeries:
 def save_series(series: WeeklySeries, path) -> None:
     """Write a weekly series in the reference CSV schema."""
     _write_table(path, "week,infected", 1, series.infected[:, None])
-
-
-def synthetic_reference_path() -> Path:
-    """Path of the bundled synthetic reference file."""
-    return Path(resources.files("sirvar").joinpath(f"data/{SYNTHETIC_REFERENCE_NAME}"))
-
-
-def write_synthetic_reference(path, weeks: int = 15) -> None:
-    """Generate the synthetic reference series at ``path``.
-
-    Runs the calibrated deterministic model over ``weeks`` weeks and
-    rounds each weekly value to the nearest whole count (banker's
-    rounding, via ``round``).
-    """
-    from .core import default_params
-
-    traj = integrate(default_params(), horizon_days=7.0 * weeks)
-    weekly = weekly_sample(traj, weeks)
-    rounded = WeeklySeries([round(v) for v in weekly.infected])
-    save_series(rounded, path)
 
 
 def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) -> dict:

@@ -27,6 +27,13 @@ so the result equals that of visiting the edges one by one.
 Adjacency is stored in compressed sparse row form (one flat neighbour
 array plus per-node offsets) so the agent-based simulator can index it
 without Python-level loops.
+
+Memory: a build holds two full-size arrays, the lattice's far ends ``v``
+(``n * k / 2`` int64; an edge's source is its index mod ``n``) and one
+int64 key ``(node << 32) | neighbour`` per edge direction.  The keys are
+sorted and masked in place, then cast once to the int32 ``neighbors``, so
+node ids stay below 2**31.  Rewiring adds ``8 * F`` entries for the ``F``
+picked edges.  At paper scale a build peaks near 3 times the finished graph.
 """
 
 from __future__ import annotations
@@ -90,26 +97,29 @@ class NetworkTopology:
         return np.column_stack([u[keep], v[keep]])
 
 
-def _ring_edges(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice edges (u, v) with v = u + j (mod n) for j = 1 .. k/2."""
+def _ring_targets(n: int, k: int) -> np.ndarray:
+    """Far ends of the lattice edges: edge ``(j - 1) * n + u`` joins u to u + j (mod n).
+
+    Edges are ordered by offset j = 1 .. k/2, then by source u, so the
+    source of edge e is ``e % n`` and needs no array of its own.
+    """
     nodes = np.arange(n, dtype=np.int64)
-    us = []
-    vs = []
-    for j in range(1, k // 2 + 1):
-        us.append(nodes)
-        vs.append((nodes + j) % n)
-    return np.concatenate(us), np.concatenate(vs)
+    v = np.empty((k // 2, n), dtype=np.int64)
+    for j, block in enumerate(v, 1):
+        block[:n - j] = nodes[j:]
+        block[n - j:] = nodes[:j]
+    return v.reshape(-1)
 
 
 def _lattice_edge(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Indices into :func:`_ring_edges` of the lattice edges {a, b}."""
+    """Indices into :func:`_ring_targets` of the lattice edges {a, b}."""
     ahead = (b - a) % n
     back = 2 * ahead > n  # the edge runs from b forward to a
     return np.where(back, (n - ahead - 1) * n + b, (ahead - 1) * n + a)
 
 
-def _rewire(u: np.ndarray, v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
-    """Rewire the lattice edges ``(u, v)`` in place, in lattice order.
+def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
+    """Rewire the lattice edges with far ends ``v`` in place, in lattice order.
 
     Every picked edge ("row") first gets its optimistic answer: the first
     candidate that is neither its source nor a lattice neighbour of it.
@@ -129,28 +139,31 @@ def _rewire(u: np.ndarray, v: np.ndarray, n: int, half_k: int, p_rewire: float, 
     chosen by an earlier row, or has none, so its row is resolved one by
     one.
     """
-    flagged = np.flatnonzero(rng.random(u.size) < p_rewire)
+    flagged = np.flatnonzero(rng.random(v.size) < p_rewire)
     rows = flagged.size
     if not rows:
         return
     candidates = rng.integers(0, n, size=(rows, 8))
-    src = u[flagged]
+    src = flagged % n
     old = v[flagged]
 
-    gap = np.abs(candidates - src[:, None])
-    ring = np.minimum(gap, n - gap)
+    ring = candidates - src[:, None]
+    np.abs(ring, out=ring)
+    np.minimum(ring, n - ring, out=ring)  # ring distance from the source
     free = ring > half_k  # neither the source (ring 0) nor a lattice neighbour
     first = free.argmax(axis=1)
+    conflict = ~free.any(axis=1)
+    # The candidates before a row's pick are not free: lattice ones, or the source.
+    r, j = np.nonzero((ring > 0) & (np.arange(8) < first[:, None]))
+    del ring, free  # not held through the one-by-one pass
     target = candidates[np.arange(rows), first]
     key = np.minimum(src, target) * n + np.maximum(src, target)
-    conflict = ~free.any(axis=1)
     key[conflict] = -1  # no pick, and a key that matches no edge
     by_key = np.argsort(key, kind="stable")
     sorted_keys = key[by_key]
     conflict[by_key[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
-    row_of_edge = np.full(u.size, rows)
+    row_of_edge = np.full(v.size, rows, dtype=np.min_scalar_type(rows))
     row_of_edge[flagged] = np.arange(rows)
-    r, j = np.nonzero((ring > 0) & (ring <= half_k) & (np.arange(8) < first[:, None]))
     conflict[r[row_of_edge[_lattice_edge(src[r], candidates[r, j], n)] < r]] = True
 
     degree = np.full(n, 2 * half_k)
@@ -225,7 +238,7 @@ def build_small_world(
 ) -> NetworkTopology:
     """Generate a Watts-Strogatz topology over ``n`` nodes.
 
-    Lattice edges are visited in the order of :func:`_ring_edges` (offset
+    Lattice edges are visited in the order of :func:`_ring_targets` (offset
     1 for every node, then offset 2, ...), and random draws follow the
     order stated in the module docstring, so a seed gives one graph and
     leaves a caller's Generator in one state.
@@ -244,24 +257,38 @@ def build_small_world(
     Raises
     ------
     ValueError
-        If ``k`` is odd, below 2, or not smaller than ``n``, or
-        ``p_rewire`` is outside [0, 1].
+        If ``k`` is odd, below 2, or not smaller than ``n``, if ``n`` is
+        2**31 or more, or if ``p_rewire`` is outside [0, 1].
     """
     NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
     if k >= n:
         raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
+    if n >= 2**31:
+        raise ValueError(f"n must be below 2**31 so node ids fit int32 neighbours, got n={n}")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u, v = _ring_edges(n, k)
+    v = _ring_targets(n, k)
     if p_rewire > 0.0:
-        _rewire(u, v, n, k // 2, p_rewire, rng)
+        _rewire(v, n, k // 2, p_rewire, rng)
 
-    # CSR assembly: both edge directions, rows sorted by (node, neighbour).
-    # The (src, dst) pairs are distinct, so one combined key sorts them.
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    neighbors = (np.sort(src * n + dst) % n).astype(np.int32)
-    degrees = np.bincount(src, minlength=n)
+    # CSR assembly: one key (node << 32) | neighbour per edge direction,
+    # viewed as (k/2, n) blocks whose column is the lattice source.  The
+    # keys are distinct, so sorting them orders rows by (node, neighbour).
+    # Every node is the source of k/2 lattice edges, and rewiring moves only
+    # the far ends, so degrees need only v.
+    nodes = np.arange(n, dtype=np.int64)
+    degrees = np.bincount(v, minlength=n) + k // 2
+    far = v.reshape(k // 2, n)
+    keys = np.empty((2, k // 2, n), dtype=np.int64)
+    np.left_shift(nodes, 32, out=keys[0])
+    keys[0] |= far
+    np.left_shift(far, 32, out=keys[1])
+    keys[1] |= nodes
+    del v, far  # not held beside the int32 copy
+    keys = keys.reshape(-1)
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    neighbors = keys.astype(np.int32)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     return NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)

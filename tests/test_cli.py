@@ -10,6 +10,8 @@ import sirvar
 from sirvar import io
 from sirvar.cli import main
 
+from synthetic_reference import synthetic_reference_path
+
 
 def run(*argv):
     return main(list(argv))
@@ -301,7 +303,7 @@ class TestCompare:
         assert run("run-abm", "--out", str(abm_dir), "--population", "300",
                    "--replicates", "4") == 0
         report = tmp_path / "report"
-        assert run("compare", "--reference", str(io.synthetic_reference_path()),
+        assert run("compare", "--reference", str(synthetic_reference_path()),
                    "--inputs", str(sd_dir), str(mc_dir), str(abm_dir),
                    "--out", str(report)) == 0
         capsys.readouterr()
@@ -335,7 +337,7 @@ class TestCompare:
         fields[1] = "-1"
         lines[1] = ",".join(fields)
         ensemble_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = run("compare", "--reference", str(io.synthetic_reference_path()),
+        code = run("compare", "--reference", str(synthetic_reference_path()),
                    "--inputs", str(mc_dir), "--out", str(tmp_path / "report"))
         err = capsys.readouterr().err
         assert code == 1
@@ -356,7 +358,7 @@ class TestCompare:
             payload = json.loads(path.read_text(encoding="utf-8"))
             payload["ensemble"][1].pop()
             path.write_text(json.dumps(payload), encoding="utf-8")
-        code = run("compare", "--reference", str(io.synthetic_reference_path()),
+        code = run("compare", "--reference", str(synthetic_reference_path()),
                    "--inputs", str(mc_dir), "--out", str(tmp_path / "report"))
         err = capsys.readouterr().err
         assert code == 1
@@ -367,7 +369,7 @@ class TestCompare:
         sd_dir = tmp_path / "sd"
         assert run("run-sd", "--out", str(sd_dir), "--weeks", "10") == 0
         report = tmp_path / "report"
-        code = run("compare", "--reference", str(io.synthetic_reference_path()),
+        code = run("compare", "--reference", str(synthetic_reference_path()),
                    "--inputs", str(sd_dir), "--out", str(report))
         err = capsys.readouterr().err
         assert code == 1

@@ -17,7 +17,9 @@ import json
 import pytest
 
 from sirvar.cli import main
-from sirvar.io import STREAM_VERSIONS, synthetic_reference_path
+from sirvar.io import STREAM_VERSIONS
+
+from synthetic_reference import synthetic_reference_path
 
 STREAMS = {"sd_mc": 1, "network": 1, "abm": 2}
 

@@ -8,6 +8,8 @@ from sirvar.core import EnsembleResult, WeeklySeries, default_params
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble
 from sirvar.stats import weekly_summary
 
+from synthetic_reference import synthetic_reference_path, write_synthetic_reference
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -285,12 +287,12 @@ class TestSeriesRun:
 class TestSyntheticReference:
     def test_bundled_file_matches_generator(self, tmp_path):
         regenerated = tmp_path / "ref.csv"
-        io.write_synthetic_reference(regenerated)
-        bundled = io.synthetic_reference_path().read_text(encoding="utf-8")
+        write_synthetic_reference(regenerated)
+        bundled = synthetic_reference_path().read_text(encoding="utf-8")
         assert regenerated.read_text(encoding="utf-8") == bundled
 
     def test_bundled_file_is_loadable(self):
-        ref = io.load_reference(io.synthetic_reference_path())
+        ref = io.load_reference(synthetic_reference_path())
         assert ref.weeks == 15
         assert float(ref.infected.max()) == pytest.approx(3741, abs=1)
         # whole counts by construction

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -155,6 +156,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             build_small_world(10, 4, 1.5, seed=0)
 
+    def test_population_beyond_int32_ids_rejected(self):
+        # checked before anything is allocated, so this returns at once
+        with pytest.raises(ValueError, match=r"n must be below 2\*\*31"):
+            build_small_world(2**31, 10, 0.1, 0)
+
     def test_gen_params_validation(self):
         with pytest.raises(ValueError):
             NetworkGenParams(k=3)
@@ -199,6 +205,22 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_paper_size(self, seed):
         assert_matches_reference(52_910, 10, 0.1, seed)
+
+
+class TestMemory:
+    def test_paper_size_build_peak(self):
+        # The build holds no concatenated or sorted copies of the edge
+        # list: its traced peak stays within 5 times the finished graph.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            topo = build_small_world(52_910, 10, 0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        graph_bytes = topo.neighbors.nbytes + topo.offsets.nbytes
+        assert peak < 5 * graph_bytes, (peak, graph_bytes)
 
 
 class TestNetworkxOracle:
