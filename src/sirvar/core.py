@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,6 +281,8 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     workers = min(threads, replicates)
     if workers <= 1:
         return [_run_one(fn, context, r) for r in range(replicates)]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
+
     if _malloc_trim is not None:
         _malloc_trim(0)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

@@ -125,11 +125,6 @@ def load_reference(path) -> WeeklySeries:
     return WeeklySeries([count for count, in _read_table(path, "week,infected", 1)])
 
 
-def save_series(series: WeeklySeries, path) -> None:
-    """Write a weekly series in the reference CSV schema."""
-    _write_table(path, "week,infected", 1, series.infected[:, None])
-
-
 def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) -> dict:
     """Run metadata sufficient for a bit-identical re-execution."""
     meta = {

@@ -29,11 +29,13 @@ array plus per-node offsets) so the agent-based simulator can index it
 without Python-level loops.
 
 Memory: a build holds two full-size arrays, the lattice's far ends ``v``
-(``n * k / 2`` int64; an edge's source is its index mod ``n``) and one
-int64 key ``(node << 32) | neighbour`` per edge direction.  The keys are
-sorted and masked in place, then cast once to the int32 ``neighbors``, so
-node ids stay below 2**31.  Rewiring adds ``8 * F`` entries for the ``F``
-picked edges.  At paper scale a build peaks near 3 times the finished graph.
+(``n * k / 2`` int64; an edge's source is its index mod ``n``) and one key
+``(node << b) | neighbour`` per edge direction, where ``b`` is the bit
+length of ``n - 1``.  The keys take the narrowest unsigned type that holds
+them: 32 bits up to ``n = 2**16``, 64 bits above.  They are sorted, then
+masked into the int32 ``neighbors``, so node ids stay below 2**31.
+Rewiring adds ``8 * F`` entries for the ``F`` picked edges.  At paper scale
+a build peaks near 2.4 times the finished graph.
 """
 
 from __future__ import annotations
@@ -126,18 +128,22 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
     That answer equals the one-by-one answer unless an earlier row changed
     what the row sees, which needs one of:
 
-    - its chosen edge was also chosen by an earlier row;
+    - its chosen edge was also chosen by another row;
     - a lattice candidate it checked before its pick belongs to an earlier
       row, which may have rewired it away and so freed it;
     - none of its candidates is free of the lattice.
 
-    Such rows are resolved one by one against the exact edge set, and the
-    runs of rows between them are applied in bulk.  A resolved row whose
-    answer differs from its optimistic one marks the later rows that
-    chose the same edge.  The degree guard needs no bulk check: a source
-    adjacent to every other node finds its optimistic pick already
-    chosen by an earlier row, or has none, so its row is resolved one by
-    one.
+    A row's first candidate is free with chance ``1 - (k + 1) / n``, so the
+    answers are read from column 0, and only the rows whose first candidate
+    is the source or a lattice neighbour take the pass over all 8 columns.
+    The rows that meet a condition above are resolved one by one against
+    the exact edge set, and the runs of rows between them are applied in
+    bulk.  The one-by-one pass looks rows up by edge key in ``by_key``,
+    which is built only when there is such a row.  A resolved row whose
+    answer differs from its optimistic one marks the later rows that chose
+    the same edge.  The degree guard needs no bulk check: a source adjacent
+    to every other node finds its optimistic pick already chosen by an
+    earlier row, or has none, so its row is resolved one by one.
     """
     flagged = np.flatnonzero(rng.random(v.size) < p_rewire)
     rows = flagged.size
@@ -145,27 +151,35 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
         return
     candidates = rng.integers(0, n, size=(rows, 8))
     src = flagged % n
-    old = v[flagged]
 
-    ring = candidates - src[:, None]
-    np.abs(ring, out=ring)
+    target = candidates[:, 0].copy()
+    ring = np.abs(target - src)
     np.minimum(ring, n - ring, out=ring)  # ring distance from the source
-    free = ring > half_k  # neither the source (ring 0) nor a lattice neighbour
+    conflict = np.zeros(rows, dtype=bool)
+    redo = np.flatnonzero(ring <= half_k)  # first candidate is the source or a lattice neighbour
+    ring = np.abs(candidates[redo] - src[redo, None])
+    np.minimum(ring, n - ring, out=ring)
+    free = ring > half_k
     first = free.argmax(axis=1)
-    conflict = ~free.any(axis=1)
+    target[redo] = candidates[redo, first]
+    conflict[redo[~free.any(axis=1)]] = True
     # The candidates before a row's pick are not free: lattice ones, or the source.
     r, j = np.nonzero((ring > 0) & (np.arange(8) < first[:, None]))
-    del ring, free  # not held through the one-by-one pass
-    target = candidates[np.arange(rows), first]
+    r = redo[r]
+    e = _lattice_edge(src[r], candidates[r, j], n)
+    at = np.minimum(flagged.searchsorted(e), r)  # an earlier row that picked edge e, if at < r
+    conflict[r[(at < r) & (flagged[at] == e)]] = True
     key = np.minimum(src, target) * n + np.maximum(src, target)
     key[conflict] = -1  # no pick, and a key that matches no edge
-    by_key = np.argsort(key, kind="stable")
-    sorted_keys = key[by_key]
-    conflict[by_key[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
-    row_of_edge = np.full(v.size, rows, dtype=np.min_scalar_type(rows))
-    row_of_edge[flagged] = np.arange(rows)
-    conflict[r[row_of_edge[_lattice_edge(src[r], candidates[r, j], n)] < r]] = True
+    sorted_keys = np.sort(key)
+    shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    conflict |= np.isin(key, shared)
+    if not conflict.any():
+        v[flagged] = target
+        return
 
+    old = v[flagged]
+    by_key = np.argsort(key)  # rows by key; the order within a key is never used
     degree = np.full(n, 2 * half_k)
     resolved = set()  # rows resolved one by one so far
     added = set()  # edge keys of the resolved rows, once resolved
@@ -188,7 +202,9 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
             return True
         if half_k < (w - s) % n < n - half_k:
             return False
-        return row_of_edge[_lattice_edge(s, w, n)] >= c
+        e = _lattice_edge(s, w, n)
+        at = int(flagged.searchsorted(e))
+        return not (at < c and flagged[at] == e)
 
     pending = np.flatnonzero(conflict).tolist()  # sorted, so a heap
     pos = 0
@@ -271,24 +287,28 @@ def build_small_world(
     if p_rewire > 0.0:
         _rewire(v, n, k // 2, p_rewire, rng)
 
-    # CSR assembly: one key (node << 32) | neighbour per edge direction,
-    # viewed as (k/2, n) blocks whose column is the lattice source.  The
-    # keys are distinct, so sorting them orders rows by (node, neighbour).
-    # Every node is the source of k/2 lattice edges, and rewiring moves only
-    # the far ends, so degrees need only v.
-    nodes = np.arange(n, dtype=np.int64)
+    # CSR assembly: one key (node << b) | neighbour per edge direction, with
+    # b = bit length of n - 1, in the narrowest unsigned type that holds
+    # them, viewed as (k/2, n) blocks whose column is the lattice source.
+    # The keys are distinct, so sorting them orders rows by (node,
+    # neighbour).  Every node is the source of k/2 lattice edges, and
+    # rewiring moves only the far ends, so degrees need only v.
+    shift = (n - 1).bit_length()
+    dtype = np.min_scalar_type(((n - 1) << shift) | (n - 1))
+    nodes = np.arange(n, dtype=dtype)
     degrees = np.bincount(v, minlength=n) + k // 2
-    far = v.reshape(k // 2, n)
-    keys = np.empty((2, k // 2, n), dtype=np.int64)
-    np.left_shift(nodes, 32, out=keys[0])
+    far = v.reshape(k // 2, n).astype(dtype)
+    del v  # not held beside the narrower copy
+    keys = np.empty((2, k // 2, n), dtype=dtype)
+    np.left_shift(nodes, shift, out=keys[0])
     keys[0] |= far
-    np.left_shift(far, 32, out=keys[1])
+    np.left_shift(far, shift, out=keys[1])
     keys[1] |= nodes
-    del v, far  # not held beside the int32 copy
+    del far
     keys = keys.reshape(-1)
     keys.sort()
-    keys &= 0xFFFFFFFF
-    neighbors = keys.astype(np.int32)
+    neighbors = np.empty(keys.size, dtype=np.int32)
+    np.bitwise_and(keys, (1 << shift) - 1, out=neighbors, casting="unsafe")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     return NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)

@@ -1,15 +1,21 @@
 """The bundled synthetic reference file: where it is and how it was made.
 
 ``test_io`` regenerates the file with :func:`write_synthetic_reference`
-and compares it byte for byte with the bundled copy.
+and compares it byte for byte with the bundled copy.  :func:`save_series`
+writes any weekly series in the same schema.
 """
 
 from importlib import resources
 from pathlib import Path
 
 from sirvar.core import WeeklySeries, default_params
-from sirvar.io import SYNTHETIC_REFERENCE_NAME, save_series
+from sirvar.io import SYNTHETIC_REFERENCE_NAME, _write_table
 from sirvar.sd import integrate, weekly_sample
+
+
+def save_series(series: WeeklySeries, path) -> None:
+    """Write a weekly series in the reference CSV schema that ``io.load_reference`` reads."""
+    _write_table(path, "week,infected", 1, series.infected[:, None])
 
 
 def synthetic_reference_path() -> Path:

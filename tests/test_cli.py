@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -89,13 +90,23 @@ class TestUsage:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_import_leaves_scipy_out(self):
+    @staticmethod
+    def loaded_after_import(module: str) -> bool:
+        """Whether ``module`` is loaded once a fresh interpreter imports ``sirvar.cli``."""
         package_root = str(Path(sirvar.__file__).parents[1])
         code = (f"import sys; sys.path.insert(0, {package_root!r}); "
-                "import sirvar.cli; print('scipy' in sys.modules)")
+                f"import sirvar.cli; print({module!r} in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, timeout=60)
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_out(self):
+        assert not self.loaded_after_import("scipy")
+
+    @pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
+    def test_import_leaves_process_pool_out(self, module):
+        # serial commands never open a pool, so they never pay for its import
+        assert not self.loaded_after_import(module)
 
     @pytest.mark.parametrize("command", [
         ("run-mc", "--vary", "all", "--replicates", "2"),
@@ -109,7 +120,7 @@ class TestUsage:
 
     def test_metadata_records_requested_threads(self, tmp_path, capsys, monkeypatch):
         # one replicate runs in this process, so opening a pool would fail
-        monkeypatch.setattr(sirvar.core, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert run("run-abm", "--population", "300", "--replicates", "1", "--threads", "8",
                    "--weeks", "2", "--out", str(tmp_path)) == 0
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -221,13 +222,13 @@ class TestPoolSize:
     def pool_sizes(self, monkeypatch):
         """Record the ``max_workers`` of every pool ``run_replicates`` opens."""
         sizes = []
-        real = sirvar.core.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def recording(max_workers, **kwargs):
             sizes.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(sirvar.core, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         return sizes
 
     def _ensemble(self, replicates, threads):

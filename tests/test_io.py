@@ -8,7 +8,7 @@ from sirvar.core import EnsembleResult, WeeklySeries, default_params
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble
 from sirvar.stats import weekly_summary
 
-from synthetic_reference import synthetic_reference_path, write_synthetic_reference
+from synthetic_reference import save_series, synthetic_reference_path, write_synthetic_reference
 
 
 def write(path, text):
@@ -73,7 +73,7 @@ class TestSeriesRoundTrip:
     def test_integer_counts_exact(self, tmp_path):
         series = WeeklySeries([0.0, 3.0, 17.0, 9.0, 1.0])
         path = tmp_path / "s.csv"
-        io.save_series(series, path)
+        save_series(series, path)
         loaded = io.load_reference(path)
         assert loaded == series
 
@@ -81,7 +81,7 @@ class TestSeriesRoundTrip:
         rng = np.random.default_rng(5)
         series = WeeklySeries(rng.uniform(0.0, 4000.0, 8))
         path = tmp_path / "s.csv"
-        io.save_series(series, path)
+        save_series(series, path)
         loaded = io.load_reference(path)
         # repr round-trips doubles exactly, comfortably within 1e-12 relative
         assert np.array_equal(loaded.infected, series.infected)
