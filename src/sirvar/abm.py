@@ -216,7 +216,7 @@ def run_abm(
         )
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return weekly_sample(_simulate(params, topo, weeks, rng, exponential_recovery), weeks)
 
 

@@ -33,7 +33,7 @@ from .core import (
     calibrate_contact_rate,
 )
 from .montecarlo import VariationSpec
-from .network import NetworkGenParams
+from .network import NODE_LIMIT, NetworkGenParams
 from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
 
 _SCENARIOS = {
@@ -152,6 +152,9 @@ def _abm_inputs(args) -> tuple[str, dict]:
     if args.k >= args.population:
         raise UsageError(
             f"--k must be < --population, got k={args.k}, population={args.population}")
+    if args.population >= NODE_LIMIT:
+        raise UsageError(
+            f"--population must be below 2**31 for run-abm, got {args.population}")
     gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
     return "abm", dict(
         replicates=args.replicates,

@@ -140,12 +140,11 @@ class Trajectory:
 
     def __post_init__(self):
         _require(self.dt > 0.0, f"dt must be > 0, got {self.dt}")
-        states = np.asarray(self.states, dtype=float)
+        states = np.array(self.states, dtype=float)
         _require(states.ndim == 2 and states.shape[1] == 3,
                  f"states must have shape (n, 3), got {states.shape}")
         _require(states.shape[0] >= 1, "trajectory must be non-empty")
         _require(bool((states >= 0.0).all()), "trajectory contains negative compartment counts")
-        states = states.copy()
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 

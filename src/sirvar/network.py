@@ -46,6 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
+NODE_LIMIT = 2**31  # node ids must fit the int32 ``neighbors``
+
 
 @dataclass(frozen=True)
 class NetworkGenParams:
@@ -136,14 +138,16 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
     A row's first candidate is free with chance ``1 - (k + 1) / n``, so the
     answers are read from column 0, and only the rows whose first candidate
     is the source or a lattice neighbour take the pass over all 8 columns.
-    The rows that meet a condition above are resolved one by one against
-    the exact edge set, and the runs of rows between them are applied in
-    bulk.  The one-by-one pass looks rows up by edge key in ``by_key``,
-    which is built only when there is such a row.  A resolved row whose
-    answer differs from its optimistic one marks the later rows that chose
-    the same edge.  The degree guard needs no bulk check: a source adjacent
-    to every other node finds its optimistic pick already chosen by an
-    earlier row, or has none, so its row is resolved one by one.
+    The rows that meet a condition above are resolved one by one, in row
+    order, and every other row keeps its optimistic answer.  So when a row
+    is resolved, every row before it is final, and the edge set it sees is
+    the lattice less the edges those rows picked, plus their keys.  A
+    resolved row whose answer differs from its optimistic one marks the
+    later rows that chose the same edge.  The degree guard needs no bulk
+    check: a source adjacent to every other node finds its optimistic pick
+    already chosen by an earlier row, or has none, so its row is resolved
+    one by one, and there it is checked only once all 8 candidates are
+    taken, as they all are for such a source.
     """
     flagged = np.flatnonzero(rng.random(v.size) < p_rewire)
     rows = flagged.size
@@ -174,31 +178,17 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
     sorted_keys = np.sort(key)
     shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     conflict |= np.isin(key, shared)
-    if not conflict.any():
-        v[flagged] = target
-        return
-
-    old = v[flagged]
-    by_key = np.argsort(key)  # rows by key; the order within a key is never used
-    degree = np.full(n, 2 * half_k)
-    resolved = set()  # rows resolved one by one so far
-    added = set()  # edge keys of the resolved rows, once resolved
 
     def taken(s: int, w: int, c: int) -> bool:
         """Whether {s, w} is a self-loop or an edge once the rows before ``c`` are applied.
 
-        A row before ``c`` is either resolved, and then in ``added``, or applied
-        in bulk with its optimistic ``key``.  A lattice edge is gone once the
-        row that picked it is applied, unless that row kept it (then it is in
-        ``added``).
+        Rows are resolved in order, so every row before ``c`` holds its final
+        ``key``.  A lattice edge is gone once the row that picked it is
+        applied, unless some row before ``c`` holds its key again.
         """
         if w == s:
             return True
-        key = min(s, w) * n + max(s, w)
-        if key in added:
-            return True
-        lo, hi = sorted_keys.searchsorted((key, key + 1))
-        if any(r < c and r not in resolved for r in by_key[lo:hi].tolist()):
+        if (key[:c] == min(s, w) * n + max(s, w)).any():
             return True
         if half_k < (w - s) % n < n - half_k:
             return False
@@ -207,41 +197,30 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
         return not (at < c and flagged[at] == e)
 
     pending = np.flatnonzero(conflict).tolist()  # sorted, so a heap
-    pos = 0
-    while pos < rows:
-        while pending and pending[0] < pos:
-            heapq.heappop(pending)
-        c = pending[0] if pending else rows
-        if c == rows:
-            break
-        if c > pos:  # apply rows pos .. c - 1 as they are
-            degree += np.bincount(target[pos:c], minlength=n)
-            degree -= np.bincount(old[pos:c], minlength=n)
-
-        pos = c + 1
-        resolved.add(c)
+    last = -1
+    while pending:
+        c = heapq.heappop(pending)
+        if c <= last:
+            continue  # pushed twice
+        last = c
         s = int(src[c])
-        if degree[s] >= n - 1:
-            target[c] = old[c]
-            added.add(min(s, int(old[c])) * n + max(s, int(old[c])))
-            continue  # s is already adjacent to every other node
         for w in candidates[c].tolist():
             if not taken(s, w, c):
                 break
         else:
-            w = int(rng.integers(0, n))
-            while taken(s, w, c):
+            moved = np.count_nonzero(v[flagged[:c]] == s)  # lattice edges of s rewired away
+            if 2 * half_k + np.count_nonzero(target[:c] == s) - moved >= n - 1:
+                w = int(v[flagged[c]])  # s is already adjacent to every other node
+            else:
                 w = int(rng.integers(0, n))
+                while taken(s, w, c):
+                    w = int(rng.integers(0, n))
         w_key = min(s, w) * n + max(s, w)
         if w_key != key[c]:
-            lo, hi = sorted_keys.searchsorted((w_key, w_key + 1))
-            for later in by_key[lo:hi].tolist():
-                if later > c:
-                    heapq.heappush(pending, later)
-        added.add(w_key)
+            for later in (np.flatnonzero(key[c + 1:] == w_key) + c + 1).tolist():
+                heapq.heappush(pending, later)
+            key[c] = w_key
         target[c] = w
-        degree[old[c]] -= 1
-        degree[w] += 1
 
     v[flagged] = target
 
@@ -279,10 +258,10 @@ def build_small_world(
     NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
     if k >= n:
         raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
-    if n >= 2**31:
+    if n >= NODE_LIMIT:
         raise ValueError(f"n must be below 2**31 so node ids fit int32 neighbours, got n={n}")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     v = _ring_targets(n, k)
     if p_rewire > 0.0:
         _rewire(v, n, k // 2, p_rewire, rng)

@@ -208,6 +208,17 @@ class TestRunAbm:
         b = run_abm(params, topo, weeks=8, seed=123)
         assert a == b
 
+    def test_generator_seed_is_drawn_from_in_place(self):
+        # A Generator seed is used as it is, not reseeded: run_abm leaves it
+        # where _simulate leaves a twin Generator.
+        topo = build_small_world(300, 6, 0.1, seed=4)
+        params = params_for(300, c=6.0, p=0.2, i0=2)
+        ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+        series = run_abm(params, topo, weeks=4, seed=ours)
+        traj = _simulate(params, topo, 4, twin, False)
+        assert ours.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(series.infected, traj.i[7::7])
+
     def test_population_mismatch_rejected(self):
         topo = build_small_world(50, 4, 0.1, seed=3)
         with pytest.raises(ValueError):

@@ -81,6 +81,9 @@ class TestUsage:
         (["run-sd", "--illness-duration", "1e-320"], "illness_duration=1e-320"),
         (["run-sd", "--dt", "inf"], "dt=inf"),
         (["run-mc", "--vary", "all", "--dt", "inf"], "dt=inf"),
+        (["run-abm", "--population", str(2**31)], "--population must be below 2**31"),
+        (["run-abm", "--population", str(2**31), "--reuse-network"],
+         "--population must be below 2**31"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

@@ -213,6 +213,14 @@ class TestMatchesReferenceLoop:
         events = assert_matches_reference(52_910, 10, 0.1, seed)
         assert (sum(events.values()) > 0) == dependent, events
 
+    def test_paper_size_half_rewired(self):
+        # Half the edges rewired, about 132,000 rows: rows whose pick an
+        # earlier row took and rows whose checked lattice edge an earlier
+        # row freed both occur, so the one-by-one pass resolves rows with
+        # many rows before them.
+        events = assert_matches_reference(52_910, 10, 0.5, 0)
+        assert events["taken"] > 0 and events["freed"] > 0, events
+
     @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
     def test_csr_key_width_boundary(self, n):
         # CSR keys (node << b) | neighbour, b = (n - 1).bit_length(), fill
