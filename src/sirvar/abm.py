@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import EnsembleResult, SirParams, Trajectory, WeeklySeries, replicate_rng, run_replicates
 from .network import NetworkGenParams, NetworkTopology, build_small_world
-from .sd import weekly_sample
+from .sd import week_indices, weekly_sample
 
 # RNG stream ids per replicate (part of the reproducibility contract).
 _STREAM_NETWORK = 0
@@ -208,14 +208,14 @@ def run_abm(
     Raises
     ------
     ValueError
-        If ``params.population`` does not match the topology size.
+        If ``params.population`` does not match the topology size, or if
+        ``weeks < 1``.
     """
     if params.population != topo.n:
         raise ValueError(
             f"params.population={params.population} does not match topology n={topo.n}"
         )
-    if weeks < 1:
-        raise ValueError(f"weeks must be >= 1, got {weeks}")
+    week_indices(1.0, weeks)
     rng = np.random.default_rng(seed)
     return weekly_sample(_simulate(params, topo, weeks, rng, exponential_recovery), weeks)
 
@@ -245,8 +245,10 @@ def run_abm_ensemble(
 
     By default every replicate generates its own topology and index cases
     from its own streams; with ``reuse_network`` a single topology (derived
-    from the master seed alone) is shared by all replicates.
+    from the master seed alone) is shared by all replicates.  ``weeks`` is
+    checked by :func:`sirvar.sd.week_indices` before any network is built.
     """
+    week_indices(1.0, weeks)
     shared = None
     if reuse_network:
         net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)

@@ -4,25 +4,26 @@ The construction follows the original recipe: start from a ring lattice
 where every node links to its ``k / 2`` nearest neighbours on each side,
 then visit each lattice edge once and, with probability ``p_rewire``,
 replace its far endpoint with a uniformly random node that is neither the
-source itself nor already adjacent to it.  ``p_rewire = 0`` reproduces the
-exact ring lattice, ``p_rewire = 1`` gives a fully randomised graph; both
-extremes keep the edge count at ``n * k / 2``.
+source itself nor one of its lattice neighbours.  ``p_rewire = 0``
+reproduces the exact ring lattice, ``p_rewire = 1`` gives a fully
+randomised graph; both extremes keep the edge count at ``n * k / 2``.
 
 The graph a seed yields is fixed by the order of random draws, which is
-part of this module's contract:
+part of this module's contract; it is version 2 of the ``network`` stream
+in :data:`sirvar.io.STREAM_VERSIONS`.  A build draws, in order:
 
-1. ``rng.random(n * k / 2)`` picks the lattice edges to rewire (none is
-   drawn when ``p_rewire = 0``);
-2. ``rng.integers(0, n, size=(F, 8))`` draws 8 candidate targets for each
-   of the ``F`` picked edges, in lattice order (skipped when ``F = 0``);
-3. an edge takes its first candidate that is free when its turn comes,
-   and only an edge whose 8 candidates are all taken draws single
-   ``rng.integers(0, n)`` values, in edge order, until one is free.
+1. ``rng.random(n * k / 2)``, which picks the lattice edges to rewire
+   (none is drawn when ``p_rewire = 0``);
+2. ``rng.integers(0, n, size=(F, 8))``, 8 candidate targets for each of
+   the ``F`` picked edges, in lattice order (skipped when ``F = 0``).
 
-An edge whose source is already adjacent to every other node is left as
-it is and draws nothing.  Edges are resolved in bulk with numpy; an edge
-whose answer could depend on earlier rewirings is resolved on its own,
-so the result equals that of visiting the edges one by one.
+A picked edge takes its first candidate that is neither its source nor a
+lattice neighbour of it.  It keeps its lattice edge when none of its 8
+candidates qualifies, or when an earlier picked edge took the same pair,
+so the graph stays simple and nothing more is drawn.  Version 1 instead
+took the first candidate free of every edge placed so far and drew single
+targets when all 8 were taken; the two versions differ only in the rare
+edges whose answer depended on earlier rewirings.
 
 Adjacency is stored in compressed sparse row form (one flat neighbour
 array plus per-node offsets) so the agent-based simulator can index it
@@ -34,13 +35,12 @@ Memory: a build holds two full-size arrays, the lattice's far ends ``v``
 length of ``n - 1``.  The keys take the narrowest unsigned type that holds
 them: 32 bits up to ``n = 2**16``, 64 bits above.  They are sorted, then
 masked into the int32 ``neighbors``, so node ids stay below 2**31.
-Rewiring adds ``8 * F`` entries for the ``F`` picked edges.  At paper scale
-a build peaks near 2.4 times the finished graph.
+Rewiring adds a few arrays of ``F`` entries for the ``F`` picked edges.  At
+paper scale a build peaks near 2.1 times the finished graph.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,39 +115,21 @@ def _ring_targets(n: int, k: int) -> np.ndarray:
     return v.reshape(-1)
 
 
-def _lattice_edge(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Indices into :func:`_ring_targets` of the lattice edges {a, b}."""
-    ahead = (b - a) % n
-    back = 2 * ahead > n  # the edge runs from b forward to a
-    return np.where(back, (n - ahead - 1) * n + b, (ahead - 1) * n + a)
-
-
 def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
-    """Rewire the lattice edges with far ends ``v`` in place, in lattice order.
+    """Rewire the lattice edges with far ends ``v`` in place.
 
-    Every picked edge ("row") first gets its optimistic answer: the first
-    candidate that is neither its source nor a lattice neighbour of it.
-    That answer equals the one-by-one answer unless an earlier row changed
-    what the row sees, which needs one of:
-
-    - its chosen edge was also chosen by another row;
-    - a lattice candidate it checked before its pick belongs to an earlier
-      row, which may have rewired it away and so freed it;
-    - none of its candidates is free of the lattice.
-
-    A row's first candidate is free with chance ``1 - (k + 1) / n``, so the
-    answers are read from column 0, and only the rows whose first candidate
-    is the source or a lattice neighbour take the pass over all 8 columns.
-    The rows that meet a condition above are resolved one by one, in row
-    order, and every other row keeps its optimistic answer.  So when a row
-    is resolved, every row before it is final, and the edge set it sees is
-    the lattice less the edges those rows picked, plus their keys.  A
-    resolved row whose answer differs from its optimistic one marks the
-    later rows that chose the same edge.  The degree guard needs no bulk
-    check: a source adjacent to every other node finds its optimistic pick
-    already chosen by an earlier row, or has none, so its row is resolved
-    one by one, and there it is checked only once all 8 candidates are
-    taken, as they all are for such a source.
+    Every picked edge ("row") answers with its first candidate that
+    qualifies: one that is neither its source nor a lattice neighbour of
+    it (ring distance above ``half_k``).  A row's first candidate
+    qualifies with chance ``1 - (k + 1) / n``, so the answers are read from
+    column 0, and only the rows whose first candidate fails take the pass
+    over all 8 columns.  A row keeps its lattice edge when none of its
+    candidates qualifies, or when an earlier row answered the same pair;
+    the rows that share an answer come from one sort of the keys.  A row's
+    answer reads only its own candidates, so all rows are resolved at once.
+    Rewired edges join distinct pairs that are not lattice neighbours, and
+    kept edges are distinct lattice pairs, so the graph is simple and keeps
+    its ``n * k / 2`` edges.
     """
     flagged = np.flatnonzero(rng.random(v.size) < p_rewire)
     rows = flagged.size
@@ -159,69 +141,19 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> None:
     target = candidates[:, 0].copy()
     ring = np.abs(target - src)
     np.minimum(ring, n - ring, out=ring)  # ring distance from the source
-    conflict = np.zeros(rows, dtype=bool)
     redo = np.flatnonzero(ring <= half_k)  # first candidate is the source or a lattice neighbour
     ring = np.abs(candidates[redo] - src[redo, None])
     np.minimum(ring, n - ring, out=ring)
     free = ring > half_k
-    first = free.argmax(axis=1)
-    target[redo] = candidates[redo, first]
-    conflict[redo[~free.any(axis=1)]] = True
-    # The candidates before a row's pick are not free: lattice ones, or the source.
-    r, j = np.nonzero((ring > 0) & (np.arange(8) < first[:, None]))
-    r = redo[r]
-    e = _lattice_edge(src[r], candidates[r, j], n)
-    at = np.minimum(flagged.searchsorted(e), r)  # an earlier row that picked edge e, if at < r
-    conflict[r[(at < r) & (flagged[at] == e)]] = True
+    target[redo] = candidates[redo, free.argmax(axis=1)]
+    none = redo[~free.any(axis=1)]
+    target[none] = v[flagged[none]]  # no candidate qualifies: keep the lattice edge
+    # Kept lattice pairs are never an answer, so only answers can share a key.
     key = np.minimum(src, target) * n + np.maximum(src, target)
-    key[conflict] = -1  # no pick, and a key that matches no edge
     sorted_keys = np.sort(key)
-    shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
-    conflict |= np.isin(key, shared)
-
-    def taken(s: int, w: int, c: int) -> bool:
-        """Whether {s, w} is a self-loop or an edge once the rows before ``c`` are applied.
-
-        Rows are resolved in order, so every row before ``c`` holds its final
-        ``key``.  A lattice edge is gone once the row that picked it is
-        applied, unless some row before ``c`` holds its key again.
-        """
-        if w == s:
-            return True
-        if (key[:c] == min(s, w) * n + max(s, w)).any():
-            return True
-        if half_k < (w - s) % n < n - half_k:
-            return False
-        e = _lattice_edge(s, w, n)
-        at = int(flagged.searchsorted(e))
-        return not (at < c and flagged[at] == e)
-
-    pending = np.flatnonzero(conflict).tolist()  # sorted, so a heap
-    last = -1
-    while pending:
-        c = heapq.heappop(pending)
-        if c <= last:
-            continue  # pushed twice
-        last = c
-        s = int(src[c])
-        for w in candidates[c].tolist():
-            if not taken(s, w, c):
-                break
-        else:
-            moved = np.count_nonzero(v[flagged[:c]] == s)  # lattice edges of s rewired away
-            if 2 * half_k + np.count_nonzero(target[:c] == s) - moved >= n - 1:
-                w = int(v[flagged[c]])  # s is already adjacent to every other node
-            else:
-                w = int(rng.integers(0, n))
-                while taken(s, w, c):
-                    w = int(rng.integers(0, n))
-        w_key = min(s, w) * n + max(s, w)
-        if w_key != key[c]:
-            for later in (np.flatnonzero(key[c + 1:] == w_key) + c + 1).tolist():
-                heapq.heappush(pending, later)
-            key[c] = w_key
-        target[c] = w
-
+    shared = np.flatnonzero(np.isin(key, sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]))
+    later = np.delete(shared, np.unique(key[shared], return_index=True)[1])
+    target[later] = v[flagged[later]]  # an earlier row answered the same pair
     v[flagged] = target
 
 
@@ -234,9 +166,9 @@ def build_small_world(
     """Generate a Watts-Strogatz topology over ``n`` nodes.
 
     Lattice edges are visited in the order of :func:`_ring_targets` (offset
-    1 for every node, then offset 2, ...), and random draws follow the
-    order stated in the module docstring, so a seed gives one graph and
-    leaves a caller's Generator in one state.
+    1 for every node, then offset 2, ...).  A build makes only the two
+    draws stated in the module docstring (``network`` stream version 2), so
+    a seed gives one graph and leaves a caller's Generator in one state.
 
     Parameters
     ----------

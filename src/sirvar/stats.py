@@ -55,10 +55,6 @@ class WeeklySummary:
             raise ValueError("quartiles must satisfy q1 <= median <= q3")
 
     @property
-    def weeks(self) -> int:
-        return self.median.size
-
-    @property
     def iqr(self) -> np.ndarray:
         return self.q3 - self.q1
 

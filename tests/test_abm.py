@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirvar import abm
 from sirvar.abm import Population, Status, _simulate, run_abm, run_abm_ensemble, step_day
 from sirvar.core import SirParams, default_params, replicate_rng
 from sirvar.network import NetworkGenParams, build_small_world
@@ -299,6 +300,16 @@ class TestEnsemble:
         fresh = run_abm_ensemble(params, gen, weeks=5, replicates=6, master_seed=3)
         assert np.array_equal(shared_a.matrix, shared_b.matrix)
         assert not np.array_equal(shared_a.matrix, fresh.matrix)
+
+    @pytest.mark.parametrize("reuse_network", [False, True], ids=["fresh", "shared"])
+    def test_week_grid_is_checked_before_any_network(self, monkeypatch, reuse_network):
+        def build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(abm, "build_small_world", build)
+        with pytest.raises(ValueError, match="weeks must be >= 1, got 0"):
+            run_abm_ensemble(params_for(300), NetworkGenParams(k=6, p_rewire=0.2), weeks=0,
+                             replicates=2, master_seed=1, reuse_network=reuse_network)
 
     def test_replicate_errors_are_tagged(self):
         params = params_for(10, i0=1)

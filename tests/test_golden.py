@@ -7,8 +7,10 @@ The ``run.json`` digests leave out its ``metadata`` member, which holds a
 timestamp and elapsed times, and re-serialize the rest with ``indent=2``.
 
 The digests hold for the stream versions in ``STREAMS``.  A change that
-bumps a version re-pins the digests of the runs that draw from it, and only
-those: the SD and Monte-Carlo digests predate the ``abm`` version 2 step.
+bumps a version re-pins the digests that change, which can only be those
+of runs that draw from it: the SD and Monte-Carlo digests predate the
+``abm`` version 2 step, and of the ABM digests only ``abm-exponential``
+changed with ``network`` version 2.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from sirvar.io import STREAM_VERSIONS
 
 from synthetic_reference import synthetic_reference_path
 
-STREAMS = {"sd_mc": 1, "network": 1, "abm": 2}
+STREAMS = {"sd_mc": 1, "network": 2, "abm": 2}
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -44,8 +46,8 @@ GOLDEN = [
     }),
     ([*ABM, "--replicates", "5", "--exponential-recovery", "--initial-infected", "10",
       "--contact-rate", "8"], {
-        "ensemble.csv": "eeb99b6bd72efce49e365daeb2847bcf5b624ad9d9cb28311796d63bae2f863e",
-        "summary.csv": "0b6f7fbf5d428e6ddbfc00c735b40d4d870d7d0ae8422a59d294bb321ac3ad1b",
+        "ensemble.csv": "40e7f63ff6d3bafed0d823fa13fa63a7be21d7e4165dd1ebb267eb575c5b1a0c",
+        "summary.csv": "0c48b3f66e6318ae527f37c383420f375c34be2221671e4f4d28cf1ab2339c79",
     }),
     # coarse steps and fast epidemics, where a reordered rounding in the RK4
     # step would show first

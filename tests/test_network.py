@@ -6,7 +6,11 @@ import networkx as nx
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from sirvar.network import NetworkGenParams, build_small_world
+from sirvar.abm import _simulate
+from sirvar.core import default_params, replicate_rng
+from sirvar.network import NetworkGenParams, NetworkTopology, build_small_world
+
+from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
 
 def row(topo, i):
@@ -14,16 +18,16 @@ def row(topo, i):
 
 
 def reference_small_world(n, k, p_rewire, rng):
-    """CSR rows of the one-edge-at-a-time rewiring loop, and its events.
+    """CSR rows of the version 1 rewiring loop, and its events.
 
-    The loop is the package's earlier implementation, kept as the
-    reference the vectorised pass must equal.  ``events`` counts the rows
-    whose answer depends on earlier rows ("taken": the first
-    lattice-free candidate was already chosen; "freed": a lattice
-    candidate checked up to it had been rewired away; "no_free": no
-    candidate is lattice-free), rows that drew single targets
-    ("single_draw") and rows skipped because the source was adjacent to
-    every other node ("guard").
+    The loop is the package's ``network`` stream version 1, kept as the
+    reference that version 2 must match in law.  An edge takes its first
+    candidate free of every edge placed so far.  ``events`` counts the rows
+    whose answer depends on earlier rows ("taken": the first lattice-free
+    candidate was already chosen; "freed": a lattice candidate checked up
+    to it had been rewired away; "no_free": no candidate is lattice-free),
+    rows that drew single targets ("single_draw") and rows skipped because
+    the source was adjacent to every other node ("guard").
     """
     nodes = np.arange(n, dtype=np.int64)
     u = np.concatenate([nodes] * (k // 2))
@@ -75,24 +79,74 @@ def reference_small_world(n, k, p_rewire, rng):
             keys[e] = new_key
             degree[old] -= 1
             degree[new_target] += 1
+    return (*csr_rows(u, v, n), events)
+
+
+def reference_small_world_v2(n, k, p_rewire, rng):
+    """CSR rows of the version 2 rewiring loop, one edge at a time, and its events.
+
+    An edge takes its first candidate that is neither its source nor a
+    lattice neighbour, and keeps its lattice edge when none qualifies
+    ("no_free") or when an earlier edge took the same pair ("taken").
+    """
+    nodes = np.arange(n, dtype=np.int64)
+    u = np.concatenate([nodes] * (k // 2))
+    v = np.concatenate([(nodes + j) % n for j in range(1, k // 2 + 1)])
+    events = Counter()
+    if p_rewire > 0.0:
+        flagged = np.flatnonzero(rng.random(u.size) < p_rewire)
+        candidates = rng.integers(0, n, size=(flagged.size, 8)) if flagged.size else None
+        answered = set()
+        for row, e in enumerate(flagged):
+            src = int(u[e])
+            for w in candidates[row].tolist():
+                if k // 2 < (w - src) % n < n - k // 2:  # ring distance above k/2
+                    break
+            else:
+                events["no_free"] += 1
+                continue
+            pair = (min(src, w), max(src, w))
+            if pair in answered:
+                events["taken"] += 1
+                continue
+            answered.add(pair)
+            v[e] = w
+    return (*csr_rows(u, v, n), events)
+
+
+def csr_rows(u, v, n):
+    """``neighbors`` and ``offsets`` of the undirected edges ``(u[e], v[e])``."""
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     order = np.lexsort((dst, src))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return dst[order].astype(np.int32), offsets, events
+    return dst[order].astype(np.int32), offsets
 
 
 def assert_matches_reference(n, k, p, seed):
-    """Same CSR graph and same Generator state afterwards; returns the events."""
+    """Same CSR graph and Generator state as the version 2 loop; returns its events.
+
+    The Generator state shows that a build makes exactly the two draws of
+    the loop, ``rng.random(n * k / 2)`` and ``rng.integers(0, n, size=(F, 8))``.
+    """
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     topo = build_small_world(n, k, p, seed=ours)
-    neighbors, offsets, events = reference_small_world(n, k, p, theirs)
+    neighbors, offsets, events = reference_small_world_v2(n, k, p, theirs)
     assert np.array_equal(topo.neighbors, neighbors), (n, k, p, seed)
     assert topo.neighbors.dtype == neighbors.dtype
     assert np.array_equal(topo.offsets, offsets), (n, k, p, seed)
     assert ours.bit_generator.state == theirs.bit_generator.state, (n, k, p, seed)
     return events
+
+
+def edges_not_in_version_1(n, k, p, seed):
+    """Edges of the build that the version 1 loop does not make, and its events."""
+    topo = build_small_world(n, k, p, seed=seed)
+    neighbors, offsets, events = reference_small_world(n, k, p, np.random.default_rng(seed))
+    v1 = NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)
+    ours = set(map(tuple, topo.edges().tolist()))
+    return len(ours - set(map(tuple, v1.edges().tolist()))), events
 
 
 def mean_path_length(graph):
@@ -194,38 +248,69 @@ class TestMatchesReferenceLoop:
 
     @pytest.mark.parametrize("event, case", [
         ("taken", (2000, 10, 1.0, 0)),
+        ("no_free", (100, 60, 0.1, 0)),
+    ])
+    def test_rows_that_keep_their_lattice_edge(self, event, case):
+        assert assert_matches_reference(*case)[event] > 0
+
+    @pytest.mark.parametrize("event, case", [
+        ("taken", (2000, 10, 1.0, 0)),
         ("freed", (200, 10, 1.0, 0)),
         ("no_free", (100, 60, 0.1, 0)),
         ("single_draw", (60, 40, 0.1, 1)),
         ("guard", (24, 20, 0.3, 1)),
     ])
     def test_rows_that_depend_on_earlier_rows(self, event, case):
-        assert assert_matches_reference(*case)[event] > 0
+        # Version 2 differs from version 1 only at the rows whose version 1
+        # answer depends on earlier rows, and at most at one later row for
+        # each: the first that picks the pair such a row left untaken.
+        changed, events = edges_not_in_version_1(*case)
+        assert events[event] > 0
+        assert 0 < changed <= 2 * sum(events.values()), (changed, events)
 
-    @pytest.mark.parametrize("seed, dependent", [
-        pytest.param(seed, dependent, id=str(seed))
-        for seed, dependent in ((0, True), (1, False), (2, False), (7, True))
-    ])
-    def test_paper_size(self, seed, dependent):
-        # Seed 0 has a row whose pick an earlier row took, seed 7 one whose
-        # checked lattice edge an earlier row freed, and seeds 1 and 2
-        # neither, so both the one-by-one pass and the bulk-only path run.
-        events = assert_matches_reference(52_910, 10, 0.1, seed)
-        assert (sum(events.values()) > 0) == dependent, events
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_paper_size(self, seed):
+        # Version 1 resolved a row of seed 0 whose pick an earlier row took,
+        # and a row of seed 7 whose checked lattice edge an earlier row
+        # freed; seeds 1 and 2 have no such row, so version 2 gives the
+        # version 1 graph there.
+        assert_matches_reference(52_910, 10, 0.1, seed)
+        changed, events = edges_not_in_version_1(52_910, 10, 0.1, seed)
+        assert (changed > 0) == (seed in (0, 7)), (changed, events)
+        assert changed <= 2 * sum(events.values()), (changed, events)
 
     def test_paper_size_half_rewired(self):
-        # Half the edges rewired, about 132,000 rows: rows whose pick an
-        # earlier row took and rows whose checked lattice edge an earlier
-        # row freed both occur, so the one-by-one pass resolves rows with
-        # many rows before them.
-        events = assert_matches_reference(52_910, 10, 0.5, 0)
-        assert events["taken"] > 0 and events["freed"] > 0, events
+        # Half the edges rewired, about 132,000 rows, some of which answer
+        # a pair that an earlier row took.
+        assert assert_matches_reference(52_910, 10, 0.5, 0)["taken"] > 0
 
     @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
     def test_csr_key_width_boundary(self, n):
         # CSR keys (node << b) | neighbour, b = (n - 1).bit_length(), fill
         # 32 bits at n = 2**16 and need 64 bits one node later.
         assert_matches_reference(n, 4, 0.05, seed=n)
+
+
+class TestSameLawAsVersion1:
+    """``network`` stream version 2 keeps the lattice edge where version 1
+    replayed earlier rows; ABM epidemics on fresh graphs of either version
+    have the same law."""
+
+    def test_outcomes_on_fresh_graphs_match_version_1(self):
+        params = default_params(population=2000, initial_infected=10)
+        weeks = 10
+
+        def run(build, seed):
+            return [outcomes(_simulate(params, build(replicate_rng(seed, r, 0)), weeks,
+                                       replicate_rng(seed, r, 1), False).states)
+                    for r in range(MIN_REPLICATES)]
+
+        def build_v1(rng):
+            neighbors, offsets, _ = reference_small_world(2000, 10, 0.1, rng)
+            return NetworkTopology(n=2000, neighbors=neighbors, offsets=offsets)
+
+        assert_same_law(run(lambda rng: build_small_world(2000, 10, 0.1, rng), 1),
+                        run(build_v1, 2))
 
 
 class TestMemory:
