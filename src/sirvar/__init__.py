@@ -23,16 +23,14 @@ from .core import (
 from .sd import integrate, weekly_sample
 from .montecarlo import VariationSpec, run_sd_ensemble, sample_params
 from .network import NetworkGenParams, NetworkTopology, build_small_world
-from .abm import Population, Status, run_abm, run_abm_ensemble, step_day
+from .abm import run_abm, run_abm_ensemble
 from .stats import WeeklySummary, WilcoxonResult, weekly_summary, wilcoxon_signed_rank
 
 __all__ = [
     "EnsembleResult",
     "NetworkGenParams",
     "NetworkTopology",
-    "Population",
     "SirParams",
-    "Status",
     "Trajectory",
     "VariationSpec",
     "WeeklySeries",
@@ -49,7 +47,6 @@ __all__ = [
     "run_abm_ensemble",
     "run_sd_ensemble",
     "sample_params",
-    "step_day",
     "weekly_sample",
     "weekly_summary",
     "wilcoxon_signed_rank",

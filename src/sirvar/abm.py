@@ -10,8 +10,9 @@ Time advances in synchronous daily steps.  Within one day:
    next day;
 2. agents that were infectious at the start of the day progress towards
    recovery.  By default an agent stays infectious for a fixed
-   ``illness_duration`` days (its remaining time drops by one per day and
-   it recovers on reaching zero).  With ``exponential_recovery`` each such
+   ``illness_duration`` D: one infected on day ``infected_on`` is still
+   infectious at the end of day ``d`` while ``d - infected_on < D``, so it
+   recovers after ceil(D) days.  With ``exponential_recovery`` each such
    agent instead recovers with probability ``1 / illness_duration`` per
    day, which matches the ODE's linear recovery term in expectation and is
    the right mode for mean-field comparisons.
@@ -39,15 +40,21 @@ p, independently of their uniform slots, are Poisson(c * p) contacts with
 uniform slots.  So version 1, which drew every contact and one
 ``rng.random`` transmission test per contact, has the same law.
 
-A day with no infectious agent draws nothing.  A day costs time in
-proportion to its infectious agents and contacts, not to the population:
-:class:`Population` keeps the sorted index array of infectious agents, so
-its ``status`` must change only through ``infect`` and :func:`step_day`.
+A day with no infectious agent draws nothing, and a day costs time in
+proportion to its infectious agents and contacts, not to the population.
+The state is three arrays: ``susceptible`` flags, ``infected_on`` days and
+``infectious``, the ascending indices of the infectious agents; an agent in
+neither set has recovered.
+
+The fixed-duration rule recovers agents on the same days as the reference
+step in the tests, a float countdown set to D on infection, cut by 1.0
+each day and recovering at 0.  For D < 2**53 each subtraction of 1.0 is
+exact while the countdown is at least 1, so it reads exactly D - m after m
+days, and the last step, from (0, 1] to (-1, 0], keeps its sign.  For
+D >= 2**53 neither rule recovers within any run shorter than 2**52 days.
 """
 
 from __future__ import annotations
-
-from enum import IntEnum
 
 import numpy as np
 
@@ -62,102 +69,12 @@ _STREAM_SIMULATION = 1
 _SHARED_NETWORK_KEY = (0x6E6574,)
 
 
-class Status(IntEnum):
-    SUSCEPTIBLE = 0
-    INFECTIOUS = 1
-    RECOVERED = 2
-
-
-# Plain ints for the daily step: IntEnum attribute lookups are slow.
-_SUSCEPTIBLE = int(Status.SUSCEPTIBLE)
-_INFECTIOUS = int(Status.INFECTIOUS)
-_RECOVERED = int(Status.RECOVERED)
-
-
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """Ascending distinct entries of ``a``, which is sorted in place."""
     a.sort()
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
-
-
-class Population:
-    """Mutable array-backed agent population.
-
-    Holds one status byte and one remaining-days float per agent, plus
-    ``infectious``, the ascending indices of the infectious agents.  The
-    simulator mutates these in place; change ``status`` only through
-    :meth:`infect` and :func:`step_day`, which keep ``infectious`` in step.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"population must have >= 1 agent, got {n}")
-        self.status = np.zeros(n, dtype=np.int8)
-        self.days_remaining = np.zeros(n, dtype=float)
-        self.infectious = np.empty(0, dtype=np.intp)
-
-    def __len__(self) -> int:
-        return self.status.size
-
-    def infect(self, indices, duration: float) -> None:
-        """Make the agents at integer ``indices`` infectious for ``duration`` days."""
-        indices = np.asarray(indices, dtype=np.intp).ravel()
-        self.status[indices] = _INFECTIOUS
-        self.days_remaining[indices] = duration
-        # The status write above has range-checked the indices.
-        self.infectious = _sorted_distinct(np.concatenate((self.infectious, indices % len(self))))
-
-
-def step_day(
-    pop: Population,
-    topo: NetworkTopology,
-    params: SirParams,
-    rng: np.random.Generator,
-    exponential_recovery: bool = False,
-) -> int:
-    """Advance the population by one day in place.
-
-    Returns the number of agents newly infected during the day.
-    """
-    if len(pop) != topo.n:
-        raise ValueError(f"population size {len(pop)} != topology size {topo.n}")
-
-    status = pop.status
-    infectious = pop.infectious
-    if infectious.size == 0:
-        return 0
-
-    victims = infectious[:0]  # empty, of the index dtype
-    transmissions = rng.poisson(params.contact_rate * params.infection_prob, infectious.size)
-    sources = np.repeat(infectious, transmissions)
-    if sources.size:
-        slots = rng.integers(0, topo.degrees[sources])
-        targets = topo.neighbors[topo.offsets[sources] + slots]
-        # All draws above use start-of-day states, so infection is
-        # synchronous: a target hit twice today gets two independent
-        # chances, and today's new infectives neither transmit nor recover
-        # before tomorrow.
-        victims = _sorted_distinct(targets[status[targets] == _SUSCEPTIBLE])
-        status[victims] = _INFECTIOUS
-        pop.days_remaining[victims] = params.illness_duration
-
-    # Recovery applies to agents infectious at the start of the day only.
-    if exponential_recovery:
-        recovers = rng.random(infectious.size) < params.recovery_rate
-    else:
-        left = pop.days_remaining[infectious] - 1.0
-        pop.days_remaining[infectious] = left
-        recovers = left <= 0.0
-    recovered = infectious[recovers]
-    status[recovered] = _RECOVERED
-    pop.days_remaining[recovered] = 0.0
-    # Start-of-day infectives and today's victims are disjoint sets.
-    still = np.concatenate((infectious[~recovers], victims))
-    still.sort()
-    pop.infectious = still
-    return int(victims.size)
 
 
 def _simulate(
@@ -170,24 +87,46 @@ def _simulate(
     """Daily engine: the (S, I, R) counts of days 0 to ``7 * weeks``.
 
     Row ``d`` of the returned one-day trajectory holds the counts at the end
-    of day ``d``; row 0 is the state after seeding the index cases.  The
-    counts are at most N, far below 2**53, so they are exact as floats.
+    of day ``d``; row 0 is the state after seeding the index cases, which
+    count as infected on day 0.  Once no agent is infectious, the remaining
+    rows repeat the last one.  The counts are at most N, far below 2**53,
+    so they are exact as floats.
     """
-    pop = Population(topo.n)
-    if params.initial_infected:
-        seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
-        pop.infect(seeds, params.illness_duration)
-
-    days = weeks * 7
-    daily = np.empty((days + 1, 3), dtype=np.int64)
     n = topo.n
-    susceptible = n - pop.infectious.size
-    daily[0] = susceptible, pop.infectious.size, 0
-    for day in range(1, days + 1):
-        susceptible -= step_day(pop, topo, params, rng,
-                                exponential_recovery=exponential_recovery)
-        infectious = pop.infectious.size
-        daily[day] = susceptible, infectious, n - susceptible - infectious
+    susceptible = np.ones(n, dtype=bool)
+    infected_on = np.zeros(n, dtype=np.int64)
+    infectious = np.sort(rng.choice(n, size=params.initial_infected, replace=False))
+    susceptible[infectious] = False
+
+    daily = np.empty((7 * weeks + 1, 3), dtype=np.int64)
+    s = n - infectious.size
+    daily[0] = s, infectious.size, 0
+    for day in range(1, len(daily)):
+        if infectious.size == 0:
+            daily[day:] = s, 0, n - s
+            break
+        transmissions = rng.poisson(params.contact_rate * params.infection_prob, infectious.size)
+        sources = np.repeat(infectious, transmissions)
+        slots = rng.integers(0, topo.degrees[sources])
+        targets = topo.neighbors[topo.offsets[sources] + slots]
+        # All draws above use start-of-day states, so infection is
+        # synchronous: a target hit twice today gets two independent
+        # chances, and today's new infectives neither transmit nor recover
+        # before tomorrow.
+        victims = _sorted_distinct(targets[susceptible[targets]])
+        susceptible[victims] = False
+        infected_on[victims] = day
+        s -= victims.size
+
+        # Recovery applies to agents infectious at the start of the day only.
+        if exponential_recovery:
+            recovers = rng.random(infectious.size) < params.recovery_rate
+        else:
+            recovers = day - infected_on[infectious] >= params.illness_duration
+        # Start-of-day infectives and today's victims are disjoint sets.
+        infectious = np.concatenate((infectious[~recovers], victims))
+        infectious.sort()
+        daily[day] = s, infectious.size, n - s - infectious.size
     return Trajectory(dt=1.0, states=daily)
 
 
@@ -201,9 +140,9 @@ def run_abm(
     """Run one agent-based simulation and report end-of-week prevalence.
 
     All agents start susceptible except ``params.initial_infected``
-    uniformly random index cases.  The daily counts are sampled by
-    :func:`sirvar.sd.weekly_sample`, as the ODE's trajectory is: entry ``w``
-    is the infectious count at the end of day ``7 * (w + 1)``.
+    uniformly random index cases.  The daily counts of :func:`_simulate` are
+    sampled by :func:`sirvar.sd.weekly_sample`, as the ODE's trajectory is:
+    entry ``w`` is the infectious count at the end of day ``7 * (w + 1)``.
 
     Raises
     ------

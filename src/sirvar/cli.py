@@ -219,6 +219,10 @@ def cmd_compare(args) -> int:
     rows = []
     for input_dir in args.inputs:
         run = io.load_run(input_dir)
+        weeks = run["metadata"]["weeks"]
+        if weeks != reference.weeks:
+            raise ValueError(f"{input_dir}: week count mismatch: {weeks} weeks, "
+                             f"the reference has {reference.weeks}")
         rows.append(_compare_row(Path(input_dir).name, run, reference))
 
     out = Path(args.out)

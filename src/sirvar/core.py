@@ -33,7 +33,7 @@ try:  # glibc's; other C libraries have none
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
-#: Population of the Osterlovsta study region (Russian influenza, Sweden,
+#: Number of people in the Osterlovsta study region (Russian influenza, Sweden,
 #: 1889-90) used as the default experiment size.
 DEFAULT_POPULATION = 52910
 

@@ -1,18 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirvar import abm
-from sirvar.abm import Population, Status, _simulate, run_abm, run_abm_ensemble, step_day
+from sirvar.abm import _simulate, run_abm, run_abm_ensemble
 from sirvar.core import SirParams, default_params, replicate_rng
 from sirvar.network import NetworkGenParams, build_small_world
 
 from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
 
-# Plain ints for the reference steps: comparing an array with an IntEnum is slow.
-SUSCEPTIBLE, INFECTIOUS, RECOVERED = map(int, Status)
+# Status codes of the reference steps' per-agent ``status`` array.
+SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
 
 
 def params_for(n, c=5.0, p=0.1, d=4.2, i0=1):
@@ -54,9 +56,10 @@ def reference_step_day(status, days_remaining, topo, params, rng, exponential_re
     """One day of the scan-everything step, on raw state arrays.
 
     It finds the infectious agents with ``flatnonzero`` over all agents
-    every day, as the package's step did before it kept an index set; it is
-    kept as the reference the incremental step must equal.  ``targets_of``
-    draws the day's transmissions in one stream version.
+    every day, and it recovers an agent in fixed-duration mode when a float
+    countdown, set to the duration on infection and cut by 1.0 each day,
+    reaches 0.  It is kept as the reference the package's daily loop must
+    equal.  ``targets_of`` draws the day's transmissions in one stream version.
     """
     infectious = np.flatnonzero(status == INFECTIOUS)
     if infectious.size == 0:
@@ -84,13 +87,6 @@ def reference_step_day_v1(status, days_remaining, topo, params, rng, exponential
                               targets_of=reference_targets_v1)
 
 
-def counts(pop):
-    """(susceptible, infectious, recovered) totals of a population, scanned from ``status``."""
-    s = int(np.count_nonzero(pop.status == Status.SUSCEPTIBLE))
-    i = int(np.count_nonzero(pop.status == Status.INFECTIOUS))
-    return s, i, len(pop) - s - i
-
-
 def reference_daily_counts(params, topo, weeks, rng, exponential_recovery,
                            step=reference_step_day):
     """Daily (S, I, R) rows of a reference ``step``, counted from ``status``."""
@@ -98,96 +94,63 @@ def reference_daily_counts(params, topo, weeks, rng, exponential_recovery,
     days_remaining = np.zeros(topo.n)
     if params.initial_infected:
         seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
-        status[seeds] = Status.INFECTIOUS
+        status[seeds] = INFECTIOUS
         days_remaining[seeds] = params.illness_duration
-    rows = [np.bincount(status, minlength=len(Status))]
+    rows = [np.bincount(status, minlength=3)]
     for _day in range(weeks * 7):
         if rows[-1][INFECTIOUS]:  # else the day draws and changes nothing
             step(status, days_remaining, topo, params, rng, exponential_recovery)
-        rows.append(np.bincount(status, minlength=len(Status)))
+        rows.append(np.bincount(status, minlength=3))
     return np.array(rows)
 
 
-class TestAgentState:
-    def test_invariant_days_iff_infectious(self):
-        topo = build_small_world(200, 6, 0.2, seed=8)
-        params = params_for(200, c=8.0, p=0.5, d=2.5, i0=5)
-        for exponential_recovery in (False, True):
-            rng = np.random.default_rng(8)
-            pop = Population(200)
-            pop.infect(np.arange(5), params.illness_duration)
-            for _day in range(30):
-                step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-                infectious = pop.status == Status.INFECTIOUS
-                assert np.array_equal(pop.days_remaining > 0.0, infectious)
-                assert np.all(pop.days_remaining >= 0.0)
-            assert np.count_nonzero(pop.status == Status.RECOVERED) > 5
-
-    def test_population_round_trip(self):
-        pop = Population(3)
-        pop.infect([1], duration=2.0)
-        pop.status[2] = Status.RECOVERED
-        assert pop.status.tolist() == [Status.SUSCEPTIBLE, Status.INFECTIOUS, Status.RECOVERED]
-        assert pop.days_remaining.tolist() == [0.0, 2.0, 0.0]
-        assert counts(pop) == (1, 1, 1)
-        assert len(pop) == 3
+def ring_rows(d, c=200.0, p=1.0, days=7, seed=1):
+    """Daily rows of one index case on the 6-ring, up to day ``days``."""
+    topo = build_small_world(6, 2, 0.0, seed=0)
+    return _simulate(params_for(6, c=c, p=p, d=d), topo, 1,
+                     np.random.default_rng(seed), False).states[:days + 1].tolist()
 
 
 class TestStepDay:
+    """The day step, read from the daily rows of :func:`_simulate`."""
+
     def test_disease_free_state_is_absorbing(self):
         topo = build_small_world(20, 4, 0.0, seed=0)
-        pop = Population(20)
-        before = pop.status.copy()
-        new = step_day(pop, topo, params_for(20), np.random.default_rng(0))
-        assert new == 0
-        assert np.array_equal(pop.status, before)
+        for exponential_recovery in (False, True):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            daily = _simulate(params_for(20, i0=0), topo, 2, rng, exponential_recovery).states
+            assert np.array_equal(daily, np.tile([20, 0, 0], (15, 1)))
+            assert rng.bit_generator.state == before
 
     def test_saturation_infects_ring_neighbours(self):
-        # one infectious node, p = 1, contacts far above degree: both ring
-        # neighbours are hit with probability 1 - exp(-100) per step
-        topo = build_small_world(6, 2, 0.0, seed=0)
-        pop = Population(6)
-        pop.infect([2], duration=3.0)
-        new = step_day(pop, topo, params_for(6, c=200.0, p=1.0, d=3.0),
-                       np.random.default_rng(1))
-        assert new == 2
-        assert pop.status[1] == Status.INFECTIOUS
-        assert pop.status[3] == Status.INFECTIOUS
-        assert pop.days_remaining[1] == 3.0
-        # the source keeps transmitting tomorrow with one day less
-        assert pop.days_remaining[2] == 2.0
+        # one index case, p = 1, contacts far above degree: both ring
+        # neighbours are hit with probability 1 - exp(-100) per day, and
+        # the index case stays infectious for 3 days
+        assert ring_rows(3.0, days=4) == [[5, 1, 0], [3, 3, 0], [1, 5, 0], [0, 5, 1],
+                                          [0, 3, 3]]
 
     def test_new_infectives_do_not_act_today(self):
-        # with duration 1 the source recovers at the end of its first day;
-        # the victims must still carry the full duration
-        topo = build_small_world(6, 2, 0.0, seed=0)
-        pop = Population(6)
-        pop.infect([0], duration=1.0)
-        step_day(pop, topo, params_for(6, c=500.0, p=1.0, d=1.0), np.random.default_rng(2))
-        assert pop.status[0] == Status.RECOVERED
-        assert pop.days_remaining[1] == 1.0
-        assert pop.days_remaining[5] == 1.0
+        # with duration 1 the index case recovers at the end of its first
+        # day, while its victims transmit and recover only on day 2
+        assert ring_rows(1.0, c=500.0, days=4) == [[5, 1, 0], [3, 2, 1], [1, 2, 3],
+                                                   [0, 1, 5], [0, 0, 6]]
 
     def test_single_step_expectation(self):
-        # mean new infections ~ contact_rate * infection_prob * susceptible
-        # fraction of the neighbourhood, within 3 standard errors
+        # mean day-1 infections ~ contact_rate * infection_prob * susceptible
+        # fraction of the neighbourhood, within 3 standard errors; day 1 does
+        # not depend on the duration, and a short one ends most runs early
         topo = build_small_world(100, 4, 0.0, seed=0)
-        params = params_for(100, c=2.0, p=0.05)
+        params = params_for(100, c=2.0, p=0.05, d=1.0)
         trials = 10_000
         rng = np.random.default_rng(9)
-        counts = np.empty(trials)
+        new = np.empty(trials)
         for t in range(trials):
-            pop = Population(100)
-            pop.infect([50], duration=4.2)
-            counts[t] = step_day(pop, topo, params, rng)
+            daily = _simulate(params, topo, 1, rng, False).states
+            new[t] = daily[0, 0] - daily[1, 0]
         expected = params.contact_rate * params.infection_prob * 1.0
-        se = counts.std(ddof=1) / np.sqrt(trials)
-        assert abs(counts.mean() - expected) <= 3.0 * se
-
-    def test_population_topology_size_mismatch(self):
-        topo = build_small_world(10, 2, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            step_day(Population(9), topo, params_for(9), np.random.default_rng(0))
+        se = new.std(ddof=1) / np.sqrt(trials)
+        assert abs(new.mean() - expected) <= 3.0 * se
 
 
 class TestRunAbm:
@@ -227,7 +190,7 @@ class TestRunAbm:
 
     def test_conservation_and_monotone_compartments(self):
         rng = np.random.default_rng(31)
-        for _ in range(10):
+        for case in range(10):
             n = int(rng.integers(100, 2000))
             k = int(rng.integers(1, 6)) * 2
             topo = build_small_world(n, k, float(rng.random()), seed=rng)
@@ -235,20 +198,12 @@ class TestRunAbm:
                                 p=float(rng.uniform(0.05, 0.6)),
                                 d=float(rng.uniform(1, 10)),
                                 i0=int(rng.integers(1, 5)))
-            pop = Population(n)
-            pop.infect(np.arange(params.initial_infected), params.illness_duration)
-            prev_s, prev_i, prev_r = counts(pop)
-            cumulative = prev_i
-            for _day in range(56):
-                new = step_day(pop, topo, params, rng)
-                s, i, r = counts(pop)
-                assert s + i + r == n
-                assert s <= prev_s
-                assert r >= prev_r
-                assert i >= 0
-                cumulative += new
-                assert cumulative == n - s
-                prev_s, prev_i, prev_r = s, i, r
+            s, i, r = _simulate(params, topo, 8, rng, bool(case % 2)).states.T
+            assert s[0] == n - params.initial_infected and r[0] == 0
+            assert np.all(s + i + r == n)
+            assert np.all(np.diff(s) <= 0)
+            assert np.all(np.diff(r) >= 0)
+            assert np.all(i >= 0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), weeks=st.integers(1, 4),
@@ -335,27 +290,34 @@ def random_case(rng):
     return topo, params
 
 
+def assert_matches_reference(params, topo, weeks, seed, exponential_recovery):
+    """:func:`_simulate` equals the reference daily rows, Generator state included."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    daily = _simulate(params, topo, weeks, rng, exponential_recovery).states
+    expected = reference_daily_counts(params, topo, weeks, ref_rng, exponential_recovery)
+    where = f"seed {seed}, n={topo.n}, duration {params.illness_duration}"
+    assert np.array_equal(daily, expected), where
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("exponential_recovery", [False, True])
     def test_random_graphs_step_for_step(self, exponential_recovery):
         cases = np.random.default_rng(2024)
         for case in range(60):
             topo, params = random_case(cases)
-            seeds = cases.choice(topo.n, size=params.initial_infected, replace=False)
-            pop = Population(topo.n)
-            pop.infect(seeds, params.illness_duration)
-            status, days_remaining = pop.status.copy(), pop.days_remaining.copy()
-            rng = np.random.default_rng(case)
-            ref_rng = np.random.default_rng(case)
-            for day in range(25):
-                new = step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-                expected = reference_step_day(status, days_remaining, topo, params, ref_rng,
-                                              exponential_recovery)
-                where = f"case {case}, n={topo.n}, day {day}"
-                assert new == expected, where
-                assert np.array_equal(pop.status, status), where
-                assert np.array_equal(pop.days_remaining, days_remaining), where
-                assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+            assert_matches_reference(params, topo, 4, case, exponential_recovery)
+
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    @pytest.mark.parametrize("duration", [1e-3, 0.5, 1.0, 3.0, 4.2, 2.0**53, np.inf])
+    def test_durations(self, duration, exponential_recovery):
+        # whole, fractional, tiny and unreachable durations recover on the
+        # days of the reference's float countdown
+        cases = np.random.default_rng(16)
+        for case in range(20):
+            topo, params = random_case(cases)
+            params = replace(params, illness_duration=duration)
+            assert_matches_reference(params, topo, 4, case, exponential_recovery)
 
     @pytest.mark.parametrize("exponential_recovery", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -391,32 +353,8 @@ class TestSameLawAsVersion1:
 class TestInfectiousSet:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), exponential_recovery=st.booleans())
-    def test_tracks_status_after_every_step(self, seed, exponential_recovery):
-        rng = np.random.default_rng(seed)
-        topo, params = random_case(rng)
-        pop = Population(topo.n)
-        # repeated and negative indices, and a second call that overlaps the first
-        pop.infect(rng.integers(-topo.n, topo.n, size=params.initial_infected),
-                   params.illness_duration)
-        pop.infect(rng.integers(0, topo.n, size=2), params.illness_duration)
-        for _day in range(30):
-            assert np.array_equal(pop.infectious, np.flatnonzero(pop.status == Status.INFECTIOUS))
-            assert pop.infectious.dtype == np.intp
-            assert np.all(np.diff(pop.infectious) > 0)
-            step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), exponential_recovery=st.booleans())
     def test_daily_counts_match_status(self, seed, exponential_recovery):
+        # the counts kept from the infectious index set equal those the
+        # reference scans from its status array
         topo, params = random_case(np.random.default_rng(seed))
-        daily = _simulate(params, topo, 4, np.random.default_rng(seed), exponential_recovery).states
-        rng = np.random.default_rng(seed)
-        pop = Population(topo.n)
-        if params.initial_infected:
-            pop.infect(rng.choice(topo.n, size=params.initial_infected, replace=False),
-                       params.illness_duration)
-        rows = [counts(pop)]
-        for _day in range(28):
-            step_day(pop, topo, params, rng, exponential_recovery=exponential_recovery)
-            rows.append(counts(pop))
-        assert np.array_equal(daily, np.array(rows))
+        assert_matches_reference(params, topo, 4, seed, exponential_recovery)

@@ -387,4 +387,4 @@ class TestCompare:
                    "--inputs", str(sd_dir), "--out", str(report))
         err = capsys.readouterr().err
         assert code == 1
-        assert "mismatch" in err
+        assert f"{sd_dir}: week count mismatch: 10 weeks, the reference has 15" in err
