@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,10 @@ class SirParams:
     initial_infected: int = 1
 
     def __post_init__(self):
+        for name in ("population", "initial_infected"):
+            value = getattr(self, name)
+            _require(isinstance(value, numbers.Integral),
+                     f"{name} must be an integer, got {value!r}")
         _require(self.population >= 1, f"population must be >= 1, got {self.population}")
         _require(self.contact_rate >= 0.0, f"contact_rate must be >= 0, got {self.contact_rate}")
         _require(self.contact_rate < math.inf,
@@ -150,10 +155,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def horizon_days(self) -> float:
-        return (len(self) - 1) * self.dt
 
     @property
     def s(self) -> np.ndarray:

@@ -10,6 +10,9 @@ integrated with fixed-step classical 4th-order Runge-Kutta.  SIR is smooth
 and non-stiff, so a fixed step keeps weekly sampling exact and results
 bit-reproducible; the default step is 0.1 day.
 
+Simulated time has one step rule: ``days`` hold ``floor(days / dt + 1e-12)``
+whole steps of ``dt``, and every function here counts steps by it.
+
 The order of the floating-point operations in a step is part of the output
 contract, as the draw order is in :mod:`sirvar.abm` and
 :mod:`sirvar.network`: each stage computes its infection flux
@@ -61,23 +64,25 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     Returns
     -------
     Trajectory
-        ``floor(horizon_days / dt) + 1`` states including the initial one.
+        ``floor(horizon_days / dt + 1e-12) + 1`` states including the initial one.
 
     Raises
     ------
+    ValueError
+        If ``dt`` is not positive or leaves no whole step in ``horizon_days``.
     StepSizeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
         ``CONSERVATION_RTOL * N``.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if dt > horizon_days:
+    steps = _step_count(horizon_days, dt)
+    if steps < 1:
         raise ValueError(f"dt={dt} exceeds horizon_days={horizon_days}")
 
     a, b = derived_rates(params)
     n = float(params.population)
-    steps = int(np.floor(horizon_days / dt + 1e-12))
 
     s = n - float(params.initial_infected)
     i = float(params.initial_infected)
@@ -132,26 +137,38 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     return Trajectory(dt=dt, states=np.array(flat).reshape(steps + 1, 3))
 
 
+def _step_count(days: float, dt: float) -> int:
+    """Whole steps of ``dt`` in ``days``: ``floor(days / dt + 1e-12)``, the one step rule."""
+    count = days / dt + 1e-12
+    if not count < 2.0**63:
+        raise ValueError(f"dt={dt} divides {days} days into more steps than an int64 index holds")
+    return math.floor(count)
+
+
 def week_indices(dt: float, weeks: int) -> np.ndarray:
     """Indices of days 7, 14, ..., ``7 * weeks`` on the integration grid of step ``dt``.
 
     Raises
     ------
     ValueError
-        If ``dt`` is not positive, ``weeks < 1``, or a week boundary is
-        not a whole number of steps.
+        If ``dt`` is not positive, ``weeks < 1``, a week boundary is not a
+        whole number of steps, or the last one's nearest step is past the
+        ``floor(7 * weeks / dt + 1e-12)`` steps that :func:`integrate` runs.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
+    steps = _step_count(7.0 * weeks, dt)
     indices = np.empty(weeks, dtype=int)
     for w in range(weeks):
         day = 7.0 * (w + 1)
-        idx = int(round(day / dt))
+        idx = round(day / dt)
         if not abs(idx * dt - day) <= 1e-9:  # NaN fails too: dt = inf gives 0 * inf
             raise ValueError(f"dt={dt} does not place day {day} on the integration grid")
         indices[w] = idx
+    if idx > steps:
+        raise ValueError(f"dt={dt} places day {day} at step {idx}, past the {steps} steps in it")
     return indices
 
 
@@ -161,14 +178,11 @@ def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     ``infected[w]`` is the prevalence at day ``7 * (w + 1)``, i.e. at the
     end of each week.  This is the one end-of-week rule of both paradigms:
     it samples the ODE's trajectory and the ABM's one-day trajectory of
-    daily counts alike.  The step must divide the week boundaries (true for
-    the defaults and for one day), otherwise the requested instants are
-    not on the grid and :func:`week_indices` raises before the horizon check.
+    daily counts alike.  The rows come from :func:`week_indices`, so a
+    trajectory from :func:`integrate` over ``7 * weeks`` days always holds
+    them; a shorter one raises :class:`HorizonError`.
     """
     indices = week_indices(traj.dt, weeks)
-    if traj.horizon_days < 7.0 * weeks - 1e-9:
-        raise HorizonError(
-            f"trajectory spans {traj.horizon_days:.3f} days, "
-            f"need at least {7 * weeks} for {weeks} weeks"
-        )
+    if indices[-1] >= len(traj):
+        raise HorizonError(f"trajectory ends at step {len(traj) - 1}, before week {weeks} ends")
     return WeeklySeries(traj.i[indices])

@@ -84,6 +84,9 @@ class TestUsage:
         (["run-abm", "--population", str(2**31)], "--population must be below 2**31"),
         (["run-abm", "--population", str(2**31), "--reuse-network"],
          "--population must be below 2**31"),
+        (["run-sd", "--dt", "0.1000000000001"], "dt=0.1000000000001"),
+        (["run-mc", "--vary", "all", "--dt", "0.0333333333334"], "dt=0.0333333333334"),
+        (["run-sd", "--dt", "1e-300"], "dt=1e-300"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -94,22 +97,28 @@ class TestUsage:
         assert not out.exists()
 
     @staticmethod
-    def loaded_after_import(module: str) -> bool:
-        """Whether ``module`` is loaded once a fresh interpreter imports ``sirvar.cli``."""
+    def modules_after_import(target: str) -> set[str]:
+        """The modules loaded once a fresh interpreter imports ``target``."""
         package_root = str(Path(sirvar.__file__).parents[1])
         code = (f"import sys; sys.path.insert(0, {package_root!r}); "
-                f"import sirvar.cli; print({module!r} in sys.modules)")
+                f"import {target}; print(*sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, timeout=60)
-        return done.stdout.strip() == "True"
+        return set(done.stdout.split())
 
     def test_import_leaves_scipy_out(self):
-        assert not self.loaded_after_import("scipy")
+        assert "scipy" not in self.modules_after_import("sirvar.cli")
 
     @pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
     def test_import_leaves_process_pool_out(self, module):
         # serial commands never open a pool, so they never pay for its import
-        assert not self.loaded_after_import(module)
+        assert module not in self.modules_after_import("sirvar.cli")
+
+    def test_package_import_loads_no_submodule(self):
+        # each name is imported from the module that owns it
+        loaded = self.modules_after_import("sirvar")
+        assert "sirvar" in loaded
+        assert not {m for m in loaded if m.startswith("sirvar.")}
 
     @pytest.mark.parametrize("command", [
         ("run-mc", "--vary", "all", "--replicates", "2"),

@@ -46,6 +46,8 @@ class TestValidation:
         dict(initial_infected=-1),
         dict(initial_infected=1001),
         dict(contact_rate=math.inf),
+        dict(population=300.5),
+        dict(initial_infected=1.5),
     ])
     def test_out_of_range_params_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -179,7 +181,6 @@ class TestContainers:
         states = np.array([[9.0, 1.0, 0.0], [8.0, 1.5, 0.5]])
         traj = Trajectory(dt=0.5, states=states)
         assert len(traj) == 2
-        assert traj.horizon_days == 0.5
         assert np.array_equal(traj.states[1], [8.0, 1.5, 0.5])
         assert np.array_equal(traj.i, [1.0, 1.5])
         with pytest.raises(ValueError):

@@ -152,6 +152,16 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError, match=r"dt=0\.3 does not place day 7\.0 on the integration"):
             io.rerun_from_metadata(meta)
 
+    @pytest.mark.parametrize("field, value", [("population", 300.5), ("initial_infected", 1.5)])
+    def test_rerun_rejects_a_fractional_count_before_any_replicate(self, field, value):
+        meta = io.make_metadata("abm", default_params(population=300), 2, 1, replicates=2,
+                                network_k=6, network_p_rewire=0.2, reuse_network=False,
+                                exponential_recovery=False)
+        meta["params"][field] = value  # as a hand-edited metadata.json would hold it
+        # a failing replicate would raise RuntimeError("replicate 0 failed: ...")
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            io.rerun_from_metadata(meta)
+
     def test_runs_record_the_stream_versions(self):
         meta = io.make_metadata("sd", default_params(), 2, 1, dt=0.1)
         assert meta["streams"] == {"sd_mc": 1, "network": 2, "abm": 2}

@@ -325,7 +325,9 @@ class TestWeeklySample:
         with pytest.raises(ValueError):
             weekly_sample(Trajectory(dt=0.3, states=states), weeks=2)
 
-    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0, math.inf])
+    # 0.1000000000001 places day 14 nearest step 140, but 14 days hold 139 whole
+    # steps; 1e-300 gives more steps than an int64 index holds
+    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0, math.inf, 0.1000000000001, 1e-300])
     def test_week_indices_reject_steps_off_the_week_grid(self, dt):
         with pytest.raises(ValueError, match="dt"):
             week_indices(dt, 2)
@@ -335,6 +337,27 @@ class TestWeeklySample:
         assert week_indices(7.0, 2).tolist() == [1, 2]
         with pytest.raises(ValueError):
             week_indices(0.1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 399), exponent=st.floats(-17.0, -8.0),
+           sign=st.sampled_from([-1.0, 1.0]), weeks=st.integers(1, 19))
+    def test_accepted_steps_integrate_to_the_last_week(self, k, exponent, sign, weeks):
+        # steps near the week grid: some are rejected, the rest must run to the last week
+        dt = 7.0 / k * (1.0 + sign * 10.0**exponent)
+        try:
+            indices = week_indices(dt, weeks)
+        except ValueError:
+            return
+        params = SirParams(population=1000, contact_rate=2.0, infection_prob=0.1,
+                           illness_duration=10.0, initial_infected=10)
+        traj = integrate(params, 7.0 * weeks, dt)
+        assert len(traj) == indices[-1] + 1
+        assert weekly_sample(traj, weeks).weeks == weeks
+
+    def test_a_step_a_hair_above_the_horizon_is_one_step(self):
+        # floor(7 / dt + 1e-12) = 1, and the week grid accepts this dt too
+        assert len(integrate(default_params(), 7.0, 7.000000000000132)) == 2
+        assert week_indices(7.000000000000132, 1).tolist() == [1]
 
     def test_peak_week_matches_trajectory_argmax(self):
         params = default_params()
