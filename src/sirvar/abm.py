@@ -67,6 +67,9 @@ _STREAM_NETWORK = 0
 _STREAM_SIMULATION = 1
 # Spawn key marking the shared network when replicates reuse one topology.
 _SHARED_NETWORK_KEY = (0x6E6574,)
+# The largest mean numpy's Poisson draw takes; a larger one raises
+# "lam value too large".
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -130,6 +133,16 @@ def _simulate(
     return Trajectory(dt=1.0, states=daily)
 
 
+def check_transmission_mean(params: SirParams) -> None:
+    """Raise ``ValueError`` if ``contact_rate * infection_prob``, the Poisson mean
+    of an infectious agent's transmitting contacts per day, is above the largest
+    mean numpy's Poisson draw takes."""
+    mean = params.contact_rate * params.infection_prob
+    if mean > _POISSON_MEAN_MAX:
+        raise ValueError(f"contact_rate * infection_prob = {mean:.6g} is above "
+                         f"{_POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws")
+
+
 def run_abm(
     params: SirParams,
     topo: NetworkTopology,
@@ -147,14 +160,15 @@ def run_abm(
     Raises
     ------
     ValueError
-        If ``params.population`` does not match the topology size, or if
-        ``weeks < 1``.
+        If ``params.population`` does not match the topology size, if
+        ``weeks < 1``, or if :func:`check_transmission_mean` rejects ``params``.
     """
     if params.population != topo.n:
         raise ValueError(
             f"params.population={params.population} does not match topology n={topo.n}"
         )
     week_indices(1.0, weeks)
+    check_transmission_mean(params)
     rng = np.random.default_rng(seed)
     return weekly_sample(_simulate(params, topo, weeks, rng, exponential_recovery), weeks)
 
@@ -185,9 +199,11 @@ def run_abm_ensemble(
     By default every replicate generates its own topology and index cases
     from its own streams; with ``reuse_network`` a single topology (derived
     from the master seed alone) is shared by all replicates.  ``weeks`` is
-    checked by :func:`sirvar.sd.week_indices` before any network is built.
+    checked by :func:`sirvar.sd.week_indices`, and ``params`` by
+    :func:`check_transmission_mean`, before any network is built.
     """
     week_indices(1.0, weeks)
+    check_transmission_mean(params)
     shared = None
     if reuse_network:
         net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)

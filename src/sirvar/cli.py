@@ -25,6 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, io, stats
+from .abm import check_transmission_mean
 from .core import (
     DEFAULT_ILLNESS_DURATION,
     DEFAULT_INFECTION_PROB,
@@ -32,7 +33,7 @@ from .core import (
     SirParams,
     calibrate_contact_rate,
 )
-from .montecarlo import VariationSpec
+from .montecarlo import VariationSpec, check_spread
 from .network import NODE_LIMIT, NetworkGenParams
 from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
 
@@ -141,14 +142,18 @@ def cmd_run_sd(args) -> int:
     return 0
 
 
-def _mc_inputs(args) -> tuple[str, dict]:
+def _mc_inputs(args, params: SirParams) -> tuple[str, dict]:
     spec = VariationSpec(sigma_fraction=args.sigma, **_SCENARIOS[args.vary])
     week_indices(args.dt, args.weeks)
+    try:
+        check_spread(params, spec)
+    except ValueError as exc:
+        raise UsageError(f"--sigma: {exc}") from None
     return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec),
                          replicates=args.replicates)
 
 
-def _abm_inputs(args) -> tuple[str, dict]:
+def _abm_inputs(args, params: SirParams) -> tuple[str, dict]:
     if args.k >= args.population:
         raise UsageError(
             f"--k must be < --population, got k={args.k}, population={args.population}")
@@ -156,6 +161,7 @@ def _abm_inputs(args) -> tuple[str, dict]:
         raise UsageError(
             f"--population must be below 2**31 for run-abm, got {args.population}")
     gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
+    check_transmission_mean(params)
     return "abm", dict(
         replicates=args.replicates,
         network_k=gen.k,
@@ -172,7 +178,7 @@ def cmd_run_ensemble(args) -> int:
         params, provenance = _params_from_args(args)
         if args.replicates < 1:
             raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
-        kind, inputs = args.inputs(args)
+        kind, inputs = args.inputs(args, params)
     meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
     start = time.perf_counter()
     ensemble = io.rerun_from_metadata(meta, threads=args.threads)

@@ -100,16 +100,16 @@ def _read_table(path, header: str | None, first_index: int) -> list[list[float]]
 
 
 def _fmt(value: float) -> str:
-    v = float(value)
-    return str(int(v)) if v.is_integer() else repr(v)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def _write_table(path, header: str, first_index: int, rows) -> None:
-    """Write a weekly-count table: ``header``, then each row's index and values."""
+    """Write a weekly-count table: ``header``, then each row's index and values,
+    which are Python floats (an array's ``tolist()``), not numpy scalars."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for index, values in enumerate(rows, start=first_index):
-            fh.write(f"{index},{','.join(_fmt(v) for v in values)}\n")
+            fh.write(f"{index},{','.join(map(_fmt, values))}\n")
 
 
 def load_reference(path) -> WeeklySeries:
@@ -198,9 +198,9 @@ def _save_run(out_dir, metadata: dict, fmt: str, results: dict, tables: dict) ->
 
 def save_series_run(series: WeeklySeries, out_dir, metadata: dict, fmt: str = "csv") -> None:
     """Persist a deterministic single-series run."""
-    _save_run(out_dir, metadata, fmt,
-              results={"series": series.infected.tolist()},
-              tables={"series.csv": ("week,infected", 1, series.infected[:, None])})
+    infected = series.infected.tolist()
+    _save_run(out_dir, metadata, fmt, results={"series": infected},
+              tables={"series.csv": ("week,infected", 1, zip(infected))})
 
 
 def save_ensemble(
@@ -212,13 +212,13 @@ def save_ensemble(
 ) -> None:
     """Persist an ensemble run: replicate matrix, summary and metadata."""
     meta = {**metadata, "total_variation": summary.total_variation}
-    columns = {name: getattr(summary, name) for name in ("median", "q1", "q3", "iqr")}
+    columns = {name: getattr(summary, name).tolist() for name in ("median", "q1", "q3", "iqr")}
+    matrix = ensemble.matrix.tolist()
     weeks = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
     _save_run(out_dir, meta, fmt,
-              results={"ensemble": ensemble.matrix.tolist(),
-                       "summary": {**{name: col.tolist() for name, col in columns.items()},
-                                   "total_variation": summary.total_variation}},
-              tables={"ensemble.csv": (f"replicate,{weeks}", 0, ensemble.matrix),
+              results={"ensemble": matrix,
+                       "summary": {**columns, "total_variation": summary.total_variation}},
+              tables={"ensemble.csv": (f"replicate,{weeks}", 0, matrix),
                       "summary.csv": (f"week,{','.join(columns)}", 1, zip(*columns.values()))})
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
+from .sd import DEFAULT_DT, integrate, week_indices
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
@@ -81,6 +81,16 @@ def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
     return min(max(value, floor), upper), True
 
 
+def check_spread(base: SirParams, spec: VariationSpec) -> None:
+    """Raise ``ValueError`` if a varied parameter's spread ``sigma_fraction * base``
+    is not finite, naming the first such parameter in draw order."""
+    for flag, field, *_ in _VARIED:
+        mean = getattr(base, field)
+        if getattr(spec, flag) and not spec.sigma_fraction * mean < math.inf:
+            raise ValueError(f"sigma_fraction * {field} = {spec.sigma_fraction!r} * {mean!r} "
+                             "is not finite")
+
+
 def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
                   replicate_index: int) -> tuple[SirParams, int]:
     """Parameter set for one replicate of a seeded ensemble, and how many draws were clamped.
@@ -102,10 +112,9 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
 
 
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
-    base, spec, weeks, master_seed, dt = context
+    base, spec, weeks, rows, master_seed, dt = context
     params, clamped = sample_params(base, spec, master_seed, r)
-    traj = integrate(params, horizon_days=7.0 * weeks, dt=dt)
-    return weekly_sample(traj, weeks).infected, clamped
+    return integrate(params, horizon_days=7.0 * weeks, dt=dt).i[rows], clamped
 
 
 def run_sd_ensemble(
@@ -120,13 +129,15 @@ def run_sd_ensemble(
     """Run the Monte-Carlo ensemble for one variation scenario.
 
     Replicate ``r`` integrates ``sample_params(base, spec, master_seed, r)``
-    and samples it weekly; ``replicates`` and ``master_seed`` are checked
-    where the agent-based ensemble's are, and ``dt`` and ``weeks`` by
-    :func:`sirvar.sd.week_indices` before any replicate runs.  The result
-    counts the clamped draws of all replicates and is a pure function of
-    the inputs, independent of ``threads``.
+    and keeps the rows of the week grid that :func:`sirvar.sd.week_indices`
+    places once for all replicates, so that ``dt`` and ``weeks`` are checked
+    before any replicate runs, as is each spread by :func:`check_spread`.
+    ``replicates`` and ``master_seed`` are checked where the agent-based
+    ensemble's are.  The result counts the clamped draws of all replicates
+    and is a pure function of the inputs, independent of ``threads``.
     """
-    week_indices(dt, weeks)
-    rows = run_replicates(_sd_replicate, (base, spec, weeks, master_seed, dt), replicates, threads)
+    check_spread(base, spec)
+    context = (base, spec, weeks, week_indices(dt, weeks), master_seed, dt)
+    rows = run_replicates(_sd_replicate, context, replicates, threads)
     return EnsembleResult([row for row, _ in rows],
                           clamped_draws=sum(clamped for _, clamped in rows))

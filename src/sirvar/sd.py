@@ -13,6 +13,13 @@ bit-reproducible; the default step is 0.1 day.
 Simulated time has one step rule: ``days`` hold ``floor(days / dt + 1e-12)``
 whole steps of ``dt``, and every function here counts steps by it.
 
+Each step checks only whether a compartment went negative or NaN.  Such a
+step gets the full check at once, valid region and conservation drift, and
+is either clipped to zero or ends the loop.  The other steps are checked
+together over the finished trajectory, and the first failing step raises,
+as a check of every step would.  So a failing run stops within one step of
+its first negative or NaN state; drift alone shows after the whole horizon.
+
 The order of the floating-point operations in a step is part of the output
 contract, as the draw order is in :mod:`sirvar.abm` and
 :mod:`sirvar.network`: each stage computes its infection flux
@@ -73,7 +80,8 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     StepSizeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
-        ``CONSERVATION_RTOL * N``.
+        ``CONSERVATION_RTOL * N``.  A negative or NaN state ends the loop at
+        once; drift alone is found after the last step.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -89,10 +97,9 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     r = 0.0
     flat = [s, i, r]
 
-    neg_tol = _NEGATIVE_RTOL * n
-    cons_tol = CONSERVATION_RTOL * n
     half = 0.5 * dt
     sixth = dt / 6.0
+    checked = []  # steps checked, and clipped, in the loop
 
     for k in range(steps):
         # x is a stage's infection flux a*S*I: dS = -x, dI = x - b*I.
@@ -112,29 +119,57 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
         i += di
         r -= di - ds  # dR = -(dS + dI); keeps the sum conserved to roundoff
 
-        drift = s + i + r - n
-        if s < 0.0 or i < 0.0 or r < 0.0 or not -cons_tol <= drift <= cons_tol:
-            # Written so that a NaN or infinite state fails too.
-            if not (-neg_tol <= s < math.inf and -neg_tol <= i < math.inf
-                    and -neg_tol <= r < math.inf):
-                finite = all(map(math.isfinite, (s, i, r)))
-                raise StepSizeError(
-                    f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
-                    f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; "
-                    f"{'reduce dt' if finite else 'the state is not finite'}"
-                )
-            if not -cons_tol <= drift <= cons_tol:
-                raise StepSizeError(
-                    f"conservation drift exceeds {cons_tol:.3g} at step {k + 1} with dt={dt}"
-                )
+        if not (s >= 0.0 and i >= 0.0 and r >= 0.0):  # NaN fails too
+            if not (_in_region(s, i, r, n) and _conserved(s, i, r, n)):
+                flat += (s, i, r)  # unclipped, for _check_states to report
+                break
             # Clip roundoff-scale negatives so downstream types stay valid.
+            checked.append(k + 1)
             if s < 0.0:
                 s = 0.0
             if i < 0.0:
                 i = 0.0
         flat += (s, i, r)
 
-    return Trajectory(dt=dt, states=np.array(flat).reshape(steps + 1, 3))
+    states = np.fromiter(flat, float, len(flat)).reshape(-1, 3)
+    _check_states(states, checked, n, dt)
+    return Trajectory(dt=dt, states=states)
+
+
+def _in_region(s, i, r, n):
+    """No compartment below ``-_NEGATIVE_RTOL * n``, infinite or NaN; elementwise on arrays."""
+    tol = _NEGATIVE_RTOL * n
+    return ((-tol <= s) & (s < math.inf) & (-tol <= i) & (i < math.inf)
+            & (-tol <= r) & (r < math.inf))
+
+
+def _conserved(s, i, r, n):
+    """``S + I + R`` within ``CONSERVATION_RTOL * n`` of ``n``, not NaN; elementwise on arrays."""
+    tol = CONSERVATION_RTOL * n
+    drift = s + i + r - n
+    return (-tol <= drift) & (drift <= tol)
+
+
+def _check_states(states, checked, n, dt) -> None:
+    """Raise :class:`StepSizeError` at the first state of ``states`` (row ``k``
+    is the state after step ``k``) that leaves the valid region or drifts,
+    skipping the steps in ``checked``."""
+    valid = _in_region(*states.T, n) & _conserved(*states.T, n)
+    valid[checked] = True
+    if valid.all():
+        return
+    step = int(valid.argmin())
+    s, i, r = states[step].tolist()
+    if not _in_region(s, i, r, n):
+        finite = all(map(math.isfinite, (s, i, r)))
+        raise StepSizeError(
+            f"state left the valid region at step {step} (t={step * dt:.3f} d) "
+            f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; "
+            f"{'reduce dt' if finite else 'the state is not finite'}"
+        )
+    raise StepSizeError(
+        f"conservation drift exceeds {CONSERVATION_RTOL * n:.3g} at step {step} with dt={dt}"
+    )
 
 
 def _step_count(days: float, dt: float) -> int:
@@ -147,6 +182,10 @@ def _step_count(days: float, dt: float) -> int:
 
 def week_indices(dt: float, weeks: int) -> np.ndarray:
     """Indices of days 7, 14, ..., ``7 * weeks`` on the integration grid of step ``dt``.
+
+    This is the one end-of-week rule: :func:`weekly_sample` applies it to a
+    trajectory, and :func:`sirvar.montecarlo.run_sd_ensemble` computes it once
+    and applies it to every replicate's trajectory.
 
     Raises
     ------
@@ -176,11 +215,12 @@ def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
     """Resample a trajectory onto the weekly reporting grid.
 
     ``infected[w]`` is the prevalence at day ``7 * (w + 1)``, i.e. at the
-    end of each week.  This is the one end-of-week rule of both paradigms:
-    it samples the ODE's trajectory and the ABM's one-day trajectory of
-    daily counts alike.  The rows come from :func:`week_indices`, so a
-    trajectory from :func:`integrate` over ``7 * weeks`` days always holds
-    them; a shorter one raises :class:`HorizonError`.
+    end of each week.  It samples the ODE's trajectory and the ABM's one-day
+    trajectory of daily counts alike, at the rows of :func:`week_indices`,
+    the one end-of-week rule, so a trajectory from :func:`integrate` over
+    ``7 * weeks`` days always holds them; a shorter one raises
+    :class:`HorizonError`.  A Monte-Carlo ensemble indexes its replicates'
+    trajectories by those rows directly.
     """
     indices = week_indices(traj.dt, weeks)
     if indices[-1] >= len(traj):

@@ -15,7 +15,7 @@ from sirvar.sd import integrate, weekly_sample
 
 def save_series(series: WeeklySeries, path) -> None:
     """Write a weekly series in the reference CSV schema that ``io.load_reference`` reads."""
-    _write_table(path, "week,infected", 1, series.infected[:, None])
+    _write_table(path, "week,infected", 1, series.infected[:, None].tolist())
 
 
 def synthetic_reference_path() -> Path:

@@ -266,6 +266,36 @@ class TestEnsemble:
             run_abm_ensemble(params_for(300), NetworkGenParams(k=6, p_rewire=0.2), weeks=0,
                              replicates=2, master_seed=1, reuse_network=reuse_network)
 
+    @pytest.mark.parametrize("reuse_network", [False, True], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("params", [params_for(300, c=1e300, p=0.065),
+                                        params_for(300, c=abm._POISSON_MEAN_MAX * 2, p=1.0)])
+    def test_poisson_mean_is_checked_before_any_network(self, monkeypatch, params,
+                                                        reuse_network):
+        def build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(abm, "build_small_world", build)
+        with pytest.raises(ValueError, match=r"contact_rate \* infection_prob = .* is above "
+                                             r"9\.22337e\+18, the largest Poisson mean"):
+            run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
+                             replicates=2, master_seed=1, reuse_network=reuse_network)
+
+    def test_run_abm_checks_the_poisson_mean(self):
+        topo = build_small_world(300, 6, 0.2, seed=3)
+        with pytest.raises(ValueError, match=r"contact_rate \* infection_prob = 6\.5e\+298"):
+            run_abm(params_for(300, c=1e300, p=0.065), topo, weeks=2, seed=0)
+
+    def test_poisson_mean_bound_is_numpys(self):
+        # size 0 checks the mean without drawing
+        rng = np.random.default_rng(0)
+        rng.poisson(abm._POISSON_MEAN_MAX, 0)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(abm._POISSON_MEAN_MAX, np.inf), 0)
+        abm.check_transmission_mean(params_for(300, c=abm._POISSON_MEAN_MAX, p=1.0))
+        with pytest.raises(ValueError, match="largest Poisson mean"):
+            abm.check_transmission_mean(
+                params_for(300, c=float(np.nextafter(abm._POISSON_MEAN_MAX, np.inf)), p=1.0))
+
     def test_replicate_errors_are_tagged(self):
         params = params_for(10, i0=1)
         gen = NetworkGenParams(k=10, p_rewire=0.0)  # k == n is invalid

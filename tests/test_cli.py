@@ -87,6 +87,14 @@ class TestUsage:
         (["run-sd", "--dt", "0.1000000000001"], "dt=0.1000000000001"),
         (["run-mc", "--vary", "all", "--dt", "0.0333333333334"], "dt=0.0333333333334"),
         (["run-sd", "--dt", "1e-300"], "dt=1e-300"),
+        (["run-mc", "--vary", "all", "--sigma", "1e308", "--replicates", "2"],
+         "--sigma: sigma_fraction * illness_duration = 1e+308 * 4.2 is not finite"),
+        (["run-mc", "--vary", "contact", "--sigma", "1e308", "--replicates", "2"],
+         "--sigma: sigma_fraction * contact_rate = 1e+308 * "),
+        (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e300"],
+         "contact_rate * infection_prob = 6.5e+298 is above 9.22337e+18"),
+        (["run-abm", "--population", "300", "--replicates", "1", "--illness-duration", "1e-300"],
+         "contact_rate * infection_prob = 1.54362e+300 is above 9.22337e+18"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

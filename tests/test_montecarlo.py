@@ -1,10 +1,13 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirvar import montecarlo
 from sirvar.core import SirParams, default_params
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble, sample_params
 from sirvar.sd import integrate, weekly_sample
@@ -122,6 +125,28 @@ class TestEnsemble:
         serial = run_sd_ensemble(base, spec, weeks=6, replicates=12, master_seed=31, threads=1)
         parallel = run_sd_ensemble(base, spec, weeks=6, replicates=12, master_seed=31, threads=3)
         assert np.array_equal(serial.matrix, parallel.matrix)
+
+    @pytest.mark.parametrize("flags, sigma, base, named", [
+        ((True, True, True), 1e308, default_params(), "illness_duration = 1e+308 * 4.2"),
+        ((False, True, False), 1e308, default_params(), "contact_rate = 1e+308 * "),
+        ((True, False, False), 0.1, replace(default_params(), illness_duration=math.inf),
+         "illness_duration = 0.1 * inf"),
+    ])
+    def test_spread_that_is_not_finite_fails_before_any_replicate(self, monkeypatch, flags,
+                                                                  sigma, base, named):
+        def replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(montecarlo, "_sd_replicate", replicate)
+        with pytest.raises(ValueError, match=re.escape(f"sigma_fraction * {named}")):
+            run_sd_ensemble(base, VariationSpec(*flags, sigma_fraction=sigma), weeks=2,
+                            replicates=2, master_seed=1)
+
+    def test_largest_finite_spread_runs(self):
+        # 1e308 * 0.065 is finite, so varying infection_prob alone still runs
+        spec = VariationSpec(vary_infection=True, sigma_fraction=1e308)
+        ens = run_sd_ensemble(default_params(), spec, weeks=2, replicates=2, master_seed=1)
+        assert ens.replicates == 2 and ens.clamped_draws == 2
 
     def test_replicate_errors_are_tagged(self):
         bad = SirParams(population=100, contact_rate=1e6, infection_prob=1.0,

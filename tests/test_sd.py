@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sirvar.sd
 from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
     default_params, derived_rates
 from sirvar.sd import CONSERVATION_RTOL, HorizonError, StepSizeError, integrate, week_indices, \
@@ -301,6 +303,86 @@ class TestNonFinite:
                               illness_duration=0.2, initial_infected=10)
         with pytest.raises(StepSizeError, match="; reduce dt$"):
             integrate(too_large, horizon_days=20.0, dt=2.0)
+
+
+# Its negative state at step 10 comes after roundoff drift of more than
+# 1e-16 * N at step 6.
+DRIFTS_THEN_FAILS = (SirParams(population=38071, contact_rate=27.285589114954877,
+                               infection_prob=0.6669930438538807,
+                               illness_duration=25.77677158354964, initial_infected=1830),
+                     56.0, 0.25)
+
+
+class TestCheckAfterTheLoop:
+    """The loop checks only the steps that go negative or NaN; drift on the
+    others is found over the finished trajectory, at the same step and with
+    the same error as the reference loop."""
+
+    @pytest.fixture
+    def conservation_rtol(self, monkeypatch):
+        def set_rtol(rtol):
+            monkeypatch.setattr(sirvar.sd, "CONSERVATION_RTOL", rtol)
+            monkeypatch.setattr(sys.modules[__name__], "CONSERVATION_RTOL", rtol)
+        return set_rtol
+
+    @pytest.fixture
+    def checked_lengths(self, monkeypatch):
+        """Number of states the loop hands to the post-loop check, per call."""
+        lengths = []
+        check = sirvar.sd._check_states
+
+        def spy(states, *args):
+            lengths.append(len(states))
+            return check(states, *args)
+
+        monkeypatch.setattr(sirvar.sd, "_check_states", spy)
+        return lengths
+
+    @pytest.mark.parametrize("rtol, step", [(0.0, 1), (2e-16, 15), (5e-16, 61), (7e-16, 475)])
+    def test_drift_alone_fails_at_the_reference_step(self, conservation_rtol, checked_lengths,
+                                                     rtol, step):
+        conservation_rtol(rtol)
+        expected = outcome(reference_integrate, default_params(), 56.0, 0.1)
+        assert expected[0] is StepSizeError
+        assert expected[1].startswith("conservation drift") and f"at step {step} " in expected[1]
+        assert outcome(integrate, default_params(), 56.0, 0.1) == expected
+        # S, I and R stay >= 0, so only the check over all 560 steps finds it
+        assert checked_lengths == [561]
+
+    def test_earlier_drift_is_raised_before_a_later_negative_state(self, conservation_rtol,
+                                                                   checked_lengths):
+        negative = outcome(reference_integrate, *DRIFTS_THEN_FAILS)
+        assert negative[1].startswith("state left the valid region at step 10 ")
+        assert outcome(integrate, *DRIFTS_THEN_FAILS) == negative
+        conservation_rtol(1e-16)
+        drift = outcome(reference_integrate, *DRIFTS_THEN_FAILS)
+        assert drift[1].startswith("conservation drift") and "at step 6 " in drift[1]
+        assert outcome(integrate, *DRIFTS_THEN_FAILS) == drift
+        # both runs stop at the negative state of step 10
+        assert checked_lengths == [11, 11]
+
+    def test_a_clipped_step_is_not_checked_again(self, conservation_rtol):
+        # Step 4 of CLIPPED[0] clips I = -2.6e-6 to zero: its drift is 0 before the
+        # clip, within the tolerance, and 2.6e-6 after it, beyond it, from step 5 on.
+        conservation_rtol(1e-12)
+        expected = outcome(reference_integrate, *CLIPPED[0])
+        assert expected[1].startswith("conservation drift") and "at step 5 " in expected[1]
+        assert outcome(integrate, *CLIPPED[0]) == expected
+
+    @pytest.mark.parametrize("params, horizon_days, dt, step", [
+        (SirParams(population=52910, contact_rate=1e300, infection_prob=0.065,
+                   illness_duration=4.2), 7000.0, 0.1, 1),
+        (*DRIFTS_THEN_FAILS, 10),
+        # only R goes negative: S=38888.1, I=190205, R=-36799.6
+        (SirParams(population=192293, contact_rate=35.21960706554047,
+                   infection_prob=0.02790910627373866, illness_duration=0.4581744904249627,
+                   initial_infected=17176), 56.0, 2.0, 7),
+    ])
+    def test_loop_stops_at_the_first_negative_or_nan_state(self, checked_lengths, params,
+                                                          horizon_days, dt, step):
+        with pytest.raises(StepSizeError, match=f"at step {step} "):
+            integrate(params, horizon_days, dt)
+        assert checked_lengths == [step + 1]
 
 
 class TestWeeklySample:
