@@ -25,20 +25,32 @@ and simulation randomness from :func:`sirvar.core.replicate_rng` streams
 and run through :func:`sirvar.core.run_replicates`.
 
 The daily counts a seed yields are fixed by the order of random draws,
-which is part of this module's contract; it is version 2 of the ``abm``
-stream in :data:`sirvar.io.STREAM_VERSIONS`.  Each day draws, in order:
+which is part of this module's contract; it is version 3 of the ``abm``
+stream in :data:`sirvar.io.STREAM_VERSIONS`.  Each day with I >= 1
+infectious agents, held in ascending index order, draws, in order:
 
-1. ``rng.poisson(contact_rate * infection_prob, I)``, one count of
-   transmitting contacts per infectious agent, in ascending agent index;
-2. ``rng.integers(0, degree)``, one neighbour slot per transmitting contact;
+1. ``T = rng.poisson(contact_rate * infection_prob * I)``, one scalar: the
+   day's transmitting contacts;
+2. ``u = rng.random((2, T))``: transmission ``t`` comes from infectious
+   agent ``floor(u[0, t] * I)`` in ascending order, and goes to its
+   neighbour slot ``floor(u[1, t] * degree)``;
 3. with ``exponential_recovery`` only, ``rng.random(I)``, one recovery test
    per agent infectious at the start of the day, in ascending agent index.
 
-Only transmitting contacts are drawn: by Poisson thinning (Kingman,
-*Poisson Processes*, 1993), Poisson(c) contacts each kept with probability
-p, independently of their uniform slots, are Poisson(c * p) contacts with
-uniform slots.  So version 1, which drew every contact and one
-``rng.random`` transmission test per contact, has the same law.
+The law is that of versions 1 and 2.  Version 1 drew Poisson(c) contacts
+per infectious agent, a uniform slot for each and one ``rng.random``
+transmission test per contact; by Poisson thinning (Kingman, *Poisson
+Processes*, 1993) the kept contacts are Poisson(c * p) per agent with
+uniform slots, which version 2 drew directly.  By Poisson splitting, I
+independent Poisson(c * p) counts are a Poisson(c * p * I) total whose
+transmissions each pick their source uniformly, which version 3 draws, one
+call per day in place of two calls of size I.  A uniform ``u`` is a
+multiple of 2**-53 in [0, 1), so ``floor(u * m)`` is within m * 2**-53 of
+uniform on 0 .. m - 1, and never reaches m: the largest ``u``, 1 - 2**-53,
+times any m < 2**53 rounds to below m by at least one spacing of the
+doubles just below m, which is at most 1.
+:func:`check_transmission_mean` keeps the day's Poisson mean, at most
+``contact_rate * infection_prob * population``, within numpy's bound.
 
 A day with no infectious agent draws nothing, and a day costs time in
 proportion to its infectious agents and contacts, not to the population.
@@ -96,6 +108,7 @@ def _simulate(
     so they are exact as floats.
     """
     n = topo.n
+    transmission_mean = params.contact_rate * params.infection_prob
     susceptible = np.ones(n, dtype=bool)
     infected_on = np.zeros(n, dtype=np.int64)
     infectious = np.sort(rng.choice(n, size=params.initial_infected, replace=False))
@@ -108,9 +121,9 @@ def _simulate(
         if infectious.size == 0:
             daily[day:] = s, 0, n - s
             break
-        transmissions = rng.poisson(params.contact_rate * params.infection_prob, infectious.size)
-        sources = np.repeat(infectious, transmissions)
-        slots = rng.integers(0, topo.degrees[sources])
+        u = rng.random((2, rng.poisson(transmission_mean * infectious.size)))
+        sources = infectious[(u[0] * infectious.size).astype(np.int64)]
+        slots = (u[1] * topo.degrees[sources]).astype(np.int64)
         targets = topo.neighbors[topo.offsets[sources] + slots]
         # All draws above use start-of-day states, so infection is
         # synchronous: a target hit twice today gets two independent
@@ -134,12 +147,12 @@ def _simulate(
 
 
 def check_transmission_mean(params: SirParams) -> None:
-    """Raise ``ValueError`` if ``contact_rate * infection_prob``, the Poisson mean
-    of an infectious agent's transmitting contacts per day, is above the largest
-    mean numpy's Poisson draw takes."""
-    mean = params.contact_rate * params.infection_prob
+    """Raise ``ValueError`` if ``contact_rate * infection_prob * population``,
+    the Poisson mean of the day's transmitting contacts when every agent is
+    infectious, is above the largest mean numpy's Poisson draw takes."""
+    mean = params.contact_rate * params.infection_prob * params.population
     if mean > _POISSON_MEAN_MAX:
-        raise ValueError(f"contact_rate * infection_prob = {mean:.6g} is above "
+        raise ValueError(f"contact_rate * infection_prob * population = {mean:.6g} is above "
                          f"{_POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws")
 
 

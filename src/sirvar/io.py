@@ -51,7 +51,7 @@ _CONVENTIONS = {
 #: Version of each random-stream family (``sd_mc``: Monte-Carlo draws,
 #: ``network``: rewiring, ``abm``: the day step).  A change to a family's
 #: draws bumps it, and :func:`rerun_from_metadata` refuses other versions.
-STREAM_VERSIONS = {"sd_mc": 1, "network": 2, "abm": 2}
+STREAM_VERSIONS = {"sd_mc": 1, "network": 2, "abm": 3}
 # The stream families each run kind draws from.
 _KIND_STREAMS = {"sd": (), "sd-mc": ("sd_mc",), "abm": ("network", "abm")}
 

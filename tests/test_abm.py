@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sirvar import abm
 from sirvar.abm import _simulate, run_abm, run_abm_ensemble
 from sirvar.core import SirParams, default_params, replicate_rng
-from sirvar.network import NetworkGenParams, build_small_world
+from sirvar.network import NODE_LIMIT, NetworkGenParams, build_small_world
 
 from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
@@ -51,8 +51,23 @@ def reference_targets_v2(infectious, topo, params, rng):
     return topo.neighbors[topo.offsets[sources] + slots]
 
 
+def reference_targets_v3(infectious, topo, params, rng):
+    """Targets of one day's transmissions under ``abm`` stream version 3.
+
+    One Poisson(contact_rate * infection_prob * I) total of transmitting
+    contacts, then a pair of uniforms for each: the first picks its source
+    among the I infectious agents in ascending order, the second its
+    neighbour slot.
+    """
+    total = rng.poisson(params.contact_rate * params.infection_prob * infectious.size)
+    u = rng.random((2, total))
+    sources = infectious[np.floor(u[0] * infectious.size).astype(np.int64)]
+    slots = np.floor(u[1] * np.diff(topo.offsets)[sources]).astype(np.int64)
+    return topo.neighbors[topo.offsets[sources] + slots]
+
+
 def reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
-                       targets_of=reference_targets_v2):
+                       targets_of=reference_targets_v3):
     """One day of the scan-everything step, on raw state arrays.
 
     It finds the infectious agents with ``flatnonzero`` over all agents
@@ -85,6 +100,12 @@ def reference_step_day_v1(status, days_remaining, topo, params, rng, exponential
     """The step of ``abm`` stream version 1, which the package ran before version 2."""
     return reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
                               targets_of=reference_targets_v1)
+
+
+def reference_step_day_v2(status, days_remaining, topo, params, rng, exponential_recovery):
+    """The step of ``abm`` stream version 2, which the package ran before version 3."""
+    return reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
+                              targets_of=reference_targets_v2)
 
 
 def reference_daily_counts(params, topo, weeks, rng, exponential_recovery,
@@ -268,21 +289,24 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("reuse_network", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("params", [params_for(300, c=1e300, p=0.065),
-                                        params_for(300, c=abm._POISSON_MEAN_MAX * 2, p=1.0)])
+                                        params_for(300, c=abm._POISSON_MEAN_MAX * 2, p=1.0),
+                                        # c * p is within the bound, the day's total is not
+                                        replace(default_params(), contact_rate=1e17)])
     def test_poisson_mean_is_checked_before_any_network(self, monkeypatch, params,
                                                         reuse_network):
         def build(*args):
             raise AssertionError("a network was built")
 
         monkeypatch.setattr(abm, "build_small_world", build)
-        with pytest.raises(ValueError, match=r"contact_rate \* infection_prob = .* is above "
-                                             r"9\.22337e\+18, the largest Poisson mean"):
+        with pytest.raises(ValueError, match=r"contact_rate \* infection_prob \* population = .* "
+                                             r"is above 9\.22337e\+18, the largest Poisson mean"):
             run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
                              replicates=2, master_seed=1, reuse_network=reuse_network)
 
     def test_run_abm_checks_the_poisson_mean(self):
         topo = build_small_world(300, 6, 0.2, seed=3)
-        with pytest.raises(ValueError, match=r"contact_rate \* infection_prob = 6\.5e\+298"):
+        with pytest.raises(ValueError,
+                           match=r"contact_rate \* infection_prob \* population = 1\.95e\+301"):
             run_abm(params_for(300, c=1e300, p=0.065), topo, weeks=2, seed=0)
 
     def test_poisson_mean_bound_is_numpys(self):
@@ -291,10 +315,12 @@ class TestEnsemble:
         rng.poisson(abm._POISSON_MEAN_MAX, 0)
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(abm._POISSON_MEAN_MAX, np.inf), 0)
-        abm.check_transmission_mean(params_for(300, c=abm._POISSON_MEAN_MAX, p=1.0))
+        # the bound is on c * p * N, the day's mean with every agent
+        # infectious; dividing by N = 2**10 is exact
+        c = abm._POISSON_MEAN_MAX / 2**10
+        abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
         with pytest.raises(ValueError, match="largest Poisson mean"):
-            abm.check_transmission_mean(
-                params_for(300, c=float(np.nextafter(abm._POISSON_MEAN_MAX, np.inf)), p=1.0))
+            abm.check_transmission_mean(params_for(2**10, c=float(np.nextafter(c, np.inf)), p=1.0))
 
     def test_replicate_errors_are_tagged(self):
         params = params_for(10, i0=1)
@@ -363,8 +389,9 @@ class TestMatchesReference:
 
 
 class TestSameLawAsVersion1:
-    """``abm`` stream version 2 draws only the transmitting contacts; by Poisson
-    thinning its epidemics have the law of version 1's, on one fixed graph."""
+    """Version 1 drew every contact and a transmission test for each; by
+    Poisson thinning and splitting the package's epidemics have its law, on
+    one fixed graph."""
 
     @pytest.mark.parametrize("exponential_recovery", [False, True])
     def test_outcomes_match_the_version_1_step(self, exponential_recovery):
@@ -378,6 +405,44 @@ class TestSameLawAsVersion1:
                                                exponential_recovery, step=reference_step_day_v1))
                for r in range(replicates)]
         assert_same_law(new, old)
+
+
+class TestSameLawAsVersion2:
+    """``abm`` stream version 3 draws one Poisson total of the day's
+    transmissions and a uniform source for each; by Poisson splitting its
+    epidemics have the law of version 2's Poisson count per agent."""
+
+    @pytest.mark.parametrize("initial_infected", [1, 10])
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    def test_outcomes_match_the_version_2_step(self, exponential_recovery, initial_infected):
+        params = default_params(population=2000, initial_infected=initial_infected)
+        topo = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
+        weeks, replicates = 10, MIN_REPLICATES
+        new = [outcomes(_simulate(params, topo, weeks, replicate_rng(3, r),
+                                  exponential_recovery).states)
+               for r in range(replicates)]
+        old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(4, r),
+                                               exponential_recovery, step=reference_step_day_v2))
+               for r in range(replicates)]
+        assert_same_law(new, old)
+
+
+class TestUniformPick:
+    """``floor(u * m)`` with numpy's uniform ``u`` stays below ``m``."""
+
+    def test_largest_uniform_picks_the_last_index(self):
+        # numpy's random() is k * 2**-53 for k < 2**53, so its largest value
+        # is the double just below 1; times any count m below NODE_LIMIT it
+        # must floor to m - 1.  Every m below 2**24, the edges of each
+        # binade up to NODE_LIMIT and a random sample of the rest.
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1.0 - 2.0**-53
+        edges = (2 ** np.arange(1, 32))[:, None] + np.arange(-2, 3)
+        sample = np.random.default_rng(0).integers(2**24, NODE_LIMIT, 2**20)
+        for m in (*np.array_split(np.arange(1, 2**24), 8), edges.ravel(), sample,
+                  np.array([NODE_LIMIT - 1])):
+            m = m[(m >= 1) & (m < NODE_LIMIT)]
+            assert np.array_equal((top * m).astype(np.int64), m - 1)
 
 
 class TestInfectiousSet:

@@ -92,9 +92,12 @@ class TestUsage:
         (["run-mc", "--vary", "contact", "--sigma", "1e308", "--replicates", "2"],
          "--sigma: sigma_fraction * contact_rate = 1e+308 * "),
         (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e300"],
-         "contact_rate * infection_prob = 6.5e+298 is above 9.22337e+18"),
+         "contact_rate * infection_prob * population = 1.95e+301 is above 9.22337e+18"),
         (["run-abm", "--population", "300", "--replicates", "1", "--illness-duration", "1e-300"],
-         "contact_rate * infection_prob = 1.54362e+300 is above 9.22337e+18"),
+         "contact_rate * infection_prob * population = 4.63086e+302 is above 9.22337e+18"),
+        # a mean per agent far below the bound whose day total at N = 52,910 is above it
+        (["run-abm", "--replicates", "1", "--contact-rate", "1e17"],
+         "contact_rate * infection_prob * population = 3.43915e+20 is above 9.22337e+18"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

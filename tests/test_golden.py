@@ -9,8 +9,9 @@ timestamp and elapsed times, and re-serialize the rest with ``indent=2``.
 The digests hold for the stream versions in ``STREAMS``.  A change that
 bumps a version re-pins the digests that change, which can only be those
 of runs that draw from it: the SD and Monte-Carlo digests predate the
-``abm`` version 2 step, and of the ABM digests only ``abm-exponential``
-changed with ``network`` version 2.
+``abm`` version 2 step, of the ABM digests only ``abm-exponential``
+changed with ``network`` version 2, and ``abm`` version 3 changed every
+ABM digest and the compare report, which reads an ABM run.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from sirvar.io import STREAM_VERSIONS
 
 from synthetic_reference import synthetic_reference_path
 
-STREAMS = {"sd_mc": 1, "network": 2, "abm": 2}
+STREAMS = {"sd_mc": 1, "network": 2, "abm": 3}
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -36,18 +37,18 @@ GOLDEN = [
         "summary.csv": "3dd78f7b473d7d9f5531c70a38b8a71157e829d69ba58653002db6bd73d720c1",
     }),
     ([*ABM, "--replicates", "4"], {
-        "ensemble.csv": "f2a3e9788ea02453f95beb1f2c193723b2b0626c96fe02e43e943f982d574fb3",
-        "summary.csv": "26cfae05e36a6658d6fd0d233b0a5919d7f0ad44d8016f864d9369204ac39070",
+        "ensemble.csv": "7d6feee923e372fc0f4693f16ef95529052ec40b83737001e8e8397a92bba9ea",
+        "summary.csv": "a5707bb68ad800ab494eb3a85bf4d56a156776c5ce87067d987d62d9193e6e96",
     }),
     ([*ABM, "--replicates", "6", "--reuse-network", "--initial-infected", "10",
       "--threads", "2"], {
-        "ensemble.csv": "f9c236159d460ac9af8bc1de0b01895f24f3445617f7cfc8971c46d6aa7b8bcf",
-        "summary.csv": "fefe4d4eb93a60503888dfc5477ea4238058bbcfd1a2d25db2abd6e0e7cafced",
+        "ensemble.csv": "6e75eb95d9b896b021bbdc753dcf56c4167580ad1b58547af3d70f87bb4ddfe8",
+        "summary.csv": "6402caac313c823a9fd6257066d2b88e43a749e4a22356bd636f6225f811c40b",
     }),
     ([*ABM, "--replicates", "5", "--exponential-recovery", "--initial-infected", "10",
       "--contact-rate", "8"], {
-        "ensemble.csv": "40e7f63ff6d3bafed0d823fa13fa63a7be21d7e4165dd1ebb267eb575c5b1a0c",
-        "summary.csv": "0c48b3f66e6318ae527f37c383420f375c34be2221671e4f4d28cf1ab2339c79",
+        "ensemble.csv": "4d1fdde3f9a579e1662d088d5e27937515ad0e2fb080f9a301d39edfa587e7c5",
+        "summary.csv": "2f0ed10910452307affbebeb49cf96706de2dad677c9d72bafd72306f84bea4d",
     }),
     # coarse steps and fast epidemics, where a reordered rounding in the RK4
     # step would show first
@@ -83,7 +84,7 @@ JSON_GOLDEN = [
     (["run-mc", "--vary", "all", "--replicates", "20", "--seed", "7"],
      "986e827901d5d786522d9ee167d5d5e689019d24bf664bb4ebcdcaf31ceffdf1"),
     ([*ABM, "--replicates", "4"],
-     "525ba37aff065b0c99137978c21755229b7d8bec112632e53bc465df174f135f"),
+     "145cdb9f9af331215cb54b4e309fd407f66572043ae4852c3f3abc787789708c"),
 ]
 
 
@@ -97,8 +98,8 @@ def test_json_outputs_match_golden_hashes(tmp_path, capsys, argv, digest):
 
 
 COMPARE_GOLDEN = {
-    "report.csv": "9a91a3285ba88618f458b82744dde75fe33b18879d2c4baf4ecb668572f9d3ee",
-    "report.txt": "bb366724411917cca11912a6df53e6a2c920832bc2a8012930d256644114db48",
+    "report.csv": "392c1f535b7c2d21f2ba9272f0e2c555a78744fca6c5734881a4e4b32dab586e",
+    "report.txt": "1ac89768365bb88cf9f8c2e605935b1a085686ca41e7e90734adbc4241a20419",
 }
 
 

@@ -164,15 +164,16 @@ class TestEnsemblePersistence:
 
     def test_runs_record_the_stream_versions(self):
         meta = io.make_metadata("sd", default_params(), 2, 1, dt=0.1)
-        assert meta["streams"] == {"sd_mc": 1, "network": 2, "abm": 2}
+        assert meta["streams"] == {"sd_mc": 1, "network": 2, "abm": 3}
         assert meta["streams"] is not io.STREAM_VERSIONS
 
-    @pytest.mark.parametrize("streams, family", [
-        (None, "network"),
-        ({"sd_mc": 1, "network": 2, "abm": 1}, "abm"),
-        ({"sd_mc": 1, "network": 1, "abm": 2}, "network"),
-    ], ids=["no-streams-key", "abm-1", "network-1"])
-    def test_rerun_refuses_an_abm_run_of_stream_version_1(self, streams, family):
+    @pytest.mark.parametrize("streams, family, version", [
+        (None, "network", 1),
+        ({"sd_mc": 1, "network": 2, "abm": 1}, "abm", 1),
+        ({"sd_mc": 1, "network": 1, "abm": 3}, "network", 1),
+        ({"sd_mc": 1, "network": 2, "abm": 2}, "abm", 2),
+    ], ids=["no-streams-key", "abm-1", "network-1", "abm-2"])
+    def test_rerun_refuses_an_abm_run_of_stream_version_1(self, streams, family, version):
         # a run without ``streams`` counts as version 1 of every family, and
         # ``network`` is checked first
         meta = io.make_metadata("abm", default_params(population=300), 2, 1, replicates=1,
@@ -183,8 +184,8 @@ class TestEnsemblePersistence:
         else:
             meta["streams"] = streams
         with pytest.raises(ValueError,
-                           match=f"abm run records {family} stream version 1, but this sirvar "
-                                 "draws version 2"):
+                           match=f"abm run records {family} stream version {version}, but "
+                                 f"this sirvar draws version {io.STREAM_VERSIONS[family]}"):
             io.rerun_from_metadata(meta)
 
     @pytest.mark.parametrize("kind, extra", [

@@ -167,11 +167,21 @@ class TestEnsemble:
            flags=st.sampled_from([(True, False, False), (False, True, True), (True, True, True)]),
            sigma=st.floats(0.01, 3.0))
     def test_thread_count_property(self, seed, replicates, flags, sigma):
+        # A wide spread can draw a duration too short for RK4 at dt = 0.1
+        # (seed 322, 8 replicates, illness only, sigma 0.71 draws 0.0087 d
+        # for replicate 7), and the run then fails; it must fail alike, on
+        # the same replicate, at either thread count.
         spec = VariationSpec(*flags, sigma_fraction=sigma)
-        serial = run_sd_ensemble(default_params(), spec, 3, replicates, seed, threads=1)
-        pooled = run_sd_ensemble(default_params(), spec, 3, replicates, seed, threads=2)
-        assert np.array_equal(serial.matrix, pooled.matrix)
-        assert serial.clamped_draws == pooled.clamped_draws
+
+        def outcome(threads):
+            try:
+                result = run_sd_ensemble(default_params(), spec, 3, replicates, seed,
+                                         threads=threads)
+            except RuntimeError as exc:
+                return str(exc)
+            return result.matrix.tolist(), result.clamped_draws
+
+        assert outcome(1) == outcome(2)
 
     def test_scenario_ordering_by_spread(self):
         # varying all three parameters spreads weekly outcomes at least as
