@@ -24,10 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, integrate, week_indices
+from .sd import DEFAULT_DT, StepSizeError, integrate, week_indices, weekly_sample
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
+
+# Times a replicate whose trajectory leaves the valid region halves dt.
+_MAX_HALVINGS = 8
 
 # (VariationSpec flag, SirParams field, stream id, lower, upper, lower bound
 # open), in draw order.
@@ -114,7 +117,20 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
     base, spec, weeks, rows, master_seed, dt = context
     params, clamped = sample_params(base, spec, master_seed, r)
-    return integrate(params, horizon_days=7.0 * weeks, dt=dt).i[rows], clamped
+    try:
+        return integrate(params, horizon_days=7.0 * weeks, dt=dt).i[rows], clamped
+    except StepSizeError as error:
+        failure = error
+    # A wide spread can draw an illness shorter than one step; RK4 then
+    # overshoots, so integrate again at dt / 2, dt / 4, ...  Halving keeps
+    # every week end on the grid, and replicates that ran at dt are untouched.
+    for k in range(1, _MAX_HALVINGS + 1):
+        try:
+            traj = integrate(params, horizon_days=7.0 * weeks, dt=dt / 2**k)
+        except StepSizeError:
+            continue
+        return weekly_sample(traj, weeks).infected, clamped
+    raise failure
 
 
 def run_sd_ensemble(
@@ -132,6 +148,9 @@ def run_sd_ensemble(
     and keeps the rows of the week grid that :func:`sirvar.sd.week_indices`
     places once for all replicates, so that ``dt`` and ``weeks`` are checked
     before any replicate runs, as is each spread by :func:`check_spread`.
+    A replicate whose trajectory leaves the valid region at ``dt`` runs again
+    at ``dt / 2**k`` for the smallest ``k <= 8`` that stays valid, and raises
+    its error at ``dt`` if none does.
     ``replicates`` and ``master_seed`` are checked where the agent-based
     ensemble's are.  The result counts the clamped draws of all replicates
     and is a pure function of the inputs, independent of ``threads``.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sirvar import montecarlo
 from sirvar.core import SirParams, default_params
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble, sample_params
-from sirvar.sd import integrate, weekly_sample
+from sirvar.sd import StepSizeError, integrate, weekly_sample
 
 
 def spec_with(**overrides):
@@ -162,26 +162,34 @@ class TestEnsemble:
         with pytest.raises(RuntimeError, match="replicate 0 failed: state left the valid region"):
             run_sd_ensemble(bad, spec, weeks=4, replicates=4, master_seed=99, threads=2)
 
+    def test_too_short_illness_runs_at_a_finer_step(self):
+        # sigma 0.71 draws a 0.0087-day illness for replicate 7, which RK4
+        # cannot step at dt = 0.1; that replicate halves dt until it stays
+        # valid, and every other replicate keeps its trajectory at dt = 0.1
+        base = default_params()
+        spec = spec_with(sigma_fraction=0.7109375)
+        ens = run_sd_ensemble(base, spec, weeks=3, replicates=8, master_seed=322)
+        for r in range(8):
+            params = sample_params(base, spec, 322, r)[0]
+            for dt in 0.1 / 2.0 ** np.arange(9):
+                try:
+                    traj = integrate(params, horizon_days=21.0, dt=dt)
+                    break
+                except StepSizeError:
+                    pass
+            assert (dt < 0.1) == (r == 7)
+            assert np.array_equal(ens.matrix[r], weekly_sample(traj, 3).infected)
+
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), replicates=st.integers(1, 9),
            flags=st.sampled_from([(True, False, False), (False, True, True), (True, True, True)]),
            sigma=st.floats(0.01, 3.0))
     def test_thread_count_property(self, seed, replicates, flags, sigma):
-        # A wide spread can draw a duration too short for RK4 at dt = 0.1
-        # (seed 322, 8 replicates, illness only, sigma 0.71 draws 0.0087 d
-        # for replicate 7), and the run then fails; it must fail alike, on
-        # the same replicate, at either thread count.
         spec = VariationSpec(*flags, sigma_fraction=sigma)
-
-        def outcome(threads):
-            try:
-                result = run_sd_ensemble(default_params(), spec, 3, replicates, seed,
-                                         threads=threads)
-            except RuntimeError as exc:
-                return str(exc)
-            return result.matrix.tolist(), result.clamped_draws
-
-        assert outcome(1) == outcome(2)
+        serial = run_sd_ensemble(default_params(), spec, 3, replicates, seed, threads=1)
+        pooled = run_sd_ensemble(default_params(), spec, 3, replicates, seed, threads=2)
+        assert np.array_equal(serial.matrix, pooled.matrix)
+        assert serial.clamped_draws == pooled.clamped_draws
 
     def test_scenario_ordering_by_spread(self):
         # varying all three parameters spreads weekly outcomes at least as
