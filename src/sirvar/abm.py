@@ -56,17 +56,28 @@ A day with no infectious agent draws nothing, and a day costs time in
 proportion to its infectious agents and contacts, not to the population.
 The state is three arrays: ``susceptible`` flags, ``infected_on`` days and
 ``infectious``, the ascending indices of the infectious agents; an agent in
-neither set has recovered.
+neither set has recovered.  A day sorts once: the agents still infectious
+and the day's susceptible hits are disjoint, so their sorted concatenation
+repeats only a target hit twice, and dropping adjacent repeats gives the
+next day's ``infectious``.
 
-The fixed-duration rule recovers agents on the same days as the reference
-step in the tests, a float countdown set to D on infection, cut by 1.0
-each day and recovering at 0.  For D < 2**53 each subtraction of 1.0 is
-exact while the countdown is at least 1, so it reads exactly D - m after m
-days, and the last step, from (0, 1] to (-1, 0], keeps its sign.  For
-D >= 2**53 neither rule recovers within any run shorter than 2**52 days.
+The fixed-duration rule is a whole-day cut.  An agent recovers at the end
+of day ``d`` once ``d - infected_on >= D``, and for a whole number x of
+days, ``x >= D`` exactly when ``x >= ceil(D)``; so the day keeps the agents
+with ``infected_on > d - ceil(D)``.  No run reaches ``7 * weeks + 1`` days
+past an infection, so ``ceil(D)`` is clamped to that, which keeps the bound
+an int64 for any D, infinity included.  The cut recovers agents on the same
+days as the reference step in the tests, a float countdown set to D on
+infection, cut by 1.0 each day and recovering at 0.  For D < 2**53 each
+subtraction of 1.0 is exact while the countdown is at least 1, so it reads
+exactly D - m after m days, and the last step, from (0, 1] to (-1, 0],
+keeps its sign: it recovers after ceil(D) days.  For D >= 2**53 neither
+rule recovers within any run shorter than 2**52 days.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -82,14 +93,6 @@ _SHARED_NETWORK_KEY = (0x6E6574,)
 # The largest mean numpy's Poisson draw takes; a larger one raises
 # "lam value too large".
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """Ascending distinct entries of ``a``, which is sorted in place."""
-    a.sort()
-    keep = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def _simulate(
@@ -108,42 +111,49 @@ def _simulate(
     so they are exact as floats.
     """
     n = topo.n
+    neighbors, offsets, degrees = topo.neighbors, topo.offsets, topo.degrees
     transmission_mean = params.contact_rate * params.infection_prob
+    days = 7 * weeks
+    duration = params.illness_duration
+    # Whole days from infection to recovery, ceil(D), clamped to one past the horizon.
+    lasting = math.ceil(duration) if duration <= days else days + 1
     susceptible = np.ones(n, dtype=bool)
     infected_on = np.zeros(n, dtype=np.int64)
     infectious = np.sort(rng.choice(n, size=params.initial_infected, replace=False))
     susceptible[infectious] = False
 
-    daily = np.empty((7 * weeks + 1, 3), dtype=np.int64)
     s = n - infectious.size
-    daily[0] = s, infectious.size, 0
-    for day in range(1, len(daily)):
+    rows = [(s, infectious.size, 0)]
+    for day in range(1, days + 1):
         if infectious.size == 0:
-            daily[day:] = s, 0, n - s
+            rows += [(s, 0, n - s)] * (days + 1 - day)
             break
         u = rng.random((2, rng.poisson(transmission_mean * infectious.size)))
         sources = infectious[(u[0] * infectious.size).astype(np.int64)]
-        slots = (u[1] * topo.degrees[sources]).astype(np.int64)
-        targets = topo.neighbors[topo.offsets[sources] + slots]
+        targets = neighbors[offsets[sources] + (u[1] * degrees[sources]).astype(np.int64)]
         # All draws above use start-of-day states, so infection is
         # synchronous: a target hit twice today gets two independent
         # chances, and today's new infectives neither transmit nor recover
         # before tomorrow.
-        victims = _sorted_distinct(targets[susceptible[targets]])
-        susceptible[victims] = False
-        infected_on[victims] = day
-        s -= victims.size
+        hits = targets[susceptible[targets]]
+        susceptible[hits] = False
+        infected_on[hits] = day
 
         # Recovery applies to agents infectious at the start of the day only.
         if exponential_recovery:
-            recovers = rng.random(infectious.size) < params.recovery_rate
+            kept = infectious[rng.random(infectious.size) >= params.recovery_rate]
         else:
-            recovers = day - infected_on[infectious] >= params.illness_duration
-        # Start-of-day infectives and today's victims are disjoint sets.
-        infectious = np.concatenate((infectious[~recovers], victims))
+            kept = infectious[infected_on[infectious] > day - lasting]
+        # Kept agents and hits are disjoint, so the only repeats are targets hit twice.
+        infectious = np.concatenate((kept, hits))
         infectious.sort()
-        daily[day] = s, infectious.size, n - s - infectious.size
-    return Trajectory(dt=1.0, states=daily)
+        distinct = np.empty(infectious.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(infectious[1:], infectious[:-1], out=distinct[1:])
+        infectious = infectious[distinct]
+        s -= infectious.size - kept.size
+        rows.append((s, infectious.size, n - s - infectious.size))
+    return Trajectory(dt=1.0, states=rows)
 
 
 def check_transmission_mean(params: SirParams) -> None:

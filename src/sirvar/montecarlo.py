@@ -129,6 +129,8 @@ def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
             traj = integrate(params, horizon_days=7.0 * weeks, dt=dt / 2**k)
         except StepSizeError:
             continue
+        except ValueError:  # dt / 2**k takes more than MAX_STEPS steps
+            break
         return weekly_sample(traj, weeks).infected, clamped
     raise failure
 
@@ -150,7 +152,8 @@ def run_sd_ensemble(
     before any replicate runs, as is each spread by :func:`check_spread`.
     A replicate whose trajectory leaves the valid region at ``dt`` runs again
     at ``dt / 2**k`` for the smallest ``k <= 8`` that stays valid, and raises
-    its error at ``dt`` if none does.
+    its error at ``dt`` if none does before ``dt / 2**k`` takes more than
+    :data:`sirvar.sd.MAX_STEPS` steps.
     ``replicates`` and ``master_seed`` are checked where the agent-based
     ensemble's are.  The result counts the clamped draws of all replicates
     and is a pure function of the inputs, independent of ``threads``.

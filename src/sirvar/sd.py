@@ -11,7 +11,8 @@ and non-stiff, so a fixed step keeps weekly sampling exact and results
 bit-reproducible; the default step is 0.1 day.
 
 Simulated time has one step rule: ``days`` hold ``floor(days / dt + 1e-12)``
-whole steps of ``dt``, and every function here counts steps by it.
+whole steps of ``dt``, and every function here counts steps by it.  A count
+above :data:`MAX_STEPS`, about 10 s of RK4, is rejected before any step runs.
 
 Each step checks only whether a compartment went negative or NaN.  Such a
 step gets the full check at once, valid region and conservation drift, and
@@ -42,6 +43,9 @@ DEFAULT_DT = 0.1
 
 #: Relative tolerance on |S + I + R - N| along a trajectory.
 CONSERVATION_RTOL = 1e-6
+
+#: The most steps of ``dt`` one trajectory may take; the step rule rejects more.
+MAX_STEPS = 10**7
 
 # Negative excursions beyond this (relative to N) mean the step is too large.
 _NEGATIVE_RTOL = 1e-9
@@ -76,7 +80,8 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
     Raises
     ------
     ValueError
-        If ``dt`` is not positive or leaves no whole step in ``horizon_days``.
+        If ``dt`` is not positive, or leaves no whole step or more than
+        :data:`MAX_STEPS` steps in ``horizon_days``.
     StepSizeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
@@ -173,10 +178,13 @@ def _check_states(states, checked, n, dt) -> None:
 
 
 def _step_count(days: float, dt: float) -> int:
-    """Whole steps of ``dt`` in ``days``: ``floor(days / dt + 1e-12)``, the one step rule."""
+    """Whole steps of ``dt`` in ``days``: ``floor(days / dt + 1e-12)``, the one step rule.
+
+    Raises ``ValueError`` if that is more than :data:`MAX_STEPS`."""
     count = days / dt + 1e-12
-    if not count < 2.0**63:
-        raise ValueError(f"dt={dt} divides {days} days into more steps than an int64 index holds")
+    if not count < MAX_STEPS + 1:
+        raise ValueError(f"dt={dt} divides {days:g} days into more than "
+                         f"MAX_STEPS = {MAX_STEPS} steps")
     return math.floor(count)
 
 
@@ -190,8 +198,9 @@ def week_indices(dt: float, weeks: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``dt`` is not positive, ``weeks < 1``, a week boundary is not a
-        whole number of steps, or the last one's nearest step is past the
+        If ``dt`` is not positive, ``weeks < 1``, ``7 * weeks`` days hold
+        more than :data:`MAX_STEPS` steps, a week boundary is not a whole
+        number of steps, or the last one's nearest step is past the
         ``floor(7 * weeks / dt + 1e-12)`` steps that :func:`integrate` runs.
     """
     if not dt > 0.0:

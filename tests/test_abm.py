@@ -365,10 +365,12 @@ class TestMatchesReference:
             assert_matches_reference(params, topo, 4, case, exponential_recovery)
 
     @pytest.mark.parametrize("exponential_recovery", [False, True])
-    @pytest.mark.parametrize("duration", [1e-3, 0.5, 1.0, 3.0, 4.2, 2.0**53, np.inf])
+    @pytest.mark.parametrize("duration", [1e-3, 0.5, 1.0, 3.0, 4.2, np.nextafter(1.0, 2.0),
+                                          np.nextafter(5.0, 0.0), 2.0**53, 1e300, np.inf])
     def test_durations(self, duration, exponential_recovery):
-        # whole, fractional, tiny and unreachable durations recover on the
-        # days of the reference's float countdown
+        # whole, fractional, tiny, just above or below a whole day, and
+        # unreachable durations recover on the days of the reference's float
+        # countdown
         cases = np.random.default_rng(16)
         for case in range(20):
             topo, params = random_case(cases)

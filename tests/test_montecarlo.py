@@ -180,6 +180,27 @@ class TestEnsemble:
             assert (dt < 0.1) == (r == 7)
             assert np.array_equal(ens.matrix[r], weekly_sample(traj, 3).infected)
 
+    def test_halving_stops_at_the_step_limit(self, monkeypatch):
+        # a 1e-9-day illness is too stiff at every halving of dt = 7 / 2**22;
+        # 7 days hold 2**22 steps of dt and 2**23 of dt / 2, but dt / 4 is over
+        # MAX_STEPS, so the replicate stops there and raises its error at dt
+        dt = 7.0 / 2**22
+        tried = []
+
+        def spy(params, horizon_days, dt):
+            tried.append(dt)
+            return integrate(params, horizon_days, dt)
+
+        monkeypatch.setattr(montecarlo, "integrate", spy)
+        stiff = SirParams(population=100, contact_rate=1.0, infection_prob=0.5,
+                          illness_duration=1e-9, initial_infected=10)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"replicate 0 failed: state left the valid region at step 1 (t=0.000 d) "
+                f"with dt={dt}:")):
+            run_sd_ensemble(stiff, spec_with(sigma_fraction=1e-6), weeks=1, replicates=1,
+                            master_seed=5, dt=dt)
+        assert tried == [dt, dt / 2, dt / 4]
+
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), replicates=st.integers(1, 9),
            flags=st.sampled_from([(True, False, False), (False, True, True), (True, True, True)]),

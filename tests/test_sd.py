@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import sirvar.sd
 from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
     default_params, derived_rates
-from sirvar.sd import CONSERVATION_RTOL, HorizonError, StepSizeError, integrate, week_indices, \
-    weekly_sample
+from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, HorizonError, StepSizeError, integrate, \
+    week_indices, weekly_sample
 
 
 def rk4_reference(params, steps, dt):
@@ -408,7 +408,7 @@ class TestWeeklySample:
             weekly_sample(Trajectory(dt=0.3, states=states), weeks=2)
 
     # 0.1000000000001 places day 14 nearest step 140, but 14 days hold 139 whole
-    # steps; 1e-300 gives more steps than an int64 index holds
+    # steps; 1e-300 gives more than MAX_STEPS steps
     @pytest.mark.parametrize("dt", [0.3, 0.0, -0.1, 8.0, 14.0, math.inf, 0.1000000000001, 1e-300])
     def test_week_indices_reject_steps_off_the_week_grid(self, dt):
         with pytest.raises(ValueError, match="dt"):
@@ -440,6 +440,16 @@ class TestWeeklySample:
         # floor(7 / dt + 1e-12) = 1, and the week grid accepts this dt too
         assert len(integrate(default_params(), 7.0, 7.000000000000132)) == 2
         assert week_indices(7.000000000000132, 1).tolist() == [1]
+
+    def test_step_limit_accepts_max_steps_and_rejects_one_more(self):
+        # 78,125 weeks hold exactly MAX_STEPS steps of 7 / 128 days; one step
+        # more is rejected by the step rule, before integrate runs any step
+        dt = 7.0 / 128
+        assert week_indices(dt, 78125)[-1] == MAX_STEPS
+        with pytest.raises(ValueError, match=f"into more than MAX_STEPS = {MAX_STEPS} steps"):
+            week_indices(dt, 78126)
+        with pytest.raises(ValueError, match=f"dt={dt} divides 546875 days into more than"):
+            integrate(default_params(), (MAX_STEPS + 1) * dt, dt)
 
     def test_peak_week_matches_trajectory_argmax(self):
         params = default_params()
