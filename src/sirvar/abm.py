@@ -59,7 +59,10 @@ The state is three arrays: ``susceptible`` flags, ``infected_on`` days and
 neither set has recovered.  A day sorts once: the agents still infectious
 and the day's susceptible hits are disjoint, so their sorted concatenation
 repeats only a target hit twice, and dropping adjacent repeats gives the
-next day's ``infectious``.
+next day's ``infectious``.  The day's index arrays are all intp, int64 on
+a 64-bit platform: the int32 targets read from the network's neighbours
+are widened once, since numpy converts an index of another type each time
+it is used, which at tens of targets costs more than the indexing itself.
 
 The fixed-duration rule is a whole-day cut.  An agent recovers at the end
 of day ``d`` once ``d - infected_on >= D``, and for a whole number x of
@@ -113,6 +116,7 @@ def _simulate(
     n = topo.n
     neighbors, offsets, degrees = topo.neighbors, topo.offsets, topo.degrees
     transmission_mean = params.contact_rate * params.infection_prob
+    recovery_rate = params.recovery_rate
     days = 7 * weeks
     duration = params.illness_duration
     # Whole days from infection to recovery, ceil(D), clamped to one past the horizon.
@@ -130,7 +134,9 @@ def _simulate(
             break
         u = rng.random((2, rng.poisson(transmission_mean * infectious.size)))
         sources = infectious[(u[0] * infectious.size).astype(np.int64)]
-        targets = neighbors[offsets[sources] + (u[1] * degrees[sources]).astype(np.int64)]
+        slots = offsets[sources] + (u[1] * degrees[sources]).astype(np.int64)
+        # Widened once: numpy converts an int32 index on every use.
+        targets = neighbors[slots].astype(np.intp)
         # All draws above use start-of-day states, so infection is
         # synchronous: a target hit twice today gets two independent
         # chances, and today's new infectives neither transmit nor recover
@@ -141,7 +147,7 @@ def _simulate(
 
         # Recovery applies to agents infectious at the start of the day only.
         if exponential_recovery:
-            kept = infectious[rng.random(infectious.size) >= params.recovery_rate]
+            kept = infectious[rng.random(infectious.size) >= recovery_rate]
         else:
             kept = infectious[infected_on[infectious] > day - lasting]
         # Kept agents and hits are disjoint, so the only repeats are targets hit twice.

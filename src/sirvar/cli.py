@@ -35,7 +35,7 @@ from .core import (
 )
 from .montecarlo import VariationSpec, check_spread
 from .network import NODE_LIMIT, NetworkGenParams
-from .sd import DEFAULT_DT, integrate, week_indices, weekly_sample
+from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices, weekly_sample
 
 _SCENARIOS = {
     "illness": dict(vary_illness=True),
@@ -161,6 +161,13 @@ def _abm_inputs(args, params: SirParams) -> tuple[str, dict]:
         raise UsageError(
             f"--population must be below 2**31 for run-abm, got {args.population}")
     gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
+    try:
+        week_indices(1.0, args.weeks)  # the daily grid run_abm_ensemble checks
+    except ValueError:
+        raise UsageError(
+            f"--weeks {args.weeks} is {7 * args.weeks} days, and run-abm steps through at "
+            f"most MAX_STEPS = {MAX_STEPS} days, so --weeks must be at most "
+            f"{MAX_STEPS // 7}") from None
     check_transmission_mean(params)
     return "abm", dict(
         replicates=args.replicates,

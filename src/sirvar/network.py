@@ -35,6 +35,8 @@ Memory: a build holds two full-size arrays, the lattice's far ends ``v``
 length of ``n - 1``.  The keys take the narrowest unsigned type that holds
 them: 32 bits up to ``n = 2**16``, 64 bits above.  They are sorted, then
 masked into the int32 ``neighbors``, so node ids stay below 2**31.
+``neighbors`` stays int32 in storage, half the bytes of int64, and the
+agent-based day widens only the few entries it reads to intp.
 Rewiring adds a few arrays of ``F`` entries for the ``F`` picked edges.  At
 paper scale a build peaks near 2.1 times the finished graph.
 """

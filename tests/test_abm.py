@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sirvar import abm
 from sirvar.abm import _simulate, run_abm, run_abm_ensemble
 from sirvar.core import SirParams, default_params, replicate_rng
-from sirvar.network import NODE_LIMIT, NetworkGenParams, build_small_world
+from sirvar.network import NODE_LIMIT, NetworkGenParams, NetworkTopology, build_small_world
 
 from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
@@ -388,6 +388,25 @@ class TestMatchesReference:
         expected = reference_daily_counts(params, topo, 15, replicate_rng(seed, 0, 1),
                                           exponential_recovery)
         assert np.array_equal(daily, expected)
+
+
+class TestIndexWidth:
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    def test_daily_counts_do_not_depend_on_the_csr_index_width(self, exponential_recovery):
+        # the day widens its int32 targets to intp once; int64 neighbours
+        # must give the same rows and leave the Generator in the same state
+        params = default_params(population=2000, initial_infected=10)
+        narrow = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
+        wide = NetworkTopology(n=narrow.n, neighbors=narrow.neighbors.astype(np.int64),
+                               offsets=narrow.offsets)
+        assert narrow.neighbors.dtype == np.int32
+        for seed in range(5):
+            rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+            daily = [_simulate(params, topo, 10, rng, exponential_recovery).states
+                     for topo, rng in zip((narrow, wide), rngs)]
+            assert daily[0][-1, 2] > params.initial_infected, seed
+            assert np.array_equal(daily[0], daily[1]), seed
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, seed
 
 
 class TestSameLawAsVersion1:

@@ -102,6 +102,14 @@ class TestUsage:
         (["run-sd", "--dt", "1e-7"], "dt=1e-07 divides 105 days into more than MAX_STEPS"),
         (["run-mc", "--vary", "all", "--dt", "1e-7"],
          "dt=1e-07 divides 105 days into more than MAX_STEPS"),
+        # one week past the most whose days fit MAX_STEPS = 10**7, and far past;
+        # the whole message, so it names no dt
+        (["run-abm", "--weeks", "1428572", "--replicates", "1", "--population", "300"],
+         "usage error: --weeks 1428572 is 10000004 days, and run-abm steps through at most "
+         "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
+        (["run-abm", "--weeks", "2000000", "--replicates", "1", "--population", "300"],
+         "usage error: --weeks 2000000 is 14000000 days, and run-abm steps through at most "
+         "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
