@@ -157,10 +157,6 @@ class Trajectory:
         return self.states.shape[0]
 
     @property
-    def s(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
     def i(self) -> np.ndarray:
         return self.states[:, 1]
 
@@ -191,11 +187,6 @@ class WeeklySeries:
     @property
     def weeks(self) -> int:
         return self.infected.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeeklySeries):
-            return NotImplemented
-        return bool(np.array_equal(self.infected, other.infected))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,11 +312,10 @@ def attack_fraction(r0: float, tol: float = 1e-14) -> float:
 
 
 def calibrate_contact_rate(
-    target_attack: float = DEFAULT_ATTACK_RATE,
     infection_prob: float = DEFAULT_INFECTION_PROB,
     illness_duration: float = DEFAULT_ILLNESS_DURATION,
 ) -> float:
-    """Contact rate for which the deterministic model hits a target attack rate.
+    """Contact rate for which the deterministic model hits :data:`DEFAULT_ATTACK_RATE`.
 
     The observed data fixes the attack rate (61% of the study population)
     but not the contact rate, so the default contact rate is derived from
@@ -333,26 +323,14 @@ def calibrate_contact_rate(
     from the final-size relation.  With the default inputs this yields
     R0 ~= 1.5436 and ~5.654 contacts per day.
     """
-    _require(infection_prob > 0.0 and illness_duration > 0.0,
-             f"calibrating a contact rate needs infection_prob > 0 and illness_duration > 0, "
-             f"got infection_prob={infection_prob}, illness_duration={illness_duration}")
-    r0 = final_size_reproduction_number(target_attack)
     scale = infection_prob * illness_duration
+    _require(infection_prob > 0.0 and illness_duration > 0.0 and scale < math.inf,
+             f"calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and "
+             f"a finite product of the two, got infection_prob={infection_prob}, "
+             f"illness_duration={illness_duration}")
+    r0 = final_size_reproduction_number(DEFAULT_ATTACK_RATE)
     _require(scale > 0.0 and r0 / scale < math.inf,
              f"calibrating a contact rate overflows at infection_prob={infection_prob}, "
              f"illness_duration={illness_duration}")
     return r0 / scale
 
-
-def default_params(
-    population: int = DEFAULT_POPULATION,
-    initial_infected: int = 1,
-) -> SirParams:
-    """Parameter set for the default experiment configuration."""
-    return SirParams(
-        population=population,
-        contact_rate=calibrate_contact_rate(),
-        infection_prob=DEFAULT_INFECTION_PROB,
-        illness_duration=DEFAULT_ILLNESS_DURATION,
-        initial_infected=initial_infected,
-    )

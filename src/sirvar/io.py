@@ -5,6 +5,9 @@ Every weekly-count file (a ``week,infected`` reference series, and a run's
 comma-separated table: a header line, then rows of an index (weeks count
 from 1, replicates from 0) and finite non-negative counts.  Every run file,
 ``run.json`` too, is read through the same count check, which names the file.
+The bundled ``data/synthetic_reference.csv`` is the calibrated deterministic
+run's weekly prevalence, rounded to whole counts (``tests/synthetic_reference.py``
+regenerates it): a stand-in with the right shape and scale, not observed data.
 
 Saved runs are one directory per run.  In ``csv`` format the directory
 holds ``series.csv`` or ``ensemble.csv``, a ``summary.csv`` for ensembles,
@@ -34,13 +37,6 @@ from .network import NetworkGenParams
 from .sd import integrate, weekly_sample
 from .stats import WeeklySummary
 
-#: Name of the bundled, synthetic weekly reference file in ``sirvar/data``:
-#: the calibrated deterministic run's weekly prevalence, rounded to whole
-#: counts.  ``tests/synthetic_reference.py`` holds the generator, and a test
-#: checks the bundled file against it byte for byte.  It is a stand-in with
-#: the right shape and scale, not observed surveillance data.
-SYNTHETIC_REFERENCE_NAME = "synthetic_reference.csv"
-
 _CONVENTIONS = {
     "weekly_sampling": "end-of-week prevalence: value w is the infected count at day 7*(w+1)",
     "quantile_rule": "linear interpolation between order statistics at position 1+(n-1)q",
@@ -61,10 +57,10 @@ class ReferenceFormatError(ValueError):
 
 
 def _check_counts(values, where: str):
-    """Return ``values`` after checking that each is a finite count >= 0."""
+    """Return ``values`` after checking that each is an int or float (no bool), finite and >= 0."""
     for count in values:
-        if not 0 <= count < math.inf:
-            raise ReferenceFormatError(f"{where}: count must be finite and >= 0, got {count}")
+        if type(count) not in (int, float) or not 0 <= count < math.inf:
+            raise ReferenceFormatError(f"{where}: count must be finite and >= 0, got {count!r}")
     return values
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, StepSizeError, integrate, week_indices, weekly_sample
+from .sd import DEFAULT_DT, StepSizeError, integrate, week_indices
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
@@ -117,21 +117,21 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
     base, spec, weeks, rows, master_seed, dt = context
     params, clamped = sample_params(base, spec, master_seed, r)
-    try:
-        return integrate(params, horizon_days=7.0 * weeks, dt=dt).i[rows], clamped
-    except StepSizeError as error:
-        failure = error
     # A wide spread can draw an illness shorter than one step; RK4 then
     # overshoots, so integrate again at dt / 2, dt / 4, ...  Halving keeps
-    # every week end on the grid, and replicates that ran at dt are untouched.
-    for k in range(1, _MAX_HALVINGS + 1):
+    # week w's end at step rows[w] << k, and running half a step past the
+    # horizon keeps the last one in the run however dt / 2**k rounds.
+    failure = None
+    for k in range(_MAX_HALVINGS + 1):
+        step = dt / 2**k
         try:
-            traj = integrate(params, horizon_days=7.0 * weeks, dt=dt / 2**k)
-        except StepSizeError:
+            traj = integrate(params, horizon_days=7.0 * weeks + 0.5 * step, dt=step)
+        except StepSizeError as error:
+            failure = failure or error
             continue
         except ValueError:  # dt / 2**k takes more than MAX_STEPS steps
             break
-        return weekly_sample(traj, weeks).infected, clamped
+        return traj.i[rows << k], clamped
     raise failure
 
 
@@ -153,7 +153,9 @@ def run_sd_ensemble(
     A replicate whose trajectory leaves the valid region at ``dt`` runs again
     at ``dt / 2**k`` for the smallest ``k <= 8`` that stays valid, and raises
     its error at ``dt`` if none does before ``dt / 2**k`` takes more than
-    :data:`sirvar.sd.MAX_STEPS` steps.
+    :data:`sirvar.sd.MAX_STEPS` steps.  Each attempt integrates to half a
+    step past ``7 * weeks`` days, so it runs exactly ``rows[-1] << k`` steps
+    of ``dt / 2**k`` and keeps rows ``rows << k``.
     ``replicates`` and ``master_seed`` are checked where the agent-based
     ensemble's are.  The result counts the clamped draws of all replicates
     and is a pure function of the inputs, independent of ``threads``.

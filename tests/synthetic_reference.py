@@ -8,9 +8,14 @@ writes any weekly series in the same schema.
 from importlib import resources
 from pathlib import Path
 
-from sirvar.core import WeeklySeries, default_params
-from sirvar.io import SYNTHETIC_REFERENCE_NAME, _write_table
+from sirvar.core import WeeklySeries
+from sirvar.io import _write_table
 from sirvar.sd import integrate, weekly_sample
+
+from paper_params import default_params
+
+#: Name of the bundled reference file in ``sirvar/data``.
+SYNTHETIC_REFERENCE_NAME = "synthetic_reference.csv"
 
 
 def save_series(series: WeeklySeries, path) -> None:

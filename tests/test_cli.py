@@ -110,6 +110,8 @@ class TestUsage:
         (["run-abm", "--weeks", "2000000", "--replicates", "1", "--population", "300"],
          "usage error: --weeks 2000000 is 14000000 days, and run-abm steps through at most "
          "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
+        # no recovery leaves no contact rate that reaches the attack rate
+        (["run-sd", "--illness-duration", "inf"], "illness_duration=inf"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

@@ -19,12 +19,13 @@ from sirvar.core import (
     attack_fraction,
     basic_reproduction_number,
     calibrate_contact_rate,
-    default_params,
     derived_rates,
     final_size_reproduction_number,
     run_replicates,
 )
 from sirvar.network import NetworkGenParams
+
+from paper_params import default_params
 
 
 def make_params(**overrides):
@@ -170,7 +171,8 @@ class TestCalibration:
 
     @pytest.mark.parametrize("bad", [dict(infection_prob=0.0), dict(illness_duration=0.0),
                                      dict(illness_duration=-1.0), dict(infection_prob=1e-320),
-                                     dict(infection_prob=1e-200, illness_duration=1e-200)])
+                                     dict(infection_prob=1e-200, illness_duration=1e-200),
+                                     dict(illness_duration=math.inf)])
     def test_calibration_rejects_non_positive_inputs(self, bad):
         with pytest.raises(ValueError, match="calibrating"):
             calibrate_contact_rate(**bad)

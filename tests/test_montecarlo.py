@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirvar import montecarlo
-from sirvar.core import SirParams, default_params
+from sirvar.core import SirParams
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble, sample_params
-from sirvar.sd import StepSizeError, integrate, weekly_sample
+from sirvar.sd import StepSizeError, integrate, week_indices, weekly_sample
+
+from paper_params import default_params
 
 
 def spec_with(**overrides):
@@ -179,6 +181,26 @@ class TestEnsemble:
                     pass
             assert (dt < 0.1) == (r == 7)
             assert np.array_equal(ens.matrix[r], weekly_sample(traj, 3).infected)
+
+    def test_halving_keeps_the_last_week_of_a_dt_just_off_the_grid(self):
+        # 105 / dt is 1049.9999999999995, within the step rule's 1e-12 slack
+        # at dt; each halving doubles the shortfall, so 105 days of dt / 8
+        # hold 8399 steps, not 8400.  Replicate 7 first stays valid at dt / 8,
+        # and its week ends are still the rows of dt shifted left by 3.
+        dt = 0.10000000000000003
+        base = default_params()
+        spec = spec_with(sigma_fraction=0.7109375)
+        ens = run_sd_ensemble(base, spec, weeks=15, replicates=8, master_seed=322, dt=dt)
+        rows = week_indices(dt, 15)
+        for r in range(8):
+            params = sample_params(base, spec, 322, r)[0]
+            if r < 7:
+                expected = integrate(params, horizon_days=105.0, dt=dt).i[rows]
+            else:
+                with pytest.raises(StepSizeError):
+                    integrate(params, horizon_days=105.0, dt=dt / 4)
+                expected = integrate(params, horizon_days=112.0, dt=dt / 8).i[rows << 3]
+            assert np.array_equal(ens.matrix[r], expected)
 
     def test_halving_stops_at_the_step_limit(self, monkeypatch):
         # a 1e-9-day illness is too stiff at every halving of dt = 7 / 2**22;

@@ -7,9 +7,10 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from sirvar.abm import _simulate
-from sirvar.core import default_params, replicate_rng
+from sirvar.core import replicate_rng
 from sirvar.network import NetworkGenParams, NetworkTopology, build_small_world
 
+from paper_params import default_params
 from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
 

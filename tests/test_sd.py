@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import sirvar.sd
 from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
-    default_params, derived_rates
+    derived_rates
 from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, HorizonError, StepSizeError, integrate, \
     week_indices, weekly_sample
+
+from paper_params import default_params
 
 
 def rk4_reference(params, steps, dt):
@@ -101,7 +103,7 @@ class TestDerivatives:
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
                            illness_duration=5.0, initial_infected=10)
         traj = integrate(params, horizon_days=30.0, dt=0.1)
-        assert np.array_equal(traj.s, np.full(len(traj), 990.0))
+        assert np.array_equal(traj.states[:, 0], np.full(len(traj), 990.0))
 
     def test_pure_decay(self):
         # a = 0: I(t) = I0 exp(-t / D), to RK4 accuracy (error O(dt^4))
@@ -143,9 +145,10 @@ class TestIntegrate:
         params = SirParams(population=1000, contact_rate=10.0, infection_prob=0.5,
                            illness_duration=math.inf, initial_infected=5)
         traj = integrate(params, horizon_days=400.0, dt=0.1)
-        assert np.all(np.diff(traj.s) <= 0.0)
+        s = traj.states[:, 0]
+        assert np.all(np.diff(s) <= 0.0)
         assert np.array_equal(traj.r, np.zeros(len(traj)))
-        assert traj.s[-1] < 1e-3
+        assert s[-1] < 1e-3
         assert traj.i[-1] == pytest.approx(1000.0, abs=1e-3)
 
     def test_initial_condition_and_length(self):
@@ -180,7 +183,7 @@ class TestIntegrate:
             n = params.population
             total = traj.states.sum(axis=1)
             assert np.abs(total - n).max() <= 1e-6 * n
-            assert np.all(np.diff(traj.s) <= 0.0)
+            assert np.all(np.diff(traj.states[:, 0]) <= 0.0)
             assert np.all(np.diff(traj.r) >= 0.0)
             assert np.all(traj.i >= 0.0)
 
