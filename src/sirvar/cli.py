@@ -76,8 +76,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="number of index cases")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for ensemble runs (never changes results)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output file format")
 
 
 def _params_from_args(args) -> tuple[SirParams, dict]:
@@ -136,7 +134,7 @@ def cmd_run_sd(args) -> int:
         peak_day=float(traj.i.argmax() * args.dt),
         cumulative_recovered_final=float(traj.r[-1]),
     )
-    io.save_series_run(series, args.out, meta, fmt=args.format)
+    io.save_series_run(series, args.out, meta)
     print(f"run-sd: wrote {args.weeks} weekly values to {args.out} "
           f"(peak infected {traj.i.max():.0f} on day {traj.i.argmax() * args.dt:.1f})")
     return 0
@@ -198,7 +196,7 @@ def cmd_run_ensemble(args) -> int:
         parameter_provenance=provenance,
     )
     summary = stats.weekly_summary(ensemble)
-    io.save_ensemble(ensemble, summary, args.out, meta, fmt=args.format)
+    io.save_ensemble(ensemble, summary, args.out, meta)
     scenario = f"[{args.vary}]" if kind == "sd-mc" else ""
     print(f"{args.command}{scenario}: {ensemble.replicates}x{args.weeks} matrix in {args.out}, "
           f"total variation {summary.total_variation:.0f}, {elapsed:.2f}s")

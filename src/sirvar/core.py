@@ -48,6 +48,9 @@ DEFAULT_ILLNESS_DURATION = 4.2
 #: default contact rate is calibrated so the deterministic model hits it.
 DEFAULT_ATTACK_RATE = 0.61
 
+# Newton step size at which attack_fraction stops.
+_ATTACK_TOL = 1e-14
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -292,7 +295,7 @@ def final_size_reproduction_number(attack_rate: float) -> float:
     return -math.log(1.0 - attack_rate) / attack_rate
 
 
-def attack_fraction(r0: float, tol: float = 1e-14) -> float:
+def attack_fraction(r0: float) -> float:
     """Final epidemic size fraction for a given R0 (Newton iteration).
 
     Solves ``f(x) = x - 1 + exp(-R0 x) = 0`` for the attack fraction x.
@@ -306,7 +309,7 @@ def attack_fraction(r0: float, tol: float = 1e-14) -> float:
         dfx = 1.0 - r0 * math.exp(-r0 * x)
         step = fx / dfx
         x -= step
-        if abs(step) < tol:
+        if abs(step) < _ATTACK_TOL:
             break
     return x
 

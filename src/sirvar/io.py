@@ -3,16 +3,15 @@
 Every weekly-count file (a ``week,infected`` reference series, and a run's
 ``series.csv``, ``ensemble.csv`` and ``summary.csv``) is one UTF-8,
 comma-separated table: a header line, then rows of an index (weeks count
-from 1, replicates from 0) and finite non-negative counts.  Every run file,
-``run.json`` too, is read through the same count check, which names the file.
+from 1, replicates from 0) and finite non-negative counts.  Every run file
+is read through the same count check, which names the file.
 The bundled ``data/synthetic_reference.csv`` is the calibrated deterministic
 run's weekly prevalence, rounded to whole counts (``tests/synthetic_reference.py``
 regenerates it): a stand-in with the right shape and scale, not observed data.
 
-Saved runs are one directory per run.  In ``csv`` format the directory
-holds ``series.csv`` or ``ensemble.csv``, a ``summary.csv`` for ensembles,
-and ``metadata.json``; in ``json`` format everything lives in a single
-``run.json``.  Metadata records the seeds, parameters, conventions and
+Saved runs are one directory per run, holding ``series.csv`` or
+``ensemble.csv``, a ``summary.csv`` for ensembles, and
+``metadata.json``.  Metadata records the seeds, parameters, conventions and
 versions needed to re-execute the run bit-identically, and
 :func:`rerun_from_metadata` does exactly that.  The CLI's ensemble commands
 also execute fresh runs through :func:`rerun_from_metadata`, so a saved
@@ -57,9 +56,9 @@ class ReferenceFormatError(ValueError):
 
 
 def _check_counts(values, where: str):
-    """Return ``values`` after checking that each is an int or float (no bool), finite and >= 0."""
+    """Return ``values`` after checking that each is finite and >= 0."""
     for count in values:
-        if type(count) not in (int, float) or not 0 <= count < math.inf:
+        if not 0 <= count < math.inf:
             raise ReferenceFormatError(f"{where}: count must be finite and >= 0, got {count!r}")
     return values
 
@@ -174,28 +173,21 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
 # run directories
 
 
-def _save_run(out_dir, metadata: dict, fmt: str, results: dict, tables: dict) -> None:
-    """Write ``run.json`` holding ``metadata`` and ``results``, or, for ``csv``,
-    each of ``tables`` (file name to ``(header, first_index, rows)``) and
-    ``metadata.json``."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def _save_run(out_dir, metadata: dict, tables: dict) -> None:
+    """Write each of ``tables`` (file name to ``(header, first_index, rows)``)
+    and ``metadata.json``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        name, payload = "run.json", {"metadata": metadata, **results}
-    else:
-        for table, (header, first_index, rows) in tables.items():
-            _write_table(out / table, header, first_index, rows)
-        name, payload = "metadata.json", metadata
-    with open(out / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    for table, (header, first_index, rows) in tables.items():
+        _write_table(out / table, header, first_index, rows)
+    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, indent=2)
 
 
-def save_series_run(series: WeeklySeries, out_dir, metadata: dict, fmt: str = "csv") -> None:
+def save_series_run(series: WeeklySeries, out_dir, metadata: dict) -> None:
     """Persist a deterministic single-series run."""
     infected = series.infected.tolist()
-    _save_run(out_dir, metadata, fmt, results={"series": infected},
+    _save_run(out_dir, metadata,
               tables={"series.csv": ("week,infected", 1, zip(infected))})
 
 
@@ -204,46 +196,41 @@ def save_ensemble(
     summary: WeeklySummary,
     out_dir,
     metadata: dict,
-    fmt: str = "csv",
 ) -> None:
     """Persist an ensemble run: replicate matrix, summary and metadata."""
     meta = {**metadata, "total_variation": summary.total_variation}
     columns = {name: getattr(summary, name).tolist() for name in ("median", "q1", "q3", "iqr")}
     matrix = ensemble.matrix.tolist()
     weeks = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
-    _save_run(out_dir, meta, fmt,
-              results={"ensemble": matrix,
-                       "summary": {**columns, "total_variation": summary.total_variation}},
+    _save_run(out_dir, meta,
               tables={"ensemble.csv": (f"replicate,{weeks}", 0, matrix),
                       "summary.csv": (f"week,{','.join(columns)}", 1, zip(*columns.values()))})
 
 
 def load_run(run_dir) -> dict:
-    """Load a saved run directory (either format), checking every count it holds.
+    """Load a saved run directory, checking every count it holds.
 
     Returns a dict with ``metadata`` plus either ``series``
     (:class:`WeeklySeries`) or ``ensemble`` (:class:`EnsembleResult`).
     A bad count raises :class:`ReferenceFormatError` naming its file and line or row,
     and so does a table whose shape is not the metadata's ``replicates`` (1 for a
-    single series) by ``weeks``.
+    single series) by ``weeks``, or a ``weeks`` or ``replicates`` that is not an
+    integer >= 1.
     """
     run = Path(run_dir)
-    path = run / "run.json"
+    path = run / "metadata.json"
+    with open(path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    replicates, weeks = meta.get("replicates", 1), meta.get("weeks")
+    for name, value in (("weeks", weeks), ("replicates", replicates)):
+        if type(value) is not int or value < 1:
+            raise ReferenceFormatError(f"{path}: {name} must be an integer >= 1, got {value!r}")
+    path = run / "series.csv"
     if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            results = json.load(fh)
-        meta = results.pop("metadata")
+        rows = [load_reference(path).infected]
     else:
-        with open(run / "metadata.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        path = run / "series.csv"
-        if path.exists():
-            results = {"series": load_reference(path).infected}
-        else:
-            path = run / "ensemble.csv"
-            results = {"ensemble": _read_table(path, None, 0)}
-    rows = results["ensemble"] if "ensemble" in results else [results["series"]]
-    replicates, weeks = meta.get("replicates", 1), meta["weeks"]
+        path = run / "ensemble.csv"
+        rows = _read_table(path, None, 0)
     if len(rows) != replicates:
         raise ReferenceFormatError(
             f"{path}: expected {replicates} rows (replicates in the metadata), got {len(rows)}")
@@ -252,9 +239,7 @@ def load_run(run_dir) -> dict:
             raise ReferenceFormatError(
                 f"{path}: row {r}: expected {weeks} counts (weeks in the metadata), "
                 f"got {len(row)}")
-        if path.name == "run.json":  # the CSV reader checked its counts already
-            _check_counts(row, f"{path}: row {r}")
-    if "series" in results:
-        return {"metadata": meta, "series": WeeklySeries(results["series"])}
+    if path.name == "series.csv":
+        return {"metadata": meta, "series": WeeklySeries(rows[0])}
     return {"metadata": meta,
-            "ensemble": EnsembleResult(results["ensemble"], meta.get("clamped_draws", 0))}
+            "ensemble": EnsembleResult(rows, meta.get("clamped_draws", 0))}

@@ -32,7 +32,7 @@ class TestUsage:
         assert run("run-mc", "--help") == 0
         out = capsys.readouterr().out
         for flag in ("--out", "--seed", "--weeks", "--population", "--contact-rate",
-                     "--infection-prob", "--illness-duration", "--threads", "--format",
+                     "--infection-prob", "--illness-duration", "--threads",
                      "--vary", "--sigma", "--replicates"):
             assert flag in out
         assert "default" in out
@@ -186,6 +186,32 @@ class TestMetadataSchema:
         capsys.readouterr()
         assert list(read_meta(tmp_path)) == keys
 
+    def test_run_directory_is_metadata_and_csv_tables(self, tmp_path, capsys):
+        ensemble_files = {"metadata.json", "ensemble.csv", "summary.csv"}
+        for argv, files in [
+            (["run-sd"], {"metadata.json", "series.csv"}),
+            (["run-mc", "--vary", "all", "--replicates", "2"], ensemble_files),
+            (["run-abm", "--population", "300", "--replicates", "2"], ensemble_files),
+        ]:
+            out = tmp_path / argv[0]
+            assert run(*argv, "--weeks", "2", "--out", str(out)) == 0
+            assert {path.name for path in out.iterdir()} == files
+        assert run("run-mc", "--vary", "all", "--format", "json",
+                   "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+        # a run.json without metadata.json is not a run directory
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "run.json").write_text(
+            json.dumps({"metadata": read_meta(tmp_path / "run-sd"), "series": [1.0, 2.0]}),
+            encoding="utf-8")
+        capsys.readouterr()
+        code = run("compare", "--reference", str(tmp_path / "run-sd" / "series.csv"),
+                   "--inputs", str(legacy), "--out", str(tmp_path / "report"))
+        assert code == 1
+        assert str(legacy / "metadata.json") in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
 
 class TestRunSd:
     def test_defaults_write_15_weeks(self, tmp_path, capsys):
@@ -252,11 +278,10 @@ class TestRunMc:
         assert np.array_equal(rerun.matrix, loaded["ensemble"].matrix)
         assert "elapsed_seconds" in loaded["metadata"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_clamped_draws_are_recorded_and_reloaded(self, tmp_path, capsys, fmt):
+    def test_clamped_draws_are_recorded_and_reloaded(self, tmp_path, capsys):
         out = tmp_path / "mc"
         assert run("run-mc", "--vary", "infection", "--sigma", "1000", "--replicates", "20",
-                   "--seed", "1", "--weeks", "3", "--format", fmt, "--out", str(out)) == 0
+                   "--seed", "1", "--weeks", "3", "--out", str(out)) == 0
         capsys.readouterr()
         loaded = io.load_run(out)
         clamped = loaded["metadata"]["clamped_draws"]
@@ -304,20 +329,11 @@ class TestRunAbm:
         week_random = int(np.argmax(read_summary_median(random_net)))
         assert iqr_frozen[week_frozen] != iqr_random[week_random]
 
-    def test_json_format(self, tmp_path, capsys):
-        out = tmp_path / "abm"
-        assert run("run-abm", "--out", str(out), "--population", "300",
-                   "--replicates", "2", "--format", "json") == 0
-        capsys.readouterr()
-        loaded = io.load_run(out)
-        assert loaded["ensemble"].replicates == 2
-
     @pytest.mark.parametrize("argv", [
         (),
         ("--reuse-network", "--threads", "2"),
         ("--exponential-recovery", "--contact-rate", "8"),
-        ("--format", "json"),
-    ], ids=["fresh", "reuse-network-pool", "exponential", "json"])
+    ], ids=["fresh", "reuse-network-pool", "exponential"])
     def test_saved_run_is_its_rerun(self, tmp_path, capsys, argv):
         out = tmp_path / "abm"
         assert run("run-abm", "--out", str(out), "--population", "400", "--replicates", "4",
@@ -391,27 +407,18 @@ class TestCompare:
         assert code == 1
         assert f"{ensemble_csv}: line 2: count must be finite and >= 0" in err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_dropped_week_in_run_exits_1_naming_the_file(self, tmp_path, capsys, fmt):
+    def test_dropped_week_in_run_exits_1_naming_the_file(self, tmp_path, capsys):
         mc_dir = tmp_path / "mc"
-        assert run("run-mc", "--vary", "all", "--replicates", "3", "--format", fmt,
-                   "--out", str(mc_dir)) == 0
-        if fmt == "csv":
-            path = mc_dir / "ensemble.csv"
-            lines = path.read_text(encoding="utf-8").splitlines()
-            path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n",
-                            encoding="utf-8")
-        else:
-            path = mc_dir / "run.json"
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["ensemble"][1].pop()
-            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run("run-mc", "--vary", "all", "--replicates", "3", "--out", str(mc_dir)) == 0
+        path = mc_dir / "ensemble.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n",
+                        encoding="utf-8")
         code = run("compare", "--reference", str(synthetic_reference_path()),
                    "--inputs", str(mc_dir), "--out", str(tmp_path / "report"))
         err = capsys.readouterr().err
         assert code == 1
-        row = 0 if fmt == "csv" else 1
-        assert f"{path}: row {row}: expected 15 counts (weeks in the metadata), got 14" in err
+        assert f"{path}: row 0: expected 15 counts (weeks in the metadata), got 14" in err
 
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         sd_dir = tmp_path / "sd"

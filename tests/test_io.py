@@ -103,10 +103,9 @@ class TestEnsemblePersistence:
         )
         return ensemble, weekly_summary(ensemble), meta
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_round_trip(self, tmp_path, fmt, small_run):
+    def test_round_trip(self, tmp_path, small_run):
         ensemble, summary, meta = small_run
-        io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt=fmt)
+        io.save_ensemble(ensemble, summary, tmp_path / "run", meta)
         loaded = io.load_run(tmp_path / "run")
         assert np.array_equal(loaded["ensemble"].matrix, ensemble.matrix)
         assert loaded["metadata"]["master_seed"] == 11
@@ -114,7 +113,7 @@ class TestEnsemblePersistence:
 
     def test_rerun_from_metadata_is_bit_identical(self, tmp_path, small_run):
         ensemble, summary, meta = small_run
-        io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt="csv")
+        io.save_ensemble(ensemble, summary, tmp_path / "run", meta)
         loaded = io.load_run(tmp_path / "run")
         rerun = io.rerun_from_metadata(loaded["metadata"])
         assert np.array_equal(rerun.matrix, ensemble.matrix)
@@ -207,41 +206,16 @@ class TestEnsemblePersistence:
         else:
             assert np.array_equal(rerun.matrix, expected.matrix)
 
-    def test_unknown_format_rejected(self, tmp_path, small_run):
-        ensemble, summary, meta = small_run
-        with pytest.raises(ValueError):
-            io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt="parquet")
-
-    @pytest.mark.parametrize("fmt, where", [("csv", "ensemble.csv: line 3"),
-                                            ("json", "run.json: row 1")], ids=["csv", "json"])
     @pytest.mark.parametrize("count", ["inf", "nan", "-1"])
-    def test_bad_count_names_file_and_row(self, tmp_path, small_run, fmt, where, count):
+    def test_bad_count_names_file_and_row(self, tmp_path, small_run, count):
         ensemble, summary, meta = small_run
         run_dir = tmp_path / "run"
-        io.save_ensemble(ensemble, summary, run_dir, meta, fmt=fmt)
-        if fmt == "csv":
-            lines = (run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines()
-            lines[2] = lines[2].rsplit(",", 1)[0] + f",{count}"
-            write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
-        else:
-            payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-            payload["ensemble"][1][-1] = float(count)
-            write(run_dir / "run.json", json.dumps(payload))
-        message = f"{where}: count must be finite and >= 0, got {float(count)}"
+        io.save_ensemble(ensemble, summary, run_dir, meta)
+        lines = (run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{count}"
+        write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
+        message = f"ensemble.csv: line 3: count must be finite and >= 0, got {float(count)}"
         with pytest.raises(io.ReferenceFormatError, match=message):
-            io.load_run(run_dir)
-
-    @pytest.mark.parametrize("count", ["7", None, True], ids=["string", "null", "bool"])
-    def test_json_count_that_is_not_a_number_names_file_and_row(self, tmp_path, small_run,
-                                                                 count):
-        ensemble, summary, meta = small_run
-        run_dir = tmp_path / "run"
-        io.save_ensemble(ensemble, summary, run_dir, meta, fmt="json")
-        payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-        payload["ensemble"][1][-1] = count
-        write(run_dir / "run.json", json.dumps(payload))
-        message = f"run.json: row 1: count must be finite and >= 0, got {count!r}"
-        with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
             io.load_run(run_dir)
 
     @pytest.mark.parametrize("edit, message", [
@@ -251,7 +225,7 @@ class TestEnsemblePersistence:
     ], ids=["field-count", "skipped-replicate"])
     def test_malformed_ensemble_csv_names_line(self, tmp_path, small_run, edit, message):
         ensemble, summary, meta = small_run
-        io.save_ensemble(ensemble, summary, tmp_path / "run", meta, fmt="csv")
+        io.save_ensemble(ensemble, summary, tmp_path / "run", meta)
         path = tmp_path / "run" / "ensemble.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = edit(lines[2])
@@ -259,45 +233,55 @@ class TestEnsemblePersistence:
         with pytest.raises(io.ReferenceFormatError, match=f"ensemble.csv: {message}"):
             io.load_run(tmp_path / "run")
 
-    @pytest.mark.parametrize("fmt, edit, message", [
-        ("json", lambda p: p["ensemble"][1].pop(), "run.json: row 1: expected 5 counts"),
-        ("json", lambda p: p["ensemble"].pop(), "run.json: expected 6 rows"),
-        ("csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
          "ensemble.csv: row 0: expected 5 counts"),
-        ("csv", lambda lines: lines[:-1], "ensemble.csv: expected 6 rows"),
-    ], ids=["json-short-row", "json-missing-row", "csv-dropped-week", "csv-missing-row"])
-    def test_table_shape_must_match_metadata(self, tmp_path, small_run, fmt, edit, message):
+        (lambda lines: lines[:-1], "ensemble.csv: expected 6 rows"),
+    ], ids=["csv-dropped-week", "csv-missing-row"])
+    def test_table_shape_must_match_metadata(self, tmp_path, small_run, edit, message):
         ensemble, summary, meta = small_run
         run_dir = tmp_path / "run"
-        io.save_ensemble(ensemble, summary, run_dir, meta, fmt=fmt)
-        if fmt == "csv":
-            lines = edit((run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines())
-            write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
-        else:
-            payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-            edit(payload)
-            write(run_dir / "run.json", json.dumps(payload))
+        io.save_ensemble(ensemble, summary, run_dir, meta)
+        lines = edit((run_dir / "ensemble.csv").read_text(encoding="utf-8").splitlines())
+        write(run_dir / "ensemble.csv", "\n".join(lines) + "\n")
         with pytest.raises(io.ReferenceFormatError, match=message):
+            io.load_run(run_dir)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weeks", "15"), ("weeks", None), ("weeks", True), ("weeks", 0), ("weeks", 5.0),
+        ("replicates", "6"), ("replicates", False), ("replicates", 0),
+    ], ids=["weeks-string", "weeks-missing", "weeks-bool", "weeks-0", "weeks-float",
+            "replicates-string", "replicates-bool", "replicates-0"])
+    def test_metadata_shape_must_be_a_positive_integer(self, tmp_path, small_run, field,
+                                                       value):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        io.save_ensemble(ensemble, summary, run_dir, meta)
+        saved = json.loads((run_dir / "metadata.json").read_text(encoding="utf-8"))
+        if value is None:
+            del saved[field]
+        else:
+            saved[field] = value
+        write(run_dir / "metadata.json", json.dumps(saved))
+        message = f"{run_dir / 'metadata.json'}: {field} must be an integer >= 1, got {value!r}"
+        with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
             io.load_run(run_dir)
 
 
 class TestSeriesRun:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_save_and_load(self, tmp_path, fmt):
+    def test_save_and_load(self, tmp_path):
         series = WeeklySeries([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 3, 42, dt=0.1)
-        io.save_series_run(series, tmp_path / "run", meta, fmt=fmt)
+        io.save_series_run(series, tmp_path / "run", meta)
         loaded = io.load_run(tmp_path / "run")
         assert np.array_equal(loaded["series"].infected, series.infected)
         assert loaded["metadata"]["kind"] == "sd"
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_series_length_must_match_metadata(self, tmp_path, fmt):
+    def test_series_length_must_match_metadata(self, tmp_path):
         series = WeeklySeries([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 4, 42, dt=0.1)
-        io.save_series_run(series, tmp_path / "run", meta, fmt=fmt)
-        name = "series.csv" if fmt == "csv" else "run.json"
-        message = f"{name}: row 0: expected 4 counts .weeks in the metadata., got 3"
+        io.save_series_run(series, tmp_path / "run", meta)
+        message = "series.csv: row 0: expected 4 counts .weeks in the metadata., got 3"
         with pytest.raises(io.ReferenceFormatError, match=message):
             io.load_run(tmp_path / "run")
 
