@@ -75,7 +75,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--initial-infected", type=int, default=1,
                         help="number of index cases")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for ensemble runs (never changes results)")
+                        help="processes that run replicates, this one included "
+                             "(never changes results)")
 
 
 def _params_from_args(args) -> tuple[SirParams, dict]:

@@ -15,9 +15,9 @@ Both ensembles (Monte-Carlo SD runs and ABM runs) go through one driver,
 :func:`replicate_rng` streams keyed by ``(master_seed, r, stream)``, so a
 replicate's result does not depend on which process runs it, and results
 are assembled in replicate order: ensembles are bit-identical for any
-thread count.  With ``threads > 1`` the replicates run in a process pool
-whose workers receive the shared inputs once, through the pool initializer,
-and then only replicate indices.
+thread count.  With ``threads > 1`` the replicates are split by residue
+among this process and workers forked from it, which inherit the shared
+inputs and receive only their replicate indices.
 """
 
 from __future__ import annotations
@@ -236,53 +236,82 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
 
-def _run_one(fn, context, r: int):
-    try:
-        return fn(context, r)
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+def _run_share(fn, context, share: range) -> tuple[list, RuntimeError | None]:
+    """Rows of the replicates in ``share``, in order, up to the first that
+    fails, and that failure tagged with its replicate (None if none failed)."""
+    rows = []
+    for r in share:
+        try:
+            rows.append(fn(context, r))
+        except Exception as exc:
+            failure = RuntimeError(f"replicate {r} failed: {exc}")
+            failure.__cause__ = exc
+            return rows, failure
+    return rows, None
 
 
-# (fn, context) of a pool worker, set once per worker by its initializer.
-_worker_task = None
-
-
-def _init_worker(fn, context) -> None:
-    global _worker_task
-    _worker_task = (fn, context)
-
-
-def _run_in_worker(r: int):
-    fn, context = _worker_task
-    return _run_one(fn, context, r)
+def _serve(conn, fn, context) -> None:
+    """Body of a forked worker: run the share it is sent, send back its outcome."""
+    conn.send(_run_share(fn, context, conn.recv()))
 
 
 def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
-    """``[fn(context, r) for r in range(replicates)]``, optionally in a process pool.
+    """``[fn(context, r) for r in range(replicates)]``, run in ``w`` processes.
 
-    ``fn`` must be a module-level function so that pool workers can import
-    it.  A failure in replicate ``r`` is re-raised as
-    ``RuntimeError("replicate r failed: ...")``.  The result list is in
-    replicate order whatever ``threads`` is.  The pool has
-    ``min(threads, replicates)`` workers, since a fork pool starts every
-    worker up front; with one worker the replicates run in this process.
-    A forked worker starts with every resident page of this process, even
-    freed heap that glibc kept because a live block sits above it, so the
-    free heap is handed back first: workers start from the live data alone.
+    Of the ``w = min(threads, replicates)`` processes, this one runs
+    replicates 0, w, 2w, ...; worker ``k`` of ``w - 1``, forked from it
+    through an explicit ``fork`` context, inherits ``fn`` and
+    ``context``, is sent the residue class k, k + w, ... over a pipe, and
+    sends its rows back.  The result list is in replicate order whatever
+    ``threads`` is.  A failure in replicate ``r`` is raised as
+    ``RuntimeError("replicate r failed: ...")``: the lowest-numbered one when
+    several fail, where a worker that dies counts as failing at its first
+    replicate.  Every worker is joined before this returns or raises.  A
+    forked worker starts with every resident page of this process, even freed
+    heap that glibc kept because a live block sits above it, so the free heap
+    is handed back first: workers start from the live data alone.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     workers = min(threads, replicates)
-    if workers <= 1:
-        return [_run_one(fn, context, r) for r in range(replicates)]
-    from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
+    started = []
+    try:
+        if workers > 1:
+            import multiprocessing  # serial runs never load it
 
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(fn, context)) as pool:
-        return list(pool.map(_run_in_worker, range(replicates),
-                             chunksize=max(1, replicates // (4 * workers))))
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            fork = multiprocessing.get_context("fork")
+        for k in range(1, workers):
+            conn, child = fork.Pipe()
+            proc = fork.Process(target=_serve, args=(child, fn, context))
+            proc.start()
+            child.close()
+            started.append((proc, conn))
+            conn.send(range(k, replicates, workers))
+        outcomes = [_run_share(fn, context, range(0, replicates, workers))]
+        for k, (proc, conn) in enumerate(started, start=1):
+            try:
+                outcomes.append(conn.recv())
+            except EOFError:
+                proc.join()
+                outcomes.append(([], RuntimeError(
+                    f"replicate {k} was lost: its worker exited with code {proc.exitcode}")))
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in started:
+            proc.join()
+            conn.close()
+    failed = [k + workers * len(rows) for k, (rows, failure) in enumerate(outcomes) if failure]
+    if failed:
+        raise outcomes[min(failed) % workers][1]
+    results = [None] * replicates
+    for k, (rows, _) in enumerate(outcomes):
+        results[k::workers] = rows
+    return results
 
 
 def final_size_reproduction_number(attack_rate: float) -> float:

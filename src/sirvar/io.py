@@ -214,17 +214,23 @@ def load_run(run_dir) -> dict:
     (:class:`WeeklySeries`) or ``ensemble`` (:class:`EnsembleResult`).
     A bad count raises :class:`ReferenceFormatError` naming its file and line or row,
     and so does a table whose shape is not the metadata's ``replicates`` (1 for a
-    single series) by ``weeks``, or a ``weeks`` or ``replicates`` that is not an
-    integer >= 1.
+    single series) by ``weeks``, a ``metadata.json`` that is not a JSON object,
+    a ``weeks`` or ``replicates`` that is not an integer >= 1, or a
+    ``clamped_draws`` that is not an integer >= 0 (a missing one reads 0).
     """
     run = Path(run_dir)
     path = run / "metadata.json"
     with open(path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if type(meta) is not dict:
+        raise ReferenceFormatError(f"{path}: expected a JSON object, got {type(meta).__name__}")
     replicates, weeks = meta.get("replicates", 1), meta.get("weeks")
-    for name, value in (("weeks", weeks), ("replicates", replicates)):
-        if type(value) is not int or value < 1:
-            raise ReferenceFormatError(f"{path}: {name} must be an integer >= 1, got {value!r}")
+    clamped = meta.get("clamped_draws", 0)
+    for name, value, low in (("weeks", weeks, 1), ("replicates", replicates, 1),
+                             ("clamped_draws", clamped, 0)):
+        if type(value) is not int or value < low:
+            raise ReferenceFormatError(f"{path}: {name} must be an integer >= {low}, "
+                                       f"got {value!r}")
     path = run / "series.csv"
     if path.exists():
         rows = [load_reference(path).infected]
@@ -242,4 +248,4 @@ def load_run(run_dir) -> dict:
     if path.name == "series.csv":
         return {"metadata": meta, "series": WeeklySeries(rows[0])}
     return {"metadata": meta,
-            "ensemble": EnsembleResult(rows, meta.get("clamped_draws", 0))}
+            "ensemble": EnsembleResult(rows, clamped)}

@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sirvar
+import sirvar.abm
 from sirvar import io
 from sirvar.cli import main
 
@@ -156,12 +157,15 @@ class TestUsage:
         assert isinstance(cpus, int) and cpus > 0
 
     def test_metadata_records_requested_threads(self, tmp_path, capsys, monkeypatch):
-        # one replicate runs in this process, so opening a pool would fail
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        # one replicate runs in this process alone, whatever --threads asks for
+        pids, replicate = [], sirvar.abm._abm_replicate
+        monkeypatch.setattr(sirvar.abm, "_abm_replicate",
+                            lambda context, r: pids.append(os.getpid()) or replicate(context, r))
         assert run("run-abm", "--population", "300", "--replicates", "1", "--threads", "8",
                    "--weeks", "2", "--out", str(tmp_path)) == 0
         capsys.readouterr()
         assert read_meta(tmp_path)["threads"] == 8
+        assert pids == [os.getpid()]
 
 
 RUN_KEYS = ["kind", "tool", "version", "created_unix", "params", "weeks", "master_seed",

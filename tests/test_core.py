@@ -1,8 +1,9 @@
-import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 import sirvar
 import sirvar.core
-from sirvar.abm import run_abm_ensemble
 from sirvar.core import (
     EnsembleResult,
     SirParams,
@@ -23,7 +23,6 @@ from sirvar.core import (
     final_size_reproduction_number,
     run_replicates,
 )
-from sirvar.network import NetworkGenParams
 
 from paper_params import default_params
 
@@ -220,34 +219,44 @@ class TestRunReplicates:
             run_replicates(_fail_at_three, 10, 0)
 
 
+def _pid(context, r):
+    return os.getpid()
+
+
+def _fail_in_workers(context, r):
+    if r in context:
+        raise ValueError(f"bad draw {r}")
+    return r
+
+
+def _exit_in_worker(context, r):
+    if r == 1:
+        os._exit(3)
+    if r == 2:
+        time.sleep(0.3)  # still running when the first worker is found dead
+    return r
+
+
 class TestPoolSize:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Record the ``max_workers`` of every pool ``run_replicates`` opens."""
-        sizes = []
-        real = concurrent.futures.ProcessPoolExecutor
+    def test_no_more_workers_than_replicates(self):
+        for replicates, threads in [(2, 8), (5, 3)]:
+            pids = run_replicates(_pid, None, replicates, threads=threads)
+            assert len(set(pids)) == min(threads, replicates)
+            assert os.getpid() in pids
 
-        def recording(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers, **kwargs)
+    def test_one_replicate_runs_without_a_pool(self):
+        assert run_replicates(_pid, None, 1, threads=8) == [os.getpid()]
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-        return sizes
+    # with 3 processes, replicate 3 fails in this one and 1 and 2 in workers
+    @pytest.mark.parametrize("failing, lowest", [({1, 2}, 1), ({2, 3}, 2)])
+    def test_lowest_failed_replicate_is_raised(self, failing, lowest):
+        with pytest.raises(RuntimeError, match=f"replicate {lowest} failed: bad draw {lowest}"):
+            run_replicates(_fail_in_workers, failing, 6, threads=3)
 
-    def _ensemble(self, replicates, threads):
-        params = make_params(population=300, contact_rate=6.0, infection_prob=0.2)
-        return run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=4,
-                                replicates=replicates, master_seed=21, threads=threads)
-
-    def test_no_more_workers_than_replicates(self, pool_sizes):
-        pooled = self._ensemble(replicates=2, threads=8)
-        assert pool_sizes == [2]
-        assert np.array_equal(pooled.matrix, self._ensemble(replicates=2, threads=1).matrix)
-
-    def test_one_replicate_runs_without_a_pool(self, pool_sizes):
-        single = self._ensemble(replicates=1, threads=8)
-        assert pool_sizes == []
-        assert np.array_equal(single.matrix, self._ensemble(replicates=1, threads=1).matrix)
+    def test_dead_worker_is_raised_and_every_worker_joined(self):
+        with pytest.raises(RuntimeError, match="replicate 1 was lost: .* exited with code 3"):
+            run_replicates(_exit_in_worker, None, 3, threads=3)
+        assert multiprocessing.active_children() == []
 
 
 # Run in a fresh interpreter, whose heap holds nothing freed yet.

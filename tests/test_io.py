@@ -267,6 +267,32 @@ class TestEnsemblePersistence:
         with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
             io.load_run(run_dir)
 
+    @pytest.mark.parametrize("value", ["x", True, -1, 2.0])
+    def test_clamped_draws_must_be_a_count(self, tmp_path, small_run, value):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        io.save_ensemble(ensemble, summary, run_dir, {**meta, "clamped_draws": value})
+        message = (f"{run_dir / 'metadata.json'}: clamped_draws must be an integer >= 0, "
+                   f"got {value!r}")
+        with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
+            io.load_run(run_dir)
+
+    def test_missing_clamped_draws_reads_zero(self, tmp_path, small_run):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        assert "clamped_draws" not in meta
+        io.save_ensemble(ensemble, summary, run_dir, meta)
+        assert io.load_run(run_dir)["ensemble"].clamped_draws == 0
+
+    def test_metadata_must_be_a_json_object(self, tmp_path, small_run):
+        ensemble, summary, meta = small_run
+        run_dir = tmp_path / "run"
+        io.save_ensemble(ensemble, summary, run_dir, meta)
+        write(run_dir / "metadata.json", "[1, 2]")
+        message = f"{run_dir / 'metadata.json'}: expected a JSON object, got list"
+        with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
+            io.load_run(run_dir)
+
 
 class TestSeriesRun:
     def test_save_and_load(self, tmp_path):
