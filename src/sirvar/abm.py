@@ -50,7 +50,10 @@ uniform on 0 .. m - 1, and never reaches m: the largest ``u``, 1 - 2**-53,
 times any m < 2**53 rounds to below m by at least one spacing of the
 doubles just below m, which is at most 1.
 :func:`check_transmission_mean` keeps the day's Poisson mean, at most
-``contact_rate * infection_prob * population``, within numpy's bound.
+``contact_rate * infection_prob * population``, within numpy's bound and
+within the transmission budget, so no day asks for its ``(2, T)``
+block of uniforms beyond 64 GiB.  The block is drawn whole, not in chunks,
+since chunks would change the stream.
 
 A day with no infectious agent draws nothing, and a day costs time in
 proportion to its infectious agents and contacts, not to the population.
@@ -96,6 +99,9 @@ _SHARED_NETWORK_KEY = (0x6E6574,)
 # The largest mean numpy's Poisson draw takes; a larger one raises
 # "lam value too large".
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# The most transmissions a day is planned for: the day's (2, T) block of
+# float64 uniforms then takes at most 2 * 8 * 2**32 bytes, 64 GiB.
+_TRANSMISSION_BUDGET = 2**32
 
 
 def _simulate(
@@ -165,11 +171,16 @@ def _simulate(
 def check_transmission_mean(params: SirParams) -> None:
     """Raise ``ValueError`` if ``contact_rate * infection_prob * population``,
     the Poisson mean of the day's transmitting contacts when every agent is
-    infectious, is above the largest mean numpy's Poisson draw takes."""
+    infectious, is above the largest mean numpy's Poisson draw takes, or
+    above the per-day transmission budget."""
     mean = params.contact_rate * params.infection_prob * params.population
     if mean > _POISSON_MEAN_MAX:
         raise ValueError(f"contact_rate * infection_prob * population = {mean:.6g} is above "
                          f"{_POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws")
+    if mean > _TRANSMISSION_BUDGET:
+        raise ValueError(f"contact_rate * infection_prob * population = {mean:.6g} is above "
+                         f"{_TRANSMISSION_BUDGET:.6g}, the transmission budget of one day "
+                         f"(its uniforms would take over 64 GiB)")
 
 
 def run_abm(

@@ -318,10 +318,19 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(abm._POISSON_MEAN_MAX, np.inf), 0)
         # the bound is on c * p * N, the day's mean with every agent
-        # infectious; dividing by N = 2**10 is exact
+        # infectious; dividing by N = 2**10 is exact.  A mean at the bound
+        # passes it and meets the far smaller transmission budget.
         c = abm._POISSON_MEAN_MAX / 2**10
-        abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
+        with pytest.raises(ValueError, match="transmission budget"):
+            abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
         with pytest.raises(ValueError, match="largest Poisson mean"):
+            abm.check_transmission_mean(params_for(2**10, c=float(np.nextafter(c, np.inf)), p=1.0))
+
+    def test_transmission_budget(self):
+        # the bound is on c * p * N; dividing by N = 2**10 is exact
+        c = abm._TRANSMISSION_BUDGET / 2**10
+        abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
+        with pytest.raises(ValueError, match=r"is above 4\.29497e\+09, the transmission budget"):
             abm.check_transmission_mean(params_for(2**10, c=float(np.nextafter(c, np.inf)), p=1.0))
 
     def test_replicate_errors_are_tagged(self):

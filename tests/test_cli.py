@@ -99,6 +99,10 @@ class TestUsage:
         # a mean per agent far below the bound whose day total at N = 52,910 is above it
         (["run-abm", "--replicates", "1", "--contact-rate", "1e17"],
          "contact_rate * infection_prob * population = 3.43915e+20 is above 9.22337e+18"),
+        # within numpy's bound, but the day's (2, T) block would take 3 PB
+        (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e13"],
+         "contact_rate * infection_prob * population = 1.95e+14 is above 4.29497e+09, "
+         "the transmission budget of one day"),
         # on the week grid, but 105 days would take 1.05e9 RK4 steps
         (["run-sd", "--dt", "1e-7"], "dt=1e-07 divides 105 days into more than MAX_STEPS"),
         (["run-mc", "--vary", "all", "--dt", "1e-7"],
