@@ -99,10 +99,6 @@ class TestUsage:
         # a mean per agent far below the bound whose day total at N = 52,910 is above it
         (["run-abm", "--replicates", "1", "--contact-rate", "1e17"],
          "contact_rate * infection_prob * population = 3.43915e+20 is above 9.22337e+18"),
-        # within numpy's bound, but the day's (2, T) block would take 3 PB
-        (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e13"],
-         "contact_rate * infection_prob * population = 1.95e+14 is above 4.29497e+09, "
-         "the transmission budget of one day"),
         # on the week grid, but 105 days would take 1.05e9 RK4 steps
         (["run-sd", "--dt", "1e-7"], "dt=1e-07 divides 105 days into more than MAX_STEPS"),
         (["run-mc", "--vary", "all", "--dt", "1e-7"],
@@ -117,6 +113,10 @@ class TestUsage:
          "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
         # no recovery leaves no contact rate that reaches the attack rate
         (["run-sd", "--illness-duration", "inf"], "illness_duration=inf"),
+        # within numpy's bound, but the day's (2, T) block would take 3 PB
+        (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e13"],
+         "contact_rate * infection_prob * population = 1.95e+14 is above 4.29497e+09, "
+         "the transmission budget of one day"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
