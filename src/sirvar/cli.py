@@ -205,24 +205,18 @@ def cmd_run_ensemble(args) -> int:
 
 
 def _compare_row(name: str, run: dict, reference) -> dict:
-    if "series" in run:
-        kind = "deterministic"
-        series = run["series"]
-        total_variation = ""
-    else:
-        kind = "ensemble"
-        summary = stats.weekly_summary(run["ensemble"])
-        series = summary.median
-        total_variation = summary.total_variation
-    result = stats.wilcoxon_signed_rank(series, reference)
+    # A deterministic run is a one-row ensemble: its weekly median is that row.
+    summary = stats.weekly_summary(run["ensemble"])
+    result = stats.wilcoxon_signed_rank(summary.median, reference.infected)
+    deterministic = run["metadata"].get("kind") == "sd"
     return {
         "input": name,
-        "kind": kind,
+        "kind": "deterministic" if deterministic else "ensemble",
         "n_effective": result.n_effective,
         "w_statistic": result.w_statistic,
         "p_value": result.p_value,
         "reject_at_5pct": result.reject_at_5pct,
-        "total_variation": total_variation,
+        "total_variation": "" if deterministic else summary.total_variation,
     }
 
 

@@ -10,12 +10,12 @@ run's weekly prevalence, rounded to whole counts (``tests/synthetic_reference.py
 regenerates it): a stand-in with the right shape and scale, not observed data.
 
 Saved runs are one directory per run, holding ``series.csv`` or
-``ensemble.csv``, a ``summary.csv`` for ensembles, and
-``metadata.json``.  Metadata records the seeds, parameters, conventions and
-versions needed to re-execute the run bit-identically, and
-:func:`rerun_from_metadata` does exactly that.  The CLI's ensemble commands
-also execute fresh runs through :func:`rerun_from_metadata`, so a saved
-ensemble reruns through the code that wrote it.
+``ensemble.csv``, a ``summary.csv`` for ensembles, and ``metadata.json``.
+Metadata records the seeds, parameters, conventions and versions needed to
+re-execute the run bit-identically, and :func:`rerun_from_metadata` does
+exactly that.  The CLI's ensemble commands also execute fresh runs through
+it, so a saved ensemble reruns through the code that wrote it.  In memory
+every run is an :class:`EnsembleResult`; a deterministic run is its one row.
 
 Floats are written with ``repr``, which round-trips doubles exactly.
 """
@@ -137,12 +137,12 @@ def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) 
     return meta
 
 
-def rerun_from_metadata(meta: dict, threads: int = 1):
+def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     """Execute a run from its metadata alone: a fresh ensemble run or a rerun of a saved one.
 
-    Returns a :class:`WeeklySeries` for deterministic runs and an
-    :class:`EnsembleResult` for ensembles.  A run that records another stream
-    version than :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``.
+    Returns an :class:`EnsembleResult` for every kind; a deterministic ``sd``
+    run is its one row.  A run that records another stream version than
+    :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``.
     """
     kind = meta["kind"]
     streams = meta.get("streams", {})
@@ -155,7 +155,7 @@ def rerun_from_metadata(meta: dict, threads: int = 1):
     weeks = meta["weeks"]
     if kind == "sd":
         traj = integrate(params, horizon_days=7.0 * weeks, dt=meta["dt"])
-        return weekly_sample(traj, weeks)
+        return EnsembleResult([weekly_sample(traj, weeks).infected])
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],
@@ -210,8 +210,8 @@ def save_ensemble(
 def load_run(run_dir) -> dict:
     """Load a saved run directory, checking every count it holds.
 
-    Returns a dict with ``metadata`` plus either ``series``
-    (:class:`WeeklySeries`) or ``ensemble`` (:class:`EnsembleResult`).
+    Returns a dict with ``metadata`` and ``ensemble`` (:class:`EnsembleResult`);
+    a deterministic run's ``series.csv`` is read as the ensemble's one row.
     A bad count raises :class:`ReferenceFormatError` naming its file and line or row,
     and so does a table whose shape is not the metadata's ``replicates`` (1 for a
     single series) by ``weeks``, a ``metadata.json`` that is not a JSON object,
@@ -245,7 +245,4 @@ def load_run(run_dir) -> dict:
             raise ReferenceFormatError(
                 f"{path}: row {r}: expected {weeks} counts (weeks in the metadata), "
                 f"got {len(row)}")
-    if path.name == "series.csv":
-        return {"metadata": meta, "series": WeeklySeries(rows[0])}
-    return {"metadata": meta,
-            "ensemble": EnsembleResult(rows, clamped)}
+    return {"metadata": meta, "ensemble": EnsembleResult(rows, clamped)}

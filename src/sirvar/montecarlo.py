@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, StepSizeError, integrate, week_indices
+from .sd import DEFAULT_DT, MAX_STEPS, StepSizeError, integrate, week_indices
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
@@ -129,8 +129,10 @@ def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
         except StepSizeError as error:
             failure = failure or error
             continue
-        except ValueError:  # dt / 2**k takes more than MAX_STEPS steps
-            break
+        except ValueError:
+            if rows[-1] << k > MAX_STEPS:  # the steps this attempt takes
+                break
+            raise
         return traj.i[rows << k], clamped
     raise failure
 

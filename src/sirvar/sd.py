@@ -27,7 +27,9 @@ contract, as the draw order is in :mod:`sirvar.abm` and
 ``x = a * S * I`` once, with ``dS = -x`` and ``dI = x - b * I``, and the
 stage and step sums keep their textbook order.  Rewriting the step must
 keep every rounding; ``reference_integrate`` in ``tests/test_sd.py`` holds
-the earlier loop, and the trajectory bytes and errors must equal it.
+the earlier loop, and the trajectory bytes and errors must equal it, except
+where a step's R rounds below zero: this loop clips R as it clips S and I,
+while the earlier one raises ``ValueError`` from :class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) ->
                 s = 0.0
             if i < 0.0:
                 i = 0.0
+            if r < 0.0:
+                r = 0.0
         flat += (s, i, r)
 
     states = np.fromiter(flat, float, len(flat)).reshape(-1, 3)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleResult, WeeklySeries
+from .core import EnsembleResult
 
 #: Largest number of effective pairs for which the exact null
 #: distribution is enumerated.
@@ -128,8 +128,8 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
 
     Parameters
     ----------
-    x, y : WeeklySeries or array-like
-        Paired observations of equal length.
+    x, y : array-like
+        Paired one-dimensional observations of equal length.
 
     Differences are ``x - y`` in float64.  A difference counts as zero,
     and two absolute differences as tied, only when exactly equal; no
@@ -148,8 +148,8 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     ValueError
         If the inputs differ in length or are empty.
     """
-    xv = x.infected if isinstance(x, WeeklySeries) else np.asarray(x, dtype=float)
-    yv = y.infected if isinstance(y, WeeklySeries) else np.asarray(y, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if xv.ndim != 1 or yv.ndim != 1:
         raise ValueError("inputs must be one-dimensional")
     if xv.size != yv.size:

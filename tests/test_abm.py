@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from sirvar import abm
 from sirvar.abm import _simulate, run_abm, run_abm_ensemble
-from sirvar.core import SirParams, replicate_rng
+from sirvar.core import SirParams, attack_fraction, replicate_rng
 from sirvar.network import NODE_LIMIT, NetworkGenParams, NetworkTopology, build_small_world
 
 from paper_params import default_params
@@ -485,3 +486,38 @@ class TestInfectiousSet:
         # reference scans from its status array
         topo, params = random_case(np.random.default_rng(seed))
         assert_matches_reference(params, topo, 4, seed, exponential_recovery)
+
+
+class TestMeanField:
+    """On a near-complete graph the ABM's final size is the ODE's at the ABM's own R0.
+
+    With N = 2,000 and k = 1,998 each agent misses one other, and p_rewire = 0
+    draws nothing.  An agent transmits Poisson(c * p) times a day for L days,
+    so R0 = c * p * E[L], where E[L] is D in exponential mode and ceil(D) in
+    fixed mode.  Given take-off, the mean attack lies within 4 standard
+    errors of ``attack_fraction(c * p * E[L])``.  The fixed mode's ceil(D) = 5
+    transmitting days at D = 4.2 give R0 = 1.84 against the ODE's 1.54, so
+    its mean lies far from ``attack_fraction(c * p * D)``: a mean-D duration
+    rule would move it there.
+    """
+
+    @pytest.fixture(scope="class")
+    def complete(self):
+        return build_small_world(2000, 1998, 0.0, 0), default_params(2000, initial_infected=10)
+
+    @pytest.mark.parametrize("exponential_recovery", [True, False])
+    def test_attack_given_take_off_is_the_mean_field_final_size(self, complete,
+                                                                  exponential_recovery):
+        topo, params = complete
+        final_s = np.array([
+            _simulate(params, topo, 52, replicate_rng(5, r, 1), exponential_recovery).states[-1, 0]
+            for r in range(300)])
+        attack = 1.0 - final_s / params.population
+        attack = attack[attack > 0.1]  # outbreaks that took off
+        mean, se = attack.mean(), attack.std(ddof=1) / math.sqrt(attack.size)
+        rate = params.contact_rate * params.infection_prob
+        duration = params.illness_duration
+        lasting = duration if exponential_recovery else math.ceil(duration)
+        assert abs(mean - attack_fraction(rate * lasting)) < 4 * se
+        if not exponential_recovery:  # the gate can tell ceil(D) from D
+            assert abs(mean - attack_fraction(rate * duration)) > 40 * se

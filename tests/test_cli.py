@@ -248,6 +248,25 @@ class TestRunSd:
         rb = read_meta(b)["cumulative_recovered_final"]
         assert abs(ra - rb) / rb < 1e-4
 
+    def test_saved_run_is_its_rerun(self, tmp_path, capsys):
+        # a deterministic run is a one-row ensemble, rerun and loaded alike
+        out = tmp_path / "sd"
+        assert run("run-sd", "--weeks", "4", "--population", "3000", "--out", str(out)) == 0
+        capsys.readouterr()
+        loaded = io.load_run(out)
+        saved = loaded["ensemble"].matrix
+        assert saved.shape == (1, 4)
+        assert np.array_equal(io.rerun_from_metadata(loaded["metadata"]).matrix, saved)
+        assert np.array_equal(saved[0], io.load_reference(out / "series.csv").infected)
+
+    def test_a_roundoff_negative_r_does_not_fail_the_run(self, tmp_path, capsys):
+        out = tmp_path / "sd"
+        assert run("run-sd", "--contact-rate", "0", "--illness-duration", "0.35902858253024017",
+                   "--dt", "1", "--weeks", "1", "--population", "1000",
+                   "--initial-infected", "10", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert io.load_run(out)["ensemble"].matrix[0, 0] == pytest.approx(10.0)
+
     def test_overflowing_step_exits_1_naming_the_step(self, tmp_path, capsys):
         out = tmp_path / "sd"
         assert run("run-sd", "--contact-rate", "1e308", "--out", str(out)) == 1
@@ -263,9 +282,9 @@ class TestRunMc:
         assert run("run-mc", "--vary", "all", "--replicates", "1", "--sigma", "1e-9",
                    "--out", str(mc_dir)) == 0
         capsys.readouterr()
-        sd_series = io.load_run(sd_dir)["series"]
+        sd_row = io.load_run(sd_dir)["ensemble"].matrix[0]
         mc_matrix = io.load_run(mc_dir)["ensemble"].matrix
-        assert mc_matrix[0] == pytest.approx(sd_series.infected, rel=1e-6)
+        assert mc_matrix[0] == pytest.approx(sd_row, rel=1e-6)
 
     def test_seeded_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

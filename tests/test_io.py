@@ -201,10 +201,7 @@ class TestEnsemblePersistence:
         expected = io.rerun_from_metadata(meta)
         del meta["streams"]
         rerun = io.rerun_from_metadata(meta)
-        if kind == "sd":
-            assert np.array_equal(rerun.infected, expected.infected)
-        else:
-            assert np.array_equal(rerun.matrix, expected.matrix)
+        assert np.array_equal(rerun.matrix, expected.matrix)
 
     @pytest.mark.parametrize("count", ["inf", "nan", "-1"])
     def test_bad_count_names_file_and_row(self, tmp_path, small_run, count):
@@ -300,7 +297,7 @@ class TestSeriesRun:
         meta = io.make_metadata("sd", default_params(), 3, 42, dt=0.1)
         io.save_series_run(series, tmp_path / "run", meta)
         loaded = io.load_run(tmp_path / "run")
-        assert np.array_equal(loaded["series"].infected, series.infected)
+        assert np.array_equal(loaded["ensemble"].matrix[0], series.infected)
         assert loaded["metadata"]["kind"] == "sd"
 
     def test_series_length_must_match_metadata(self, tmp_path):
@@ -322,7 +319,7 @@ class TestSeriesRun:
         meta = io.make_metadata("sd", default_params(), 15, 42, dt=0.1)
         a = io.rerun_from_metadata(meta)
         b = io.rerun_from_metadata(meta)
-        assert np.array_equal(a.infected, b.infected)
+        assert np.array_equal(a.matrix[0], b.matrix[0])
 
 
 class TestSyntheticReference:

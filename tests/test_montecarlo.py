@@ -202,6 +202,17 @@ class TestEnsemble:
                 expected = integrate(params, horizon_days=112.0, dt=dt / 8).i[rows << 3]
             assert np.array_equal(ens.matrix[r], expected)
 
+    def test_other_value_errors_keep_their_message(self, monkeypatch):
+        # only a halving past MAX_STEPS ends the retries; any other ValueError
+        # of integrate is the replicate's failure
+        def boom(params, horizon_days, dt):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(montecarlo, "integrate", boom)
+        with pytest.raises(RuntimeError, match=r"^replicate 0 failed: boom$"):
+            run_sd_ensemble(default_params(), spec_with(), weeks=1, replicates=1,
+                            master_seed=5)
+
     def test_halving_stops_at_the_step_limit(self, monkeypatch):
         # a 1e-9-day illness is too stiff at every halving of dt = 7 / 2**22;
         # 7 days hold 2**22 steps of dt and 2**23 of dt / 2, but dt / 4 is over

@@ -223,6 +223,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(default_params(), horizon_days=1.0, dt=2.0)
 
+    def test_a_roundoff_negative_r_is_clipped(self):
+        # at dt / D = 2.7853 one RK4 step of pure decay moves R by a stage sum
+        # that crosses zero, leaving R near -1e-12, inside the tolerance; the
+        # step clips R as it clips S and I, where the earlier loop's
+        # trajectory is rejected
+        params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.065,
+                           illness_duration=0.35902858253024017, initial_infected=10)
+        traj = integrate(params, horizon_days=7.0, dt=1.0)
+        assert traj.r[1] == 0.0
+        with pytest.raises(ValueError, match="negative compartment counts"):
+            reference_integrate(params, 7.0, 1.0)
+
 
 # Step sizes found by bisecting between a dt that integrates and one that
 # fails: in each run some steps overshoot below zero by less than the

@@ -81,7 +81,7 @@ class TestWeeklySummary:
 class TestWilcoxon:
     def test_identical_series(self):
         x = WeeklySeries([1.0, 2.0, 3.0, 4.0])
-        res = wilcoxon_signed_rank(x, x)
+        res = wilcoxon_signed_rank(x.infected, x.infected)
         assert res.n_effective == 0
         assert res.p_value == 1.0
         assert not res.reject_at_5pct
