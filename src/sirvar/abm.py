@@ -2,12 +2,12 @@
 
 Time advances in synchronous daily steps.  Within one day:
 
-1. every currently infectious agent makes Poisson(contact_rate) contacts,
-   each with a target picked uniformly with replacement from its neighbour
-   list, and each contacted susceptible independently becomes infected
-   with probability ``infection_prob``.  Eligibility is judged against the
-   start-of-day states, and new infectives only start transmitting the
-   next day;
+1. every currently infectious agent makes Poisson(contact_rate *
+   infection_prob) transmitting contacts, each to a neighbour slot picked
+   uniformly with replacement from its neighbour list, and a susceptible
+   that any of them reaches becomes infected.  Eligibility is judged
+   against the start-of-day states, and new infectives only start
+   transmitting the next day;
 2. agents that were infectious at the start of the day progress towards
    recovery.  By default an agent stays infectious for a fixed
    ``illness_duration`` D: one infected on day ``infected_on`` is still
@@ -19,10 +19,11 @@ Time advances in synchronous daily steps.  Within one day:
 
 Recovered agents never change state again.  A run yields a
 :class:`sirvar.core.Trajectory` of daily (S, I, R) counts with a one-day
-step, which :func:`sirvar.sd.weekly_sample` turns into end-of-week values
-as it does the ODE's trajectory.  Ensemble replicates draw their network
-and simulation randomness from :func:`sirvar.core.replicate_rng` streams
-and run through :func:`sirvar.core.run_replicates`.
+step, whose end-of-week values are its rows ``week_indices(1.0, weeks)``:
+:func:`sirvar.sd.week_indices` is the rule that places the ODE's on its
+own grid too.  Ensemble replicates draw their network and simulation
+randomness from :func:`sirvar.core.replicate_rng` streams and run through
+:func:`sirvar.core.run_replicates`.
 
 The daily counts a seed yields are fixed by the order of random draws,
 which is part of this module's contract; it is version 3 of the ``abm``
@@ -89,7 +90,7 @@ import numpy as np
 
 from .core import EnsembleResult, SirParams, Trajectory, WeeklySeries, replicate_rng, run_replicates
 from .network import NetworkGenParams, NetworkTopology, build_small_world
-from .sd import week_indices, weekly_sample
+from .sd import week_indices
 
 # RNG stream ids per replicate (part of the reproducibility contract).
 _STREAM_NETWORK = 0
@@ -194,8 +195,9 @@ def run_abm(
 
     All agents start susceptible except ``params.initial_infected``
     uniformly random index cases.  The daily counts of :func:`_simulate` are
-    sampled by :func:`sirvar.sd.weekly_sample`, as the ODE's trajectory is:
-    entry ``w`` is the infectious count at the end of day ``7 * (w + 1)``.
+    sampled at the rows of :func:`sirvar.sd.week_indices` on the one-day
+    grid, as the ODE's trajectory is on its own: entry ``w`` is the
+    infectious count at the end of day ``7 * (w + 1)``.
 
     Raises
     ------
@@ -207,10 +209,10 @@ def run_abm(
         raise ValueError(
             f"params.population={params.population} does not match topology n={topo.n}"
         )
-    week_indices(1.0, weeks)
+    rows = week_indices(1.0, weeks)
     check_transmission_mean(params)
     rng = np.random.default_rng(seed)
-    return weekly_sample(_simulate(params, topo, weeks, rng, exponential_recovery), weeks)
+    return WeeklySeries(_simulate(params, topo, weeks, rng, exponential_recovery).i[rows])
 
 
 def _abm_replicate(context, r: int) -> np.ndarray:

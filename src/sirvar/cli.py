@@ -31,11 +31,12 @@ from .core import (
     DEFAULT_INFECTION_PROB,
     DEFAULT_POPULATION,
     SirParams,
+    WeeklySeries,
     calibrate_contact_rate,
 )
 from .montecarlo import VariationSpec, check_spread
 from .network import NODE_LIMIT, NetworkGenParams
-from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices, weekly_sample
+from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices
 
 _SCENARIOS = {
     "illness": dict(vary_illness=True),
@@ -124,9 +125,9 @@ def _cpu_count() -> int:
 def cmd_run_sd(args) -> int:
     with _building_inputs():
         params, provenance = _params_from_args(args)
-        week_indices(args.dt, args.weeks)
-    traj = integrate(params, horizon_days=7.0 * args.weeks, dt=args.dt)
-    series = weekly_sample(traj, args.weeks)
+        rows = week_indices(args.dt, args.weeks)
+    traj = integrate(params, rows[-1], args.dt)
+    series = WeeklySeries(traj.i[rows])
     meta = io.make_metadata(
         "sd", params, args.weeks, args.seed,
         dt=args.dt,

@@ -33,7 +33,7 @@ from .abm import run_abm_ensemble
 from .core import EnsembleResult, SirParams, WeeklySeries
 from .montecarlo import VariationSpec, run_sd_ensemble
 from .network import NetworkGenParams
-from .sd import integrate, weekly_sample
+from .sd import integrate, week_indices
 from .stats import WeeklySummary
 
 _CONVENTIONS = {
@@ -154,8 +154,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":
-        traj = integrate(params, horizon_days=7.0 * weeks, dt=meta["dt"])
-        return EnsembleResult([weekly_sample(traj, weeks).infected])
+        rows = week_indices(meta["dt"], weeks)
+        return EnsembleResult([integrate(params, rows[-1], meta["dt"]).i[rows]])
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],

@@ -115,24 +115,21 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
 
 
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
-    base, spec, weeks, rows, master_seed, dt = context
+    base, spec, rows, master_seed, dt = context
     params, clamped = sample_params(base, spec, master_seed, r)
     # A wide spread can draw an illness shorter than one step; RK4 then
     # overshoots, so integrate again at dt / 2, dt / 4, ...  Halving keeps
-    # week w's end at step rows[w] << k, and running half a step past the
-    # horizon keeps the last one in the run however dt / 2**k rounds.
+    # week w's end at step rows[w] << k, so attempt k runs rows[-1] << k steps.
     failure = None
     for k in range(_MAX_HALVINGS + 1):
-        step = dt / 2**k
+        steps = rows[-1] << k
+        if steps > MAX_STEPS:
+            break
         try:
-            traj = integrate(params, horizon_days=7.0 * weeks + 0.5 * step, dt=step)
+            traj = integrate(params, steps, dt / 2**k)
         except StepSizeError as error:
             failure = failure or error
             continue
-        except ValueError:
-            if rows[-1] << k > MAX_STEPS:  # the steps this attempt takes
-                break
-            raise
         return traj.i[rows << k], clamped
     raise failure
 
@@ -155,15 +152,15 @@ def run_sd_ensemble(
     A replicate whose trajectory leaves the valid region at ``dt`` runs again
     at ``dt / 2**k`` for the smallest ``k <= 8`` that stays valid, and raises
     its error at ``dt`` if none does before ``dt / 2**k`` takes more than
-    :data:`sirvar.sd.MAX_STEPS` steps.  Each attempt integrates to half a
-    step past ``7 * weeks`` days, so it runs exactly ``rows[-1] << k`` steps
-    of ``dt / 2**k`` and keeps rows ``rows << k``.
+    :data:`sirvar.sd.MAX_STEPS` steps.  Attempt ``k`` runs ``rows[-1] << k``
+    steps of ``dt / 2**k`` and keeps rows ``rows << k``; attempt 0 always
+    runs, since the week grid holds at most that many steps.
     ``replicates`` and ``master_seed`` are checked where the agent-based
     ensemble's are.  The result counts the clamped draws of all replicates
     and is a pure function of the inputs, independent of ``threads``.
     """
     check_spread(base, spec)
-    context = (base, spec, weeks, week_indices(dt, weeks), master_seed, dt)
+    context = (base, spec, week_indices(dt, weeks), master_seed, dt)
     rows = run_replicates(_sd_replicate, context, replicates, threads)
     return EnsembleResult([row for row, _ in rows],
                           clamped_draws=sum(clamped for _, clamped in rows))

@@ -10,9 +10,11 @@ integrated with fixed-step classical 4th-order Runge-Kutta.  SIR is smooth
 and non-stiff, so a fixed step keeps weekly sampling exact and results
 bit-reproducible; the default step is 0.1 day.
 
-Simulated time has one step rule: ``days`` hold ``floor(days / dt + 1e-12)``
-whole steps of ``dt``, and every function here counts steps by it.  A count
-above :data:`MAX_STEPS`, about 10 s of RK4, is rejected before any step runs.
+Days become steps in one place: :func:`week_indices` places each week's end
+on the grid of step ``dt`` and rejects a grid that misses one, or that holds
+more than :data:`MAX_STEPS` steps, about 10 s of RK4.  :func:`integrate` runs
+a given whole number of steps, so a caller takes the count from the week
+grid, the last week's row, and samples the trajectory at the grid's rows.
 
 Each step checks only whether a compartment went negative or NaN.  Such a
 step gets the full check at once, valid region and conservation drift, and
@@ -38,7 +40,7 @@ import math
 
 import numpy as np
 
-from .core import SirParams, Trajectory, WeeklySeries, derived_rates
+from .core import SirParams, Trajectory, derived_rates
 
 #: Default integration step in days.
 DEFAULT_DT = 0.1
@@ -57,44 +59,37 @@ class StepSizeError(RuntimeError):
     """The integration step pushed a state out of the valid region."""
 
 
-class HorizonError(ValueError):
-    """The trajectory is too short for the requested weekly sampling."""
-
-
-def integrate(params: SirParams, horizon_days: float, dt: float = DEFAULT_DT) -> Trajectory:
-    """Integrate the SIR equations from (N - I0, I0, 0) over ``horizon_days``.
+def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajectory:
+    """Integrate the SIR equations from (N - I0, I0, 0) for ``steps`` steps of ``dt``.
 
     Parameters
     ----------
     params : SirParams
         Epidemiological parameters; the ODE coefficients come from
         :func:`sirvar.core.derived_rates`.
-    horizon_days : float
-        Length of the integration in days, >= dt.
+    steps : int
+        Whole steps to run, at least 1 and at most :data:`MAX_STEPS`; the
+        last row of :func:`week_indices` for a run over whole weeks.
     dt : float
-        Fixed step in days.
+        Fixed step in days, > 0.
 
     Returns
     -------
     Trajectory
-        ``floor(horizon_days / dt + 1e-12) + 1`` states including the initial one.
+        ``steps + 1`` states including the initial one.
 
     Raises
     ------
     ValueError
-        If ``dt`` is not positive, or leaves no whole step or more than
-        :data:`MAX_STEPS` steps in ``horizon_days``.
+        If ``steps`` is below 1 or above :data:`MAX_STEPS`, before any step.
     StepSizeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
         ``CONSERVATION_RTOL * N``.  A negative or NaN state ends the loop at
         once; drift alone is found after the last step.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    steps = _step_count(horizon_days, dt)
-    if steps < 1:
-        raise ValueError(f"dt={dt} exceeds horizon_days={horizon_days}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in 1 .. MAX_STEPS = {MAX_STEPS}, got {steps}")
 
     a, b = derived_rates(params)
     n = float(params.population)
@@ -181,37 +176,34 @@ def _check_states(states, checked, n, dt) -> None:
     )
 
 
-def _step_count(days: float, dt: float) -> int:
-    """Whole steps of ``dt`` in ``days``: ``floor(days / dt + 1e-12)``, the one step rule.
-
-    Raises ``ValueError`` if that is more than :data:`MAX_STEPS`."""
-    count = days / dt + 1e-12
-    if not count < MAX_STEPS + 1:
-        raise ValueError(f"dt={dt} divides {days:g} days into more than "
-                         f"MAX_STEPS = {MAX_STEPS} steps")
-    return math.floor(count)
-
-
 def week_indices(dt: float, weeks: int) -> np.ndarray:
     """Indices of days 7, 14, ..., ``7 * weeks`` on the integration grid of step ``dt``.
 
-    This is the one end-of-week rule: :func:`weekly_sample` applies it to a
-    trajectory, and :func:`sirvar.montecarlo.run_sd_ensemble` computes it once
-    and applies it to every replicate's trajectory.
+    This is the one end-of-week rule and the one place days become steps: a
+    run over ``weeks`` weeks integrates ``indices[-1]`` steps and keeps the
+    rows ``indices``, as every SD caller does, and the ABM's one-day grid is
+    ``week_indices(1.0, weeks)``.  ``7 * weeks`` days hold
+    ``floor(7 * weeks / dt + 1e-12)`` whole steps of ``dt``; an accepted
+    grid's last row equals that count.
 
     Raises
     ------
     ValueError
         If ``dt`` is not positive, ``weeks < 1``, ``7 * weeks`` days hold
         more than :data:`MAX_STEPS` steps, a week boundary is not a whole
-        number of steps, or the last one's nearest step is past the
-        ``floor(7 * weeks / dt + 1e-12)`` steps that :func:`integrate` runs.
+        number of steps, or the last one's nearest step is past the whole
+        steps in ``7 * weeks`` days.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if weeks < 1:
         raise ValueError(f"weeks must be >= 1, got {weeks}")
-    steps = _step_count(7.0 * weeks, dt)
+    days = 7.0 * weeks
+    count = days / dt + 1e-12
+    if not count < MAX_STEPS + 1:
+        raise ValueError(f"dt={dt} divides {days:g} days into more than "
+                         f"MAX_STEPS = {MAX_STEPS} steps")
+    steps = math.floor(count)
     indices = np.empty(weeks, dtype=int)
     for w in range(weeks):
         day = 7.0 * (w + 1)
@@ -222,20 +214,3 @@ def week_indices(dt: float, weeks: int) -> np.ndarray:
     if idx > steps:
         raise ValueError(f"dt={dt} places day {day} at step {idx}, past the {steps} steps in it")
     return indices
-
-
-def weekly_sample(traj: Trajectory, weeks: int) -> WeeklySeries:
-    """Resample a trajectory onto the weekly reporting grid.
-
-    ``infected[w]`` is the prevalence at day ``7 * (w + 1)``, i.e. at the
-    end of each week.  It samples the ODE's trajectory and the ABM's one-day
-    trajectory of daily counts alike, at the rows of :func:`week_indices`,
-    the one end-of-week rule, so a trajectory from :func:`integrate` over
-    ``7 * weeks`` days always holds them; a shorter one raises
-    :class:`HorizonError`.  A Monte-Carlo ensemble indexes its replicates'
-    trajectories by those rows directly.
-    """
-    indices = week_indices(traj.dt, weeks)
-    if indices[-1] >= len(traj):
-        raise HorizonError(f"trajectory ends at step {len(traj) - 1}, before week {weeks} ends")
-    return WeeklySeries(traj.i[indices])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from sirvar.core import WeeklySeries
 from sirvar.io import _write_table
-from sirvar.sd import integrate, weekly_sample
+from sirvar.sd import integrate, week_indices
 
 from paper_params import default_params
 
@@ -35,6 +35,6 @@ def write_synthetic_reference(path, weeks: int = 15) -> None:
     rounds each weekly value to the nearest whole count (banker's
     rounding, via ``round``).
     """
-    traj = integrate(default_params(), horizon_days=7.0 * weeks)
-    weekly = weekly_sample(traj, weeks)
-    save_series(WeeklySeries([round(v) for v in weekly.infected]), path)
+    rows = week_indices(0.1, weeks)
+    weekly = integrate(default_params(), rows[-1], 0.1).i[rows]
+    save_series(WeeklySeries([round(v) for v in weekly]), path)

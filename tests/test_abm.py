@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ from sirvar.abm import _simulate, run_abm, run_abm_ensemble
 from sirvar.core import SirParams, attack_fraction, replicate_rng
 from sirvar.network import NODE_LIMIT, NetworkGenParams, NetworkTopology, build_small_world
 
+from final_size_law import ALPHA, chi_square, final_size_law, fixed_days, geometric_days, \
+    mean_days
 from paper_params import default_params
 from same_law import MIN_REPLICATES, assert_same_law, outcomes
 
@@ -521,3 +524,61 @@ class TestMeanField:
         assert abs(mean - attack_fraction(rate * lasting)) < 4 * se
         if not exponential_recovery:  # the gate can tell ceil(D) from D
             assert abs(mean - attack_fraction(rate * duration)) > 40 * se
+
+
+# Runs of each exact-law case: the χ² gate's sample.
+EXACT_LAW_RUNS = 4000
+
+
+@functools.lru_cache(maxsize=None)
+def complete_graph_final_sizes(duration, exponential_recovery):
+    """Final sizes of :data:`EXACT_LAW_RUNS` runs from one index case on the
+    complete graph of 51 agents, at paper c and p, seed 11."""
+    topo = build_small_world(51, 50, 0.0, 0)
+    params = replace(default_params(51), illness_duration=duration)
+    last = np.array([
+        _simulate(params, topo, 30, replicate_rng(11, r, 1), exponential_recovery).states[-1]
+        for r in range(EXACT_LAW_RUNS)])
+    assert not last[:, 1].any()  # every run has ended by week 30: its final size is reached
+    return (51 - last[:, 0]).astype(int)
+
+
+class TestExactFinalSize:
+    """On a complete graph the final size follows the exact small-N law.
+
+    N = 51, k = 50 and p_rewire = 0 build the complete graph, so an agent
+    transmits Poisson(c * p) times a day, each time to one of the other 50 at
+    random, on L days: ceil(D) in fixed mode, Geometric(1 / D) on 1, 2, ... in
+    exponential mode.  :func:`final_size_law.final_size_law` gives the law of
+    the number ever infected; a χ² test of 4,000 runs must not reject it at
+    :data:`final_size_law.ALPHA`.
+    """
+
+    @staticmethod
+    def law(days):
+        params = default_params(51)
+        return final_size_law(51, params.contact_rate * params.infection_prob, days)
+
+    @pytest.mark.parametrize("duration, exponential_recovery", [
+        (4.2, False), (4.0, False), (4.2, True),
+    ], ids=["fixed-4.2", "fixed-4.0", "exponential-4.2"])
+    def test_final_size_follows_the_exact_law(self, duration, exponential_recovery):
+        days = geometric_days(duration) if exponential_recovery else fixed_days(math.ceil(duration))
+        stat, df, p = chi_square(complete_graph_final_sizes(duration, exponential_recovery),
+                                 self.law(days))
+        assert p > ALPHA, (stat, df)
+
+    def test_fixed_mode_is_not_the_mean_duration_law(self):
+        # power: at D = 4.2 the fixed mode's five transmitting days are told
+        # apart from L = 4 or 5 days with mean D
+        stat, df, p = chi_square(complete_graph_final_sizes(4.2, False), self.law(mean_days(4.2)))
+        assert p < ALPHA, (stat, df)
+
+    def test_law_is_exact_for_three_agents(self):
+        # q = exp(-λL) escapes one infective: the index case infects no one;
+        # or one, who infects no one; or, otherwise, all three are infected
+        rate, lasting = 0.8, 3
+        q = math.exp(-rate / 2 * lasting)
+        law = final_size_law(3, rate, fixed_days(lasting))
+        assert law == pytest.approx([0.0, q * q, 2 * q * q * (1 - q), 1 - q * q * (3 - 2 * q)],
+                                    rel=1e-12)

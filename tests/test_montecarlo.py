@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sirvar import montecarlo
 from sirvar.core import SirParams
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble, sample_params
-from sirvar.sd import StepSizeError, integrate, week_indices, weekly_sample
+from sirvar.sd import MAX_STEPS, StepSizeError, integrate, week_indices
 
 from paper_params import default_params
 
@@ -110,9 +110,10 @@ class TestEnsemble:
         spec = spec_with(vary_illness=True, vary_contact=True, vary_infection=True,
                          sigma_fraction=1e-12)
         ens = run_sd_ensemble(base, spec, weeks=15, replicates=1, master_seed=99)
-        expected = weekly_sample(integrate(base, 105.0), 15)
+        rows = week_indices(0.1, 15)
+        expected = integrate(base, rows[-1]).i[rows]
         assert ens.replicates == 1
-        assert ens.matrix[0] == pytest.approx(expected.infected, rel=1e-6)
+        assert ens.matrix[0] == pytest.approx(expected, rel=1e-6)
 
     def test_bit_identical_reruns(self):
         base = default_params()
@@ -171,22 +172,24 @@ class TestEnsemble:
         base = default_params()
         spec = spec_with(sigma_fraction=0.7109375)
         ens = run_sd_ensemble(base, spec, weeks=3, replicates=8, master_seed=322)
+        rows = week_indices(0.1, 3)
         for r in range(8):
             params = sample_params(base, spec, 322, r)[0]
-            for dt in 0.1 / 2.0 ** np.arange(9):
+            for k in range(9):
                 try:
-                    traj = integrate(params, horizon_days=21.0, dt=dt)
+                    traj = integrate(params, rows[-1] << k, 0.1 / 2**k)
                     break
                 except StepSizeError:
                     pass
-            assert (dt < 0.1) == (r == 7)
-            assert np.array_equal(ens.matrix[r], weekly_sample(traj, 3).infected)
+            assert (k > 0) == (r == 7)
+            assert np.array_equal(ens.matrix[r], traj.i[rows << k])
 
     def test_halving_keeps_the_last_week_of_a_dt_just_off_the_grid(self):
-        # 105 / dt is 1049.9999999999995, within the step rule's 1e-12 slack
+        # 105 / dt is 1049.9999999999995, within the week grid's 1e-12 slack
         # at dt; each halving doubles the shortfall, so 105 days of dt / 8
-        # hold 8399 steps, not 8400.  Replicate 7 first stays valid at dt / 8,
-        # and its week ends are still the rows of dt shifted left by 3.
+        # hold 8399 whole steps, not 8400.  Replicate 7 first stays valid at
+        # dt / 8, where it runs 8400 steps and keeps the rows of dt shifted
+        # left by 3.
         dt = 0.10000000000000003
         base = default_params()
         spec = spec_with(sigma_fraction=0.7109375)
@@ -195,17 +198,17 @@ class TestEnsemble:
         for r in range(8):
             params = sample_params(base, spec, 322, r)[0]
             if r < 7:
-                expected = integrate(params, horizon_days=105.0, dt=dt).i[rows]
+                expected = integrate(params, rows[-1], dt).i[rows]
             else:
                 with pytest.raises(StepSizeError):
-                    integrate(params, horizon_days=105.0, dt=dt / 4)
-                expected = integrate(params, horizon_days=112.0, dt=dt / 8).i[rows << 3]
+                    integrate(params, rows[-1] << 2, dt / 4)
+                expected = integrate(params, rows[-1] << 3, dt / 8).i[rows << 3]
             assert np.array_equal(ens.matrix[r], expected)
 
     def test_other_value_errors_keep_their_message(self, monkeypatch):
-        # only a halving past MAX_STEPS ends the retries; any other ValueError
-        # of integrate is the replicate's failure
-        def boom(params, horizon_days, dt):
+        # only a StepSizeError starts a retry; any other ValueError of
+        # integrate is the replicate's failure
+        def boom(params, steps, dt):
             raise ValueError("boom")
 
         monkeypatch.setattr(montecarlo, "integrate", boom)
@@ -215,14 +218,16 @@ class TestEnsemble:
 
     def test_halving_stops_at_the_step_limit(self, monkeypatch):
         # a 1e-9-day illness is too stiff at every halving of dt = 7 / 2**22;
-        # 7 days hold 2**22 steps of dt and 2**23 of dt / 2, but dt / 4 is over
-        # MAX_STEPS, so the replicate stops there and raises its error at dt
+        # 7 days hold 2**22 steps of dt and 2**23 of dt / 2, but 2**24 steps
+        # of dt / 4 are over MAX_STEPS, so the replicate stops before that
+        # attempt and raises its error at dt
         dt = 7.0 / 2**22
+        assert 2**23 <= MAX_STEPS < 2**24
         tried = []
 
-        def spy(params, horizon_days, dt):
-            tried.append(dt)
-            return integrate(params, horizon_days, dt)
+        def spy(params, steps, dt):
+            tried.append((steps, dt))
+            return integrate(params, steps, dt)
 
         monkeypatch.setattr(montecarlo, "integrate", spy)
         stiff = SirParams(population=100, contact_rate=1.0, infection_prob=0.5,
@@ -232,7 +237,7 @@ class TestEnsemble:
                 f"with dt={dt}:")):
             run_sd_ensemble(stiff, spec_with(sigma_fraction=1e-6), weeks=1, replicates=1,
                             master_seed=5, dt=dt)
-        assert tried == [dt, dt / 2, dt / 4]
+        assert tried == [(2**22, dt), (2**23, dt / 2)]
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), replicates=st.integers(1, 9),

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import sirvar.sd
 from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
     derived_rates
-from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, HorizonError, StepSizeError, integrate, \
-    week_indices, weekly_sample
+from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, StepSizeError, integrate, week_indices
 
 from paper_params import default_params
 
@@ -87,10 +86,19 @@ def reference_integrate(params, horizon_days, dt, clipped=None):
     return Trajectory(dt=dt, states=out)
 
 
+def steps_in(days, dt):
+    """Whole steps of ``dt`` in ``days``, as ``reference_integrate`` counts them."""
+    return math.floor(days / dt + 1e-12)
+
+
 def outcome(integrator, params, horizon_days, dt, **kwargs):
-    """The bytes of a trajectory's states, or the type and message of its error."""
+    """The bytes of a trajectory's states, or the type and message of its error.
+
+    ``integrate`` is given the steps that ``reference_integrate`` takes in
+    ``horizon_days``."""
+    span = horizon_days if integrator is reference_integrate else steps_in(horizon_days, dt)
     try:
-        return integrator(params, horizon_days, dt, **kwargs).states.tobytes()
+        return integrator(params, span, dt, **kwargs).states.tobytes()
     except StepSizeError as exc:
         return type(exc), str(exc)
 
@@ -102,14 +110,14 @@ class TestDerivatives:
         # a = 0: nobody is infected, S stays exactly where it started
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
                            illness_duration=5.0, initial_infected=10)
-        traj = integrate(params, horizon_days=30.0, dt=0.1)
+        traj = integrate(params, 300, 0.1)
         assert np.array_equal(traj.states[:, 0], np.full(len(traj), 990.0))
 
     def test_pure_decay(self):
         # a = 0: I(t) = I0 exp(-t / D), to RK4 accuracy (error O(dt^4))
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
                            illness_duration=5.0, initial_infected=100)
-        traj = integrate(params, horizon_days=30.0, dt=0.1)
+        traj = integrate(params, 300, 0.1)
         t = np.arange(len(traj)) * 0.1
         assert traj.i == pytest.approx(100.0 * np.exp(-t / 5.0), rel=1e-8)
         assert traj.r == pytest.approx(100.0 - traj.i, abs=1e-9)
@@ -117,7 +125,7 @@ class TestDerivatives:
     def test_direct_evaluation(self):
         params = SirParams(population=5000, contact_rate=6.0, infection_prob=0.2,
                            illness_duration=3.0, initial_infected=20)
-        traj = integrate(params, horizon_days=20.0, dt=0.25)
+        traj = integrate(params, 80, 0.25)
         assert traj.states == pytest.approx(rk4_reference(params, 80, 0.25), rel=1e-9, abs=1e-9)
 
 
@@ -132,11 +140,20 @@ def random_params(rng):
     )
 
 
+@pytest.fixture
+def no_step(monkeypatch):
+    """Fail the test if ``integrate`` gets as far as its rates, before the first step."""
+    def derived_rates(params):
+        raise AssertionError("integrate went on to step")
+
+    monkeypatch.setattr(sirvar.sd, "derived_rates", derived_rates)
+
+
 class TestIntegrate:
     def test_disease_free_equilibrium(self):
         params = SirParams(population=500, contact_rate=8.0, infection_prob=0.3,
                            illness_duration=3.0, initial_infected=0)
-        traj = integrate(params, horizon_days=20.0, dt=0.5)
+        traj = integrate(params, 40, 0.5)
         assert len(traj) == 41
         assert np.array_equal(traj.states, np.tile([500.0, 0.0, 0.0], (41, 1)))
 
@@ -144,7 +161,7 @@ class TestIntegrate:
         # infinite illness duration means b = 0: S drains, R never grows
         params = SirParams(population=1000, contact_rate=10.0, infection_prob=0.5,
                            illness_duration=math.inf, initial_infected=5)
-        traj = integrate(params, horizon_days=400.0, dt=0.1)
+        traj = integrate(params, 4000, 0.1)
         s = traj.states[:, 0]
         assert np.all(np.diff(s) <= 0.0)
         assert np.array_equal(traj.r, np.zeros(len(traj)))
@@ -153,7 +170,7 @@ class TestIntegrate:
 
     def test_initial_condition_and_length(self):
         params = default_params()
-        traj = integrate(params, horizon_days=10.0, dt=0.1)
+        traj = integrate(params, 100, 0.1)
         assert len(traj) == 101
         assert np.array_equal(traj.states[0], [52909.0, 1.0, 0.0])
 
@@ -165,13 +182,13 @@ class TestIntegrate:
         s0 = (n - 1) / n
         i0 = 1 / n
         peak_frac = i0 + s0 - (1.0 + math.log(r0 * s0)) / r0
-        traj = integrate(params, horizon_days=364.0)
+        traj = integrate(params, 3640)
         assert traj.i.max() == pytest.approx(peak_frac * n, rel=1e-3)
 
     def test_final_size_matches_oracle(self):
         params = default_params()
         r0 = basic_reproduction_number(params)
-        traj = integrate(params, horizon_days=364.0)
+        traj = integrate(params, 3640)
         ever_infected = traj.r[-1] + traj.i[-1]
         assert ever_infected / params.population == pytest.approx(attack_fraction(r0), abs=1e-3)
 
@@ -179,7 +196,7 @@ class TestIntegrate:
         rng = np.random.default_rng(11)
         for _ in range(60):
             params = random_params(rng)
-            traj = integrate(params, horizon_days=56.0, dt=0.1)
+            traj = integrate(params, 560, 0.1)
             n = params.population
             total = traj.states.sum(axis=1)
             assert np.abs(total - n).max() <= 1e-6 * n
@@ -192,36 +209,41 @@ class TestIntegrate:
         params = SirParams(population=10_000, contact_rate=1.0, infection_prob=0.05,
                            illness_duration=4.0, initial_infected=50)
         assert basic_reproduction_number(params) < 1.0
-        traj = integrate(params, horizon_days=100.0)
+        traj = integrate(params, 1000)
         assert traj.i.max() == traj.i[0]
 
     def test_supercritical_peak_exceeds_initial(self):
         params = default_params()
         assert basic_reproduction_number(params) > 1.0
-        traj = integrate(params, horizon_days=364.0)
+        traj = integrate(params, 3640)
         assert traj.i.max() > traj.i[0]
 
     def test_halving_dt_converges(self):
         params = default_params()
-        r_coarse = integrate(params, horizon_days=105.0, dt=0.1).r[-1]
-        r_fine = integrate(params, horizon_days=105.0, dt=0.05).r[-1]
+        r_coarse = integrate(params, 1050, 0.1).r[-1]
+        r_fine = integrate(params, 2100, 0.05).r[-1]
         assert abs(r_fine - r_coarse) / r_fine < 1e-4
 
     def test_determinism(self):
         params = default_params()
-        a = integrate(params, horizon_days=105.0)
-        b = integrate(params, horizon_days=105.0)
+        a = integrate(params, 1050)
+        b = integrate(params, 1050)
         assert np.array_equal(a.states, b.states)
 
     def test_step_too_large_raises(self):
         params = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
                            illness_duration=0.2, initial_infected=10)
         with pytest.raises(StepSizeError):
-            integrate(params, horizon_days=20.0, dt=2.0)
+            integrate(params, 10, 2.0)
 
-    def test_dt_larger_than_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(default_params(), horizon_days=1.0, dt=2.0)
+    def test_dt_larger_than_horizon_rejected(self, no_step):
+        # a dt longer than the week leaves no whole step: the week grid
+        # rejects it, and integrate rejects 0 steps before any step
+        with pytest.raises(ValueError, match="does not place day 7.0"):
+            week_indices(14.0, 1)
+        with pytest.raises(ValueError, match=f"steps must be in 1 .. MAX_STEPS = {MAX_STEPS}, "
+                                             "got 0"):
+            integrate(default_params(), 0, 14.0)
 
     def test_a_roundoff_negative_r_is_clipped(self):
         # at dt / D = 2.7853 one RK4 step of pure decay moves R by a stage sum
@@ -230,7 +252,7 @@ class TestIntegrate:
         # trajectory is rejected
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.065,
                            illness_duration=0.35902858253024017, initial_infected=10)
-        traj = integrate(params, horizon_days=7.0, dt=1.0)
+        traj = integrate(params, 7, 1.0)
         assert traj.r[1] == 0.0
         with pytest.raises(ValueError, match="negative compartment counts"):
             reference_integrate(params, 7.0, 1.0)
@@ -305,19 +327,19 @@ class TestNonFinite:
         params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
                            illness_duration=4.2)
         with pytest.raises(StepSizeError, match=r"at step 1 \(t=0.100 d\)"):
-            integrate(params, horizon_days=7.0, dt=0.1)
+            integrate(params, 70, 0.1)
 
     @pytest.mark.parametrize("contact_rate", [1e100, 1e308])
     def test_overflow_does_not_advise_a_smaller_step(self, contact_rate):
         params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
                            illness_duration=4.2)
         with pytest.raises(StepSizeError, match="the state is not finite$") as overflow:
-            integrate(params, horizon_days=7.0, dt=0.1)
+            integrate(params, 70, 0.1)
         assert "reduce dt" not in str(overflow.value)
         too_large = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
                               illness_duration=0.2, initial_infected=10)
         with pytest.raises(StepSizeError, match="; reduce dt$"):
-            integrate(too_large, horizon_days=20.0, dt=2.0)
+            integrate(too_large, 10, 2.0)
 
 
 # Its negative state at step 10 comes after roundoff drift of more than
@@ -396,31 +418,13 @@ class TestCheckAfterTheLoop:
     def test_loop_stops_at_the_first_negative_or_nan_state(self, checked_lengths, params,
                                                           horizon_days, dt, step):
         with pytest.raises(StepSizeError, match=f"at step {step} "):
-            integrate(params, horizon_days, dt)
+            integrate(params, steps_in(horizon_days, dt), dt)
         assert checked_lengths == [step + 1]
 
 
 class TestWeeklySample:
-    def test_constant_trajectory(self):
-        states = np.tile([0.0, 5.0, 0.0], (106, 1))
-        series = weekly_sample(Trajectory(dt=1.0, states=states), weeks=15)
-        assert np.array_equal(series.infected, np.full(15, 5.0))
-
-    def test_direct_indexing(self):
-        states = np.zeros((15, 3))
-        states[:, 1] = np.arange(15.0) / 7.0 * 10.0  # I(day 7) = 10, I(day 14) = 20
-        series = weekly_sample(Trajectory(dt=1.0, states=states), weeks=2)
-        assert np.array_equal(series.infected, [10.0, 20.0])
-
-    def test_horizon_too_short(self):
-        states = np.tile([1.0, 1.0, 0.0], (50, 1))
-        with pytest.raises(HorizonError):
-            weekly_sample(Trajectory(dt=1.0, states=states), weeks=8)
-
-    def test_misaligned_grid_rejected(self):
-        states = np.tile([1.0, 1.0, 0.0], (100, 1))
-        with pytest.raises(ValueError):
-            weekly_sample(Trajectory(dt=0.3, states=states), weeks=2)
+    """End-of-week sampling: a run integrates the last row of
+    ``week_indices`` in steps and keeps its rows."""
 
     # 0.1000000000001 places day 14 nearest step 140, but 14 days hold 139 whole
     # steps; 1e-300 gives more than MAX_STEPS steps
@@ -435,41 +439,38 @@ class TestWeeklySample:
         with pytest.raises(ValueError):
             week_indices(0.1, 0)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(k=st.integers(1, 399), exponent=st.floats(-17.0, -8.0),
            sign=st.sampled_from([-1.0, 1.0]), weeks=st.integers(1, 19))
     def test_accepted_steps_integrate_to_the_last_week(self, k, exponent, sign, weeks):
-        # steps near the week grid: some are rejected, the rest must run to the last week
+        # steps near the week grid: some are rejected; for the rest the last
+        # row, the steps a run integrates, is the whole steps in 7 * weeks days
         dt = 7.0 / k * (1.0 + sign * 10.0**exponent)
         try:
             indices = week_indices(dt, weeks)
         except ValueError:
             return
-        params = SirParams(population=1000, contact_rate=2.0, infection_prob=0.1,
-                           illness_duration=10.0, initial_infected=10)
-        traj = integrate(params, 7.0 * weeks, dt)
-        assert len(traj) == indices[-1] + 1
-        assert weekly_sample(traj, weeks).weeks == weeks
+        assert indices[-1] == math.floor(7.0 * weeks / dt + 1e-12)
 
     def test_a_step_a_hair_above_the_horizon_is_one_step(self):
-        # floor(7 / dt + 1e-12) = 1, and the week grid accepts this dt too
-        assert len(integrate(default_params(), 7.0, 7.000000000000132)) == 2
+        # 7 days hold floor(7 / dt + 1e-12) = 1 whole step, and the week grid places day 7 there
         assert week_indices(7.000000000000132, 1).tolist() == [1]
 
-    def test_step_limit_accepts_max_steps_and_rejects_one_more(self):
-        # 78,125 weeks hold exactly MAX_STEPS steps of 7 / 128 days; one step
-        # more is rejected by the step rule, before integrate runs any step
+    def test_step_limit_accepts_max_steps_and_rejects_one_more(self, no_step):
+        # 78,125 weeks hold exactly MAX_STEPS steps of 7 / 128 days; the week
+        # grid rejects a week more, and integrate one step more, before any step
         dt = 7.0 / 128
         assert week_indices(dt, 78125)[-1] == MAX_STEPS
         with pytest.raises(ValueError, match=f"into more than MAX_STEPS = {MAX_STEPS} steps"):
             week_indices(dt, 78126)
-        with pytest.raises(ValueError, match=f"dt={dt} divides 546875 days into more than"):
-            integrate(default_params(), (MAX_STEPS + 1) * dt, dt)
+        with pytest.raises(ValueError, match=f"steps must be in 1 .. MAX_STEPS = {MAX_STEPS}, "
+                                             f"got {MAX_STEPS + 1}"):
+            integrate(default_params(), MAX_STEPS + 1, dt)
 
     def test_peak_week_matches_trajectory_argmax(self):
         params = default_params()
-        traj = integrate(params, horizon_days=15 * 7.0)
-        series = weekly_sample(traj, weeks=15)
-        peak_week_day = 7.0 * (int(np.argmax(series.infected)) + 1)
+        rows = week_indices(0.1, 15)
+        traj = integrate(params, rows[-1])
+        peak_week_day = 7.0 * (int(np.argmax(traj.i[rows])) + 1)
         peak_day = float(np.argmax(traj.i)) * traj.dt
         assert abs(peak_week_day - peak_day) <= 7.0
