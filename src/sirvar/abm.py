@@ -17,9 +17,9 @@ Time advances in synchronous daily steps.  Within one day:
    day, which matches the ODE's linear recovery term in expectation and is
    the right mode for mean-field comparisons.
 
-Recovered agents never change state again.  A run yields a
-:class:`sirvar.core.Trajectory` of daily (S, I, R) counts with a one-day
-step, whose end-of-week values are its rows ``week_indices(1.0, weeks)``:
+Recovered agents never change state again.  A run yields a float64 array
+of daily (S, I, R) counts, one row a day from day 0, whose end-of-week
+values are its rows ``week_indices(1.0, weeks)``:
 :func:`sirvar.sd.week_indices` is the rule that places the ODE's on its
 own grid too.  Ensemble replicates draw their network and simulation
 randomness from :func:`sirvar.core.replicate_rng` streams and run through
@@ -51,10 +51,11 @@ uniform on 0 .. m - 1, and never reaches m: the largest ``u``, 1 - 2**-53,
 times any m < 2**53 rounds to below m by at least one spacing of the
 doubles just below m, which is at most 1.
 :func:`check_transmission_mean` keeps the day's Poisson mean, at most
-``contact_rate * infection_prob * population``, within numpy's bound and
-within the transmission budget, so no day asks for its ``(2, T)``
-block of uniforms beyond 64 GiB.  The block is drawn whole, not in chunks,
-since chunks would change the stream.
+``contact_rate * infection_prob * population``, within the transmission
+budget, so no day asks for its ``(2, T)`` block of uniforms beyond 64 GiB.
+The budget is the one bound: it sits far below the largest mean numpy's
+Poisson draw takes, about 9.22e18.  The block is drawn whole, not in
+chunks, since chunks would change the stream.
 
 A day with no infectious agent draws nothing, and a day costs time in
 proportion to its infectious agents and contacts, not to the population.
@@ -88,7 +89,7 @@ import math
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, Trajectory, WeeklySeries, replicate_rng, run_replicates
+from .core import EnsembleResult, SirParams, WeeklySeries, replicate_rng, run_replicates
 from .network import NetworkGenParams, NetworkTopology, build_small_world
 from .sd import week_indices
 
@@ -97,9 +98,6 @@ _STREAM_NETWORK = 0
 _STREAM_SIMULATION = 1
 # Spawn key marking the shared network when replicates reuse one topology.
 _SHARED_NETWORK_KEY = (0x6E6574,)
-# The largest mean numpy's Poisson draw takes; a larger one raises
-# "lam value too large".
-_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 # The most transmissions a day is planned for: the day's (2, T) block of
 # float64 uniforms then takes at most 2 * 8 * 2**32 bytes, 64 GiB.
 _TRANSMISSION_BUDGET = 2**32
@@ -111,14 +109,14 @@ def _simulate(
     weeks: int,
     rng: np.random.Generator,
     exponential_recovery: bool,
-) -> Trajectory:
+) -> np.ndarray:
     """Daily engine: the (S, I, R) counts of days 0 to ``7 * weeks``.
 
-    Row ``d`` of the returned one-day trajectory holds the counts at the end
-    of day ``d``; row 0 is the state after seeding the index cases, which
-    count as infected on day 0.  Once no agent is infectious, the remaining
-    rows repeat the last one.  The counts are at most N, far below 2**53,
-    so they are exact as floats.
+    Row ``d`` of the returned ``(7 * weeks + 1, 3)`` float64 array holds
+    the counts at the end of day ``d``; row 0 is the state after seeding the
+    index cases, which count as infected on day 0.  Once no agent is
+    infectious, the remaining rows repeat the last one.  The counts are at
+    most N, far below 2**53, so they are exact as floats.
     """
     n = topo.n
     neighbors, offsets, degrees = topo.neighbors, topo.offsets, topo.degrees
@@ -166,18 +164,15 @@ def _simulate(
         infectious = infectious[distinct]
         s -= infectious.size - kept.size
         rows.append((s, infectious.size, n - s - infectious.size))
-    return Trajectory(dt=1.0, states=rows)
+    return np.array(rows, dtype=float)
 
 
 def check_transmission_mean(params: SirParams) -> None:
     """Raise ``ValueError`` if ``contact_rate * infection_prob * population``,
     the Poisson mean of the day's transmitting contacts when every agent is
-    infectious, is above the largest mean numpy's Poisson draw takes, or
-    above the per-day transmission budget."""
+    infectious, is above the per-day transmission budget.  Any mean that
+    numpy's Poisson draw would reject is far above it."""
     mean = params.contact_rate * params.infection_prob * params.population
-    if mean > _POISSON_MEAN_MAX:
-        raise ValueError(f"contact_rate * infection_prob * population = {mean:.6g} is above "
-                         f"{_POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws")
     if mean > _TRANSMISSION_BUDGET:
         raise ValueError(f"contact_rate * infection_prob * population = {mean:.6g} is above "
                          f"{_TRANSMISSION_BUDGET:.6g}, the transmission budget of one day "
@@ -212,7 +207,7 @@ def run_abm(
     rows = week_indices(1.0, weeks)
     check_transmission_mean(params)
     rng = np.random.default_rng(seed)
-    return WeeklySeries(_simulate(params, topo, weeks, rng, exponential_recovery).i[rows])
+    return WeeklySeries(_simulate(params, topo, weeks, rng, exponential_recovery)[rows, 1])
 
 
 def _abm_replicate(context, r: int) -> np.ndarray:

@@ -126,19 +126,19 @@ def cmd_run_sd(args) -> int:
     with _building_inputs():
         params, provenance = _params_from_args(args)
         rows = week_indices(args.dt, args.weeks)
-    traj = integrate(params, rows[-1], args.dt)
-    series = WeeklySeries(traj.i[rows])
+    _, i, r = integrate(params, rows[-1], args.dt).T
+    series = WeeklySeries(i[rows])
     meta = io.make_metadata(
         "sd", params, args.weeks, args.seed,
         dt=args.dt,
         parameter_provenance=provenance,
-        peak_infected=float(traj.i.max()),
-        peak_day=float(traj.i.argmax() * args.dt),
-        cumulative_recovered_final=float(traj.r[-1]),
+        peak_infected=float(i.max()),
+        peak_day=float(i.argmax() * args.dt),
+        cumulative_recovered_final=float(r[-1]),
     )
     io.save_series_run(series, args.out, meta)
     print(f"run-sd: wrote {args.weeks} weekly values to {args.out} "
-          f"(peak infected {traj.i.max():.0f} on day {traj.i.argmax() * args.dt:.1f})")
+          f"(peak infected {i.max():.0f} on day {i.argmax() * args.dt:.1f})")
     return 0
 
 

@@ -136,39 +136,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A simulated compartment path at integration resolution.
-
-    ``states`` has shape (steps + 1, 3) with columns (S, I, R); row 0 is
-    the initial condition and row k is the state at time ``k * dt`` days.
-    """
-
-    dt: float
-    states: np.ndarray
-
-    def __post_init__(self):
-        _require(self.dt > 0.0, f"dt must be > 0, got {self.dt}")
-        states = np.array(self.states, dtype=float)
-        _require(states.ndim == 2 and states.shape[1] == 3,
-                 f"states must have shape (n, 3), got {states.shape}")
-        _require(states.shape[0] >= 1, "trajectory must be non-empty")
-        _require(bool((states >= 0.0).all()), "trajectory contains negative compartment counts")
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def i(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.states[:, 2]
-
-
-@dataclass(frozen=True, eq=False)
 class WeeklySeries:
     """Infected counts sampled at consecutive week boundaries.
 
@@ -273,6 +240,8 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, replicates)
     started = []
     try:

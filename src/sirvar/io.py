@@ -155,7 +155,7 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     weeks = meta["weeks"]
     if kind == "sd":
         rows = week_indices(meta["dt"], weeks)
-        return EnsembleResult([integrate(params, rows[-1], meta["dt"]).i[rows]])
+        return EnsembleResult([integrate(params, rows[-1], meta["dt"])[rows, 1]])
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],

@@ -130,7 +130,7 @@ def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
         except StepSizeError as error:
             failure = failure or error
             continue
-        return traj.i[rows << k], clamped
+        return traj[rows << k, 1], clamped
     raise failure
 
 

@@ -14,7 +14,7 @@ Days become steps in one place: :func:`week_indices` places each week's end
 on the grid of step ``dt`` and rejects a grid that misses one, or that holds
 more than :data:`MAX_STEPS` steps, about 10 s of RK4.  :func:`integrate` runs
 a given whole number of steps, so a caller takes the count from the week
-grid, the last week's row, and samples the trajectory at the grid's rows.
+grid, the last week's row, and keeps the grid's rows of the array it returns.
 
 Each step checks only whether a compartment went negative or NaN.  Such a
 step gets the full check at once, valid region and conservation drift, and
@@ -31,7 +31,7 @@ stage and step sums keep their textbook order.  Rewriting the step must
 keep every rounding; ``reference_integrate`` in ``tests/test_sd.py`` holds
 the earlier loop, and the trajectory bytes and errors must equal it, except
 where a step's R rounds below zero: this loop clips R as it clips S and I,
-while the earlier one raises ``ValueError`` from :class:`Trajectory`.
+while the earlier one raises ``ValueError`` at a negative count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .core import SirParams, Trajectory, derived_rates
+from .core import SirParams, derived_rates
 
 #: Default integration step in days.
 DEFAULT_DT = 0.1
@@ -59,7 +59,7 @@ class StepSizeError(RuntimeError):
     """The integration step pushed a state out of the valid region."""
 
 
-def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajectory:
+def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> np.ndarray:
     """Integrate the SIR equations from (N - I0, I0, 0) for ``steps`` steps of ``dt``.
 
     Parameters
@@ -75,13 +75,16 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajecto
 
     Returns
     -------
-    Trajectory
-        ``steps + 1`` states including the initial one.
+    numpy.ndarray
+        Shape ``(steps + 1, 3)``, float64: row ``k`` is (S, I, R) at time
+        ``k * dt`` days, row 0 the initial state.  Every row is in the valid
+        region, roundoff negatives clipped to zero.
 
     Raises
     ------
     ValueError
-        If ``steps`` is below 1 or above :data:`MAX_STEPS`, before any step.
+        If ``steps`` is below 1 or above :data:`MAX_STEPS`, or ``dt`` is
+        not above 0 (NaN included), before any step.
     StepSizeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
@@ -90,6 +93,8 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajecto
     """
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in 1 .. MAX_STEPS = {MAX_STEPS}, got {steps}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
 
     a, b = derived_rates(params)
     n = float(params.population)
@@ -125,7 +130,7 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajecto
             if not (_in_region(s, i, r, n) and _conserved(s, i, r, n)):
                 flat += (s, i, r)  # unclipped, for _check_states to report
                 break
-            # Clip roundoff-scale negatives so downstream types stay valid.
+            # Clip roundoff-scale negatives so every returned row is non-negative.
             checked.append(k + 1)
             if s < 0.0:
                 s = 0.0
@@ -137,7 +142,7 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> Trajecto
 
     states = np.fromiter(flat, float, len(flat)).reshape(-1, 3)
     _check_states(states, checked, n, dt)
-    return Trajectory(dt=dt, states=states)
+    return states
 
 
 def _in_region(s, i, r, n):

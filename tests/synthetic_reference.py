@@ -36,5 +36,5 @@ def write_synthetic_reference(path, weeks: int = 15) -> None:
     rounding, via ``round``).
     """
     rows = week_indices(0.1, weeks)
-    weekly = integrate(default_params(), rows[-1], 0.1).i[rows]
+    weekly = integrate(default_params(), rows[-1], 0.1)[rows, 1]
     save_series(WeeklySeries([round(v) for v in weekly]), path)

@@ -134,7 +134,7 @@ def ring_rows(d, c=200.0, p=1.0, days=7, seed=1):
     """Daily rows of one index case on the 6-ring, up to day ``days``."""
     topo = build_small_world(6, 2, 0.0, seed=0)
     return _simulate(params_for(6, c=c, p=p, d=d), topo, 1,
-                     np.random.default_rng(seed), False).states[:days + 1].tolist()
+                     np.random.default_rng(seed), False)[:days + 1].tolist()
 
 
 class TestStepDay:
@@ -145,7 +145,7 @@ class TestStepDay:
         for exponential_recovery in (False, True):
             rng = np.random.default_rng(0)
             before = rng.bit_generator.state
-            daily = _simulate(params_for(20, i0=0), topo, 2, rng, exponential_recovery).states
+            daily = _simulate(params_for(20, i0=0), topo, 2, rng, exponential_recovery)
             assert np.array_equal(daily, np.tile([20, 0, 0], (15, 1)))
             assert rng.bit_generator.state == before
 
@@ -172,7 +172,7 @@ class TestStepDay:
         rng = np.random.default_rng(9)
         new = np.empty(trials)
         for t in range(trials):
-            daily = _simulate(params, topo, 1, rng, False).states
+            daily = _simulate(params, topo, 1, rng, False)
             new[t] = daily[0, 0] - daily[1, 0]
         expected = params.contact_rate * params.infection_prob * 1.0
         se = new.std(ddof=1) / np.sqrt(trials)
@@ -207,7 +207,7 @@ class TestRunAbm:
         series = run_abm(params, topo, weeks=4, seed=ours)
         traj = _simulate(params, topo, 4, twin, False)
         assert ours.bit_generator.state == twin.bit_generator.state
-        assert np.array_equal(series.infected, traj.i[7::7])
+        assert np.array_equal(series.infected, traj[7::7, 1])
 
     def test_population_mismatch_rejected(self):
         topo = build_small_world(50, 4, 0.1, seed=3)
@@ -224,7 +224,7 @@ class TestRunAbm:
                                 p=float(rng.uniform(0.05, 0.6)),
                                 d=float(rng.uniform(1, 10)),
                                 i0=int(rng.integers(1, 5)))
-            s, i, r = _simulate(params, topo, 8, rng, bool(case % 2)).states.T
+            s, i, r = _simulate(params, topo, 8, rng, bool(case % 2)).T
             assert s[0] == n - params.initial_infected and r[0] == 0
             assert np.all(s + i + r == n)
             assert np.all(np.diff(s) <= 0)
@@ -238,13 +238,13 @@ class TestRunAbm:
             self, seed, weeks, exponential_recovery):
         topo, params = random_case(np.random.default_rng(seed))
         traj = _simulate(params, topo, weeks, np.random.default_rng(seed), exponential_recovery)
-        assert traj.dt == 1.0 and len(traj) == 7 * weeks + 1
-        s = traj.states[:, 0]
-        assert np.all(s + traj.i + traj.r == topo.n)
-        assert np.all(np.diff(s) <= 0) and np.all(np.diff(traj.r) >= 0)
+        assert traj.shape == (7 * weeks + 1, 3)
+        s = traj[:, 0]
+        assert np.all(s + traj[:, 1] + traj[:, 2] == topo.n)
+        assert np.all(np.diff(s) <= 0) and np.all(np.diff(traj[:, 2]) >= 0)
         series = run_abm(params, topo, weeks, np.random.default_rng(seed),
                          exponential_recovery=exponential_recovery)
-        assert np.array_equal(series.infected, traj.i[7::7])
+        assert np.array_equal(series.infected, traj[7::7, 1])
 
     def test_epidemic_extinction_within_horizon(self):
         params = params_for(150, c=10.0, p=0.9, d=3.0, i0=1)
@@ -295,8 +295,9 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("reuse_network", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("params", [params_for(300, c=1e300, p=0.065),
-                                        params_for(300, c=abm._POISSON_MEAN_MAX * 2, p=1.0),
-                                        # c * p is within the bound, the day's total is not
+                                        # above numpy's largest Poisson mean, about 9.22e18
+                                        params_for(300, c=1e19, p=1.0),
+                                        # c * p is within numpy's bound, the day's total is not
                                         replace(default_params(), contact_rate=1e17)])
     def test_poisson_mean_is_checked_before_any_network(self, monkeypatch, params,
                                                         reuse_network):
@@ -305,7 +306,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(abm, "build_small_world", build)
         with pytest.raises(ValueError, match=r"contact_rate \* infection_prob \* population = .* "
-                                             r"is above 9\.22337e\+18, the largest Poisson mean"):
+                                             r"is above 4\.29497e\+09, the transmission budget"):
             run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
                              replicates=2, master_seed=1, reuse_network=reuse_network)
 
@@ -315,22 +316,10 @@ class TestEnsemble:
                            match=r"contact_rate \* infection_prob \* population = 1\.95e\+301"):
             run_abm(params_for(300, c=1e300, p=0.065), topo, weeks=2, seed=0)
 
-    def test_poisson_mean_bound_is_numpys(self):
-        # size 0 checks the mean without drawing
-        rng = np.random.default_rng(0)
-        rng.poisson(abm._POISSON_MEAN_MAX, 0)
-        with pytest.raises(ValueError, match="lam value too large"):
-            rng.poisson(np.nextafter(abm._POISSON_MEAN_MAX, np.inf), 0)
-        # the bound is on c * p * N, the day's mean with every agent
-        # infectious; dividing by N = 2**10 is exact.  A mean at the bound
-        # passes it and meets the far smaller transmission budget.
-        c = abm._POISSON_MEAN_MAX / 2**10
-        with pytest.raises(ValueError, match="transmission budget"):
-            abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
-        with pytest.raises(ValueError, match="largest Poisson mean"):
-            abm.check_transmission_mean(params_for(2**10, c=float(np.nextafter(c, np.inf)), p=1.0))
-
     def test_transmission_budget(self):
+        # numpy draws a Poisson count of the budget's mean (size 0 checks the
+        # mean without drawing), so the budget is the one bound
+        np.random.default_rng(0).poisson(abm._TRANSMISSION_BUDGET, 0)
         # the bound is on c * p * N; dividing by N = 2**10 is exact
         c = abm._TRANSMISSION_BUDGET / 2**10
         abm.check_transmission_mean(params_for(2**10, c=c, p=1.0))
@@ -364,7 +353,7 @@ def random_case(rng):
 def assert_matches_reference(params, topo, weeks, seed, exponential_recovery):
     """:func:`_simulate` equals the reference daily rows, Generator state included."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    daily = _simulate(params, topo, weeks, rng, exponential_recovery).states
+    daily = _simulate(params, topo, weeks, rng, exponential_recovery)
     expected = reference_daily_counts(params, topo, weeks, ref_rng, exponential_recovery)
     where = f"seed {seed}, n={topo.n}, duration {params.illness_duration}"
     assert np.array_equal(daily, expected), where
@@ -399,7 +388,7 @@ class TestMatchesReference:
         params = default_params(initial_infected=10)
         topo = build_small_world(params.population, 10, 0.1, replicate_rng(seed, 0, 0))
         daily = _simulate(params, topo, 15, replicate_rng(seed, 0, 1),
-                          exponential_recovery).states
+                          exponential_recovery)
         expected = reference_daily_counts(params, topo, 15, replicate_rng(seed, 0, 1),
                                           exponential_recovery)
         assert np.array_equal(daily, expected)
@@ -417,7 +406,7 @@ class TestIndexWidth:
         assert narrow.neighbors.dtype == np.int32
         for seed in range(5):
             rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-            daily = [_simulate(params, topo, 10, rng, exponential_recovery).states
+            daily = [_simulate(params, topo, 10, rng, exponential_recovery)
                      for topo, rng in zip((narrow, wide), rngs)]
             assert daily[0][-1, 2] > params.initial_infected, seed
             assert np.array_equal(daily[0], daily[1]), seed
@@ -435,7 +424,7 @@ class TestSameLawAsVersion1:
         topo = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
         weeks, replicates = 10, MIN_REPLICATES
         new = [outcomes(_simulate(params, topo, weeks, replicate_rng(1, r),
-                                  exponential_recovery).states)
+                                  exponential_recovery))
                for r in range(replicates)]
         old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(2, r),
                                                exponential_recovery, step=reference_step_day_v1))
@@ -455,7 +444,7 @@ class TestSameLawAsVersion2:
         topo = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
         weeks, replicates = 10, MIN_REPLICATES
         new = [outcomes(_simulate(params, topo, weeks, replicate_rng(3, r),
-                                  exponential_recovery).states)
+                                  exponential_recovery))
                for r in range(replicates)]
         old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(4, r),
                                                exponential_recovery, step=reference_step_day_v2))
@@ -513,7 +502,7 @@ class TestMeanField:
                                                                   exponential_recovery):
         topo, params = complete
         final_s = np.array([
-            _simulate(params, topo, 52, replicate_rng(5, r, 1), exponential_recovery).states[-1, 0]
+            _simulate(params, topo, 52, replicate_rng(5, r, 1), exponential_recovery)[-1, 0]
             for r in range(300)])
         attack = 1.0 - final_s / params.population
         attack = attack[attack > 0.1]  # outbreaks that took off
@@ -537,7 +526,7 @@ def complete_graph_final_sizes(duration, exponential_recovery):
     topo = build_small_world(51, 50, 0.0, 0)
     params = replace(default_params(51), illness_duration=duration)
     last = np.array([
-        _simulate(params, topo, 30, replicate_rng(11, r, 1), exponential_recovery).states[-1]
+        _simulate(params, topo, 30, replicate_rng(11, r, 1), exponential_recovery)[-1]
         for r in range(EXACT_LAW_RUNS)])
     assert not last[:, 1].any()  # every run has ended by week 30: its final size is reached
     return (51 - last[:, 0]).astype(int)

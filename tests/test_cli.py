@@ -93,12 +93,15 @@ class TestUsage:
         (["run-mc", "--vary", "contact", "--sigma", "1e308", "--replicates", "2"],
          "--sigma: sigma_fraction * contact_rate = 1e+308 * "),
         (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e300"],
-         "contact_rate * infection_prob * population = 1.95e+301 is above 9.22337e+18"),
+         "contact_rate * infection_prob * population = 1.95e+301 is above 4.29497e+09, "
+         "the transmission budget of one day"),
         (["run-abm", "--population", "300", "--replicates", "1", "--illness-duration", "1e-300"],
-         "contact_rate * infection_prob * population = 4.63086e+302 is above 9.22337e+18"),
-        # a mean per agent far below the bound whose day total at N = 52,910 is above it
+         "contact_rate * infection_prob * population = 4.63086e+302 is above 4.29497e+09, "
+         "the transmission budget of one day"),
+        # a mean per agent within numpy's Poisson bound whose day total at N = 52,910 is not
         (["run-abm", "--replicates", "1", "--contact-rate", "1e17"],
-         "contact_rate * infection_prob * population = 3.43915e+20 is above 9.22337e+18"),
+         "contact_rate * infection_prob * population = 3.43915e+20 is above 4.29497e+09, "
+         "the transmission budget of one day"),
         # on the week grid, but 105 days would take 1.05e9 RK4 steps
         (["run-sd", "--dt", "1e-7"], "dt=1e-07 divides 105 days into more than MAX_STEPS"),
         (["run-mc", "--vary", "all", "--dt", "1e-7"],

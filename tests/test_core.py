@@ -14,7 +14,6 @@ import sirvar.core
 from sirvar.core import (
     EnsembleResult,
     SirParams,
-    Trajectory,
     WeeklySeries,
     attack_fraction,
     basic_reproduction_number,
@@ -60,25 +59,6 @@ class TestValidation:
         assert make_params(illness_duration=math.inf).recovery_rate == 0.0  # no recovery
         make_params(initial_infected=0)
         make_params(initial_infected=1000)
-
-    def test_compartment_state_rejects_negative(self):
-        for column, value in ((0, -1.0), (1, -1.0), (2, -1e-9)):
-            states = np.ones((3, 3))
-            states[1, column] = value
-            with pytest.raises(ValueError):
-                Trajectory(dt=0.1, states=states)
-
-    def test_trajectory_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            Trajectory(dt=0.1, states=np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            Trajectory(dt=0.1, states=np.zeros((5, 2)))
-        with pytest.raises(ValueError):
-            Trajectory(dt=0.0, states=np.zeros((5, 3)))
-        bad = np.zeros((4, 3))
-        bad[2, 1] = -1.0
-        with pytest.raises(ValueError):
-            Trajectory(dt=0.1, states=bad)
 
     def test_weekly_series_length_must_match(self):
         with pytest.raises(ValueError):
@@ -178,15 +158,6 @@ class TestCalibration:
 
 
 class TestContainers:
-    def test_trajectory_accessors(self):
-        states = np.array([[9.0, 1.0, 0.0], [8.0, 1.5, 0.5]])
-        traj = Trajectory(dt=0.5, states=states)
-        assert len(traj) == 2
-        assert np.array_equal(traj.states[1], [8.0, 1.5, 0.5])
-        assert np.array_equal(traj.i, [1.0, 1.5])
-        with pytest.raises(ValueError):
-            traj.states[0, 0] = 5.0  # frozen storage
-
     def test_ensemble_matrix(self):
         rows = [[r, r + 1] for r in range(3)]
         ens = EnsembleResult(rows)
@@ -217,6 +188,11 @@ class TestRunReplicates:
     def test_needs_a_replicate(self):
         with pytest.raises(ValueError):
             run_replicates(_fail_at_three, 10, 0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_needs_a_thread(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_replicates(_fail_at_three, 10, 3, threads=threads)
 
 
 def _pid(context, r):

@@ -111,7 +111,7 @@ class TestEnsemble:
                          sigma_fraction=1e-12)
         ens = run_sd_ensemble(base, spec, weeks=15, replicates=1, master_seed=99)
         rows = week_indices(0.1, 15)
-        expected = integrate(base, rows[-1]).i[rows]
+        expected = integrate(base, rows[-1])[rows, 1]
         assert ens.replicates == 1
         assert ens.matrix[0] == pytest.approx(expected, rel=1e-6)
 
@@ -182,7 +182,7 @@ class TestEnsemble:
                 except StepSizeError:
                     pass
             assert (k > 0) == (r == 7)
-            assert np.array_equal(ens.matrix[r], traj.i[rows << k])
+            assert np.array_equal(ens.matrix[r], traj[rows << k, 1])
 
     def test_halving_keeps_the_last_week_of_a_dt_just_off_the_grid(self):
         # 105 / dt is 1049.9999999999995, within the week grid's 1e-12 slack
@@ -198,11 +198,11 @@ class TestEnsemble:
         for r in range(8):
             params = sample_params(base, spec, 322, r)[0]
             if r < 7:
-                expected = integrate(params, rows[-1], dt).i[rows]
+                expected = integrate(params, rows[-1], dt)[rows, 1]
             else:
                 with pytest.raises(StepSizeError):
                     integrate(params, rows[-1] << 2, dt / 4)
-                expected = integrate(params, rows[-1] << 3, dt / 8).i[rows << 3]
+                expected = integrate(params, rows[-1] << 3, dt / 8)[rows << 3, 1]
             assert np.array_equal(ens.matrix[r], expected)
 
     def test_other_value_errors_keep_their_message(self, monkeypatch):

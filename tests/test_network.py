@@ -303,7 +303,7 @@ class TestSameLawAsVersion1:
 
         def run(build, seed):
             return [outcomes(_simulate(params, build(replicate_rng(seed, r, 0)), weeks,
-                                       replicate_rng(seed, r, 1), False).states)
+                                       replicate_rng(seed, r, 1), False))
                     for r in range(MIN_REPLICATES)]
 
         def build_v1(rng):

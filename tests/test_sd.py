@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sirvar.sd
-from sirvar.core import SirParams, Trajectory, attack_fraction, basic_reproduction_number, \
+from sirvar.core import SirParams, attack_fraction, basic_reproduction_number, \
     derived_rates
 from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, StepSizeError, integrate, week_indices
 
@@ -83,7 +83,9 @@ def reference_integrate(params, horizon_days, dt, clipped=None):
         if i < 0.0:
             i = 0.0
         out[k + 1] = (s, i, r)
-    return Trajectory(dt=dt, states=out)
+    if not (out >= 0.0).all():
+        raise ValueError("trajectory contains negative compartment counts")
+    return out
 
 
 def steps_in(days, dt):
@@ -98,7 +100,7 @@ def outcome(integrator, params, horizon_days, dt, **kwargs):
     ``horizon_days``."""
     span = horizon_days if integrator is reference_integrate else steps_in(horizon_days, dt)
     try:
-        return integrator(params, span, dt, **kwargs).states.tobytes()
+        return integrator(params, span, dt, **kwargs).tobytes()
     except StepSizeError as exc:
         return type(exc), str(exc)
 
@@ -111,7 +113,7 @@ class TestDerivatives:
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.3,
                            illness_duration=5.0, initial_infected=10)
         traj = integrate(params, 300, 0.1)
-        assert np.array_equal(traj.states[:, 0], np.full(len(traj), 990.0))
+        assert np.array_equal(traj[:, 0], np.full(len(traj), 990.0))
 
     def test_pure_decay(self):
         # a = 0: I(t) = I0 exp(-t / D), to RK4 accuracy (error O(dt^4))
@@ -119,14 +121,14 @@ class TestDerivatives:
                            illness_duration=5.0, initial_infected=100)
         traj = integrate(params, 300, 0.1)
         t = np.arange(len(traj)) * 0.1
-        assert traj.i == pytest.approx(100.0 * np.exp(-t / 5.0), rel=1e-8)
-        assert traj.r == pytest.approx(100.0 - traj.i, abs=1e-9)
+        assert traj[:, 1] == pytest.approx(100.0 * np.exp(-t / 5.0), rel=1e-8)
+        assert traj[:, 2] == pytest.approx(100.0 - traj[:, 1], abs=1e-9)
 
     def test_direct_evaluation(self):
         params = SirParams(population=5000, contact_rate=6.0, infection_prob=0.2,
                            illness_duration=3.0, initial_infected=20)
         traj = integrate(params, 80, 0.25)
-        assert traj.states == pytest.approx(rk4_reference(params, 80, 0.25), rel=1e-9, abs=1e-9)
+        assert traj == pytest.approx(rk4_reference(params, 80, 0.25), rel=1e-9, abs=1e-9)
 
 
 def random_params(rng):
@@ -155,24 +157,24 @@ class TestIntegrate:
                            illness_duration=3.0, initial_infected=0)
         traj = integrate(params, 40, 0.5)
         assert len(traj) == 41
-        assert np.array_equal(traj.states, np.tile([500.0, 0.0, 0.0], (41, 1)))
+        assert np.array_equal(traj, np.tile([500.0, 0.0, 0.0], (41, 1)))
 
     def test_no_recovery_limit(self):
         # infinite illness duration means b = 0: S drains, R never grows
         params = SirParams(population=1000, contact_rate=10.0, infection_prob=0.5,
                            illness_duration=math.inf, initial_infected=5)
         traj = integrate(params, 4000, 0.1)
-        s = traj.states[:, 0]
+        s = traj[:, 0]
         assert np.all(np.diff(s) <= 0.0)
-        assert np.array_equal(traj.r, np.zeros(len(traj)))
+        assert np.array_equal(traj[:, 2], np.zeros(len(traj)))
         assert s[-1] < 1e-3
-        assert traj.i[-1] == pytest.approx(1000.0, abs=1e-3)
+        assert traj[-1, 1] == pytest.approx(1000.0, abs=1e-3)
 
     def test_initial_condition_and_length(self):
         params = default_params()
         traj = integrate(params, 100, 0.1)
         assert len(traj) == 101
-        assert np.array_equal(traj.states[0], [52909.0, 1.0, 0.0])
+        assert np.array_equal(traj[0], [52909.0, 1.0, 0.0])
 
     def test_peak_matches_analytic_oracle(self):
         # closed-form SIR peak: i_max = i0 + s0 - (1 + ln(r0 s0)) / r0 (fractions)
@@ -183,13 +185,13 @@ class TestIntegrate:
         i0 = 1 / n
         peak_frac = i0 + s0 - (1.0 + math.log(r0 * s0)) / r0
         traj = integrate(params, 3640)
-        assert traj.i.max() == pytest.approx(peak_frac * n, rel=1e-3)
+        assert traj[:, 1].max() == pytest.approx(peak_frac * n, rel=1e-3)
 
     def test_final_size_matches_oracle(self):
         params = default_params()
         r0 = basic_reproduction_number(params)
         traj = integrate(params, 3640)
-        ever_infected = traj.r[-1] + traj.i[-1]
+        ever_infected = traj[-1, 2] + traj[-1, 1]
         assert ever_infected / params.population == pytest.approx(attack_fraction(r0), abs=1e-3)
 
     def test_conservation_and_monotonicity_randomized(self):
@@ -198,11 +200,11 @@ class TestIntegrate:
             params = random_params(rng)
             traj = integrate(params, 560, 0.1)
             n = params.population
-            total = traj.states.sum(axis=1)
+            total = traj.sum(axis=1)
             assert np.abs(total - n).max() <= 1e-6 * n
-            assert np.all(np.diff(traj.states[:, 0]) <= 0.0)
-            assert np.all(np.diff(traj.r) >= 0.0)
-            assert np.all(traj.i >= 0.0)
+            assert np.all(np.diff(traj[:, 0]) <= 0.0)
+            assert np.all(np.diff(traj[:, 2]) >= 0.0)
+            assert np.all(traj[:, 1] >= 0.0)
 
     def test_subcritical_peak_is_initial(self):
         # R0 < 1: infections only decay
@@ -210,25 +212,25 @@ class TestIntegrate:
                            illness_duration=4.0, initial_infected=50)
         assert basic_reproduction_number(params) < 1.0
         traj = integrate(params, 1000)
-        assert traj.i.max() == traj.i[0]
+        assert traj[:, 1].max() == traj[0, 1]
 
     def test_supercritical_peak_exceeds_initial(self):
         params = default_params()
         assert basic_reproduction_number(params) > 1.0
         traj = integrate(params, 3640)
-        assert traj.i.max() > traj.i[0]
+        assert traj[:, 1].max() > traj[0, 1]
 
     def test_halving_dt_converges(self):
         params = default_params()
-        r_coarse = integrate(params, 1050, 0.1).r[-1]
-        r_fine = integrate(params, 2100, 0.05).r[-1]
+        r_coarse = integrate(params, 1050, 0.1)[-1, 2]
+        r_fine = integrate(params, 2100, 0.05)[-1, 2]
         assert abs(r_fine - r_coarse) / r_fine < 1e-4
 
     def test_determinism(self):
         params = default_params()
         a = integrate(params, 1050)
         b = integrate(params, 1050)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_step_too_large_raises(self):
         params = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
@@ -245,6 +247,12 @@ class TestIntegrate:
                                              "got 0"):
             integrate(default_params(), 0, 14.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_dt_not_above_zero_rejected(self, no_step, dt):
+        # MAX_STEPS steps would take about 10 s: the check comes before any step
+        with pytest.raises(ValueError, match=f"dt must be > 0, got {dt}"):
+            integrate(default_params(), MAX_STEPS, dt)
+
     def test_a_roundoff_negative_r_is_clipped(self):
         # at dt / D = 2.7853 one RK4 step of pure decay moves R by a stage sum
         # that crosses zero, leaving R near -1e-12, inside the tolerance; the
@@ -253,7 +261,7 @@ class TestIntegrate:
         params = SirParams(population=1000, contact_rate=0.0, infection_prob=0.065,
                            illness_duration=0.35902858253024017, initial_infected=10)
         traj = integrate(params, 7, 1.0)
-        assert traj.r[1] == 0.0
+        assert traj[1, 2] == 0.0
         with pytest.raises(ValueError, match="negative compartment counts"):
             reference_integrate(params, 7.0, 1.0)
 
@@ -323,7 +331,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("contact_rate", [1e100, 1e308])
     def test_first_non_finite_step_raises(self, contact_rate):
         # a * S * I overflows in the first step; the earlier loop let the NaN
-        # state through to the Trajectory constructor ("negative compartment counts")
+        # state through to its final check ("negative compartment counts")
         params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
                            illness_duration=4.2)
         with pytest.raises(StepSizeError, match=r"at step 1 \(t=0.100 d\)"):
@@ -471,6 +479,6 @@ class TestWeeklySample:
         params = default_params()
         rows = week_indices(0.1, 15)
         traj = integrate(params, rows[-1])
-        peak_week_day = 7.0 * (int(np.argmax(traj.i[rows])) + 1)
-        peak_day = float(np.argmax(traj.i)) * traj.dt
+        peak_week_day = 7.0 * (int(np.argmax(traj[rows, 1])) + 1)
+        peak_day = float(np.argmax(traj[:, 1])) * 0.1
         assert abs(peak_week_day - peak_day) <= 7.0
