@@ -6,9 +6,10 @@ model), ``run-abm`` (agent-based ensemble) and ``compare`` (signed-rank
 validation against a reference series plus variance totals).
 
 Every command writes one run directory under ``--out`` containing the
-results and a ``metadata.json`` sufficient to reproduce them bit-exactly,
-and honours ``--seed`` and ``--threads`` without the thread count
-affecting any output value.  ``run-mc`` and ``run-abm`` build that
+results and a ``metadata.json`` sufficient to reproduce them bit-exactly.
+Only ``run-mc`` and ``run-abm`` take ``--seed``, ``--replicates`` and ``--threads``,
+and no thread count affects any output value; ``run-sd`` draws nothing and
+records a null master seed.  ``run-mc`` and ``run-abm`` build their
 metadata first and execute it through :func:`sirvar.io.rerun_from_metadata`,
 so a saved ensemble reruns through the code that wrote it.  Exit codes:
 0 success, 1 runtime error, 2 usage error.
@@ -31,7 +32,6 @@ from .core import (
     DEFAULT_INFECTION_PROB,
     DEFAULT_POPULATION,
     SirParams,
-    WeeklySeries,
     calibrate_contact_rate,
 )
 from .montecarlo import VariationSpec, check_spread
@@ -62,7 +62,6 @@ def _building_inputs():
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory for this run")
-    parser.add_argument("--seed", type=int, default=42, help="master seed (unsigned 64-bit)")
     parser.add_argument("--weeks", type=int, default=15, help="reporting horizon in weeks")
     parser.add_argument("--population", type=int, default=DEFAULT_POPULATION,
                         help="total number of individuals")
@@ -75,6 +74,11 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="infectious period in days")
     parser.add_argument("--initial-infected", type=int, default=1,
                         help="number of index cases")
+
+
+def _add_ensemble_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=42, help="master seed (unsigned 64-bit)")
+    parser.add_argument("--replicates", type=int, default=100, help="ensemble size")
     parser.add_argument("--threads", type=int, default=1,
                         help="processes that run replicates, this one included "
                              "(never changes results)")
@@ -85,10 +89,6 @@ def _params_from_args(args) -> tuple[SirParams, dict]:
     after checking the flags that no domain type validates."""
     if args.weeks < 1:
         raise UsageError(f"--weeks must be >= 1, got {args.weeks}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    if not 0 <= args.seed < 2**64:
-        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     if args.contact_rate is None:
         contact_rate = calibrate_contact_rate(
             infection_prob=args.infection_prob,
@@ -127,16 +127,15 @@ def cmd_run_sd(args) -> int:
         params, provenance = _params_from_args(args)
         rows = week_indices(args.dt, args.weeks)
     _, i, r = integrate(params, rows[-1], args.dt).T
-    series = WeeklySeries(i[rows])
     meta = io.make_metadata(
-        "sd", params, args.weeks, args.seed,
+        "sd", params, args.weeks, None,
         dt=args.dt,
         parameter_provenance=provenance,
         peak_infected=float(i.max()),
         peak_day=float(i.argmax() * args.dt),
         cumulative_recovered_final=float(r[-1]),
     )
-    io.save_series_run(series, args.out, meta)
+    io.save_series_run(i[rows], args.out, meta)
     print(f"run-sd: wrote {args.weeks} weekly values to {args.out} "
           f"(peak infected {i.max():.0f} on day {i.argmax() * args.dt:.1f})")
     return 0
@@ -183,6 +182,10 @@ def cmd_run_ensemble(args) -> int:
     """Run-mc and run-abm: execute the metadata that ``args.inputs`` builds, then save."""
     with _building_inputs():
         params, provenance = _params_from_args(args)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
         if args.replicates < 1:
             raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
         kind, inputs = args.inputs(args, params)
@@ -208,7 +211,7 @@ def cmd_run_ensemble(args) -> int:
 def _compare_row(name: str, run: dict, reference) -> dict:
     # A deterministic run is a one-row ensemble: its weekly median is that row.
     summary = stats.weekly_summary(run["ensemble"])
-    result = stats.wilcoxon_signed_rank(summary.median, reference.infected)
+    result = stats.wilcoxon_signed_rank(summary.median, reference.matrix[0])
     deterministic = run["metadata"].get("kind") == "sd"
     return {
         "input": name,
@@ -272,21 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("run-mc", formatter_class=fmt,
                           help="Monte-Carlo parameter-variation ensemble")
     _add_shared_flags(p_mc)
+    _add_ensemble_flags(p_mc)
     p_mc.add_argument("--vary", choices=sorted(_SCENARIOS), required=True,
                       help="which parameter(s) to vary")
     p_mc.add_argument("--sigma", type=float, default=0.1,
                       help="standard deviation as a fraction of each varied parameter's mean")
-    p_mc.add_argument("--replicates", type=int, default=100, help="ensemble size")
     p_mc.add_argument("--dt", type=float, default=DEFAULT_DT, help="integration step in days")
     p_mc.set_defaults(func=cmd_run_ensemble, inputs=_mc_inputs)
 
     p_abm = sub.add_parser("run-abm", formatter_class=fmt,
                            help="agent-based ensemble on a small-world network")
     _add_shared_flags(p_abm)
+    _add_ensemble_flags(p_abm)
     p_abm.add_argument("--k", type=int, default=10, help="even mean degree of the lattice")
     p_abm.add_argument("--p-rewire", type=float, default=0.1,
                        help="Watts-Strogatz rewiring probability")
-    p_abm.add_argument("--replicates", type=int, default=100, help="ensemble size")
     p_abm.add_argument("--reuse-network", action="store_true",
                        help="share one topology across replicates instead of regenerating")
     p_abm.add_argument("--exponential-recovery", action="store_true",

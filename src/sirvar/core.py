@@ -137,12 +137,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeeklySeries:
-    """Infected counts sampled at consecutive week boundaries.
+    """The weekly infected counts of one :func:`sirvar.abm.run_abm` call.
 
-    ``infected[w]`` is the prevalence at the end of week ``w + 1``
-    (day ``7 * (w + 1)``), the end-of-week convention used throughout.
-    ``infected`` is one-dimensional, non-empty and non-negative; its length
-    is the number of weeks.
+    ``infected`` is 1-D, non-empty and non-negative, under the end-of-week convention
+    of :class:`EnsembleResult`, the type of every other weekly table.  It stays only
+    because the benchmark's ABM probe reads ``run_abm(...).infected``.
     """
 
     infected: np.ndarray
@@ -154,17 +153,14 @@ class WeeklySeries:
         _require(bool((infected >= 0.0).all()), "weekly infected counts must be non-negative")
         object.__setattr__(self, "infected", infected)
 
-    @property
-    def weeks(self) -> int:
-        return self.infected.size
-
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Replicate-by-week matrix of infected counts from an ensemble run.
 
-    ``matrix`` has shape (replicates, weeks); row ``r`` is replicate ``r``'s
-    weekly series under the end-of-week convention of :class:`WeeklySeries`.
+    ``matrix`` has shape (replicates, weeks); ``matrix[r, w]`` is replicate ``r``'s
+    infected count at the end of week ``w + 1`` (day ``7 * (w + 1)``), the end-of-week
+    convention used throughout.  A deterministic run or a reference is one row.
     ``clamped_draws`` counts Monte-Carlo parameter draws that had to be
     clamped to their domain (always 0 for agent-based ensembles).
     """
@@ -195,8 +191,9 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     integers.  Replicate ``r`` keys its streams ``(r, stream)``, and the one
     network that ``reuse_network`` shares among ABM replicates is keyed
     ``sirvar.abm._SHARED_NETWORK_KEY``; these keys are part of the
-    reproducibility contract of every saved ensemble.  Both ensembles draw
-    only from here, so this is where a master seed from flags or metadata is checked.
+    reproducibility contract of every saved ensemble.  Both ensembles draw only
+    from here, so this is where a master seed from metadata is checked; the CLI
+    checks ``--seed`` first, to report it as a usage error.
     """
     if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
@@ -325,13 +322,12 @@ def calibrate_contact_rate(
     R0 ~= 1.5436 and ~5.654 contacts per day.
     """
     scale = infection_prob * illness_duration
-    _require(infection_prob > 0.0 and illness_duration > 0.0 and scale < math.inf,
-             f"calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and "
-             f"a finite product of the two, got infection_prob={infection_prob}, "
-             f"illness_duration={illness_duration}")
     r0 = final_size_reproduction_number(DEFAULT_ATTACK_RATE)
-    _require(scale > 0.0 and r0 / scale < math.inf,
-             f"calibrating a contact rate overflows at infection_prob={infection_prob}, "
+    # scale > 0 first: r0 / 0.0 raises ZeroDivisionError
+    _require(infection_prob > 0.0 and illness_duration > 0.0 and 0.0 < scale < math.inf
+             and r0 / scale < math.inf,
+             f"calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and "
+             f"a finite contact rate, got infection_prob={infection_prob}, "
              f"illness_duration={illness_duration}")
     return r0 / scale
 

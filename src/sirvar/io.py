@@ -14,8 +14,8 @@ Saved runs are one directory per run, holding ``series.csv`` or
 Metadata records the seeds, parameters, conventions and versions needed to
 re-execute the run bit-identically, and :func:`rerun_from_metadata` does
 exactly that.  The CLI's ensemble commands also execute fresh runs through
-it, so a saved ensemble reruns through the code that wrote it.  In memory
-every run is an :class:`EnsembleResult`; a deterministic run is its one row.
+it, so a saved ensemble reruns through the code that wrote it.  In memory every
+weekly table is an :class:`EnsembleResult`; a reference or ``series.csv`` is its one row.
 
 Floats are written with ``repr``, which round-trips doubles exactly.
 """
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .abm import run_abm_ensemble
-from .core import EnsembleResult, SirParams, WeeklySeries
+from .core import EnsembleResult, SirParams
 from .montecarlo import VariationSpec, run_sd_ensemble
 from .network import NetworkGenParams
 from .sd import integrate, week_indices
@@ -107,8 +107,8 @@ def _write_table(path, header: str, first_index: int, rows) -> None:
             fh.write(f"{index},{','.join(map(_fmt, values))}\n")
 
 
-def load_reference(path) -> WeeklySeries:
-    """Parse and validate a reference CSV file (header ``week,infected``).
+def load_reference(path) -> EnsembleResult:
+    """Parse and validate a reference CSV file (header ``week,infected``) as a (1, weeks) ensemble.
 
     Raises
     ------
@@ -117,10 +117,10 @@ def load_reference(path) -> WeeklySeries:
     ReferenceFormatError
         On schema violations; the message names the offending line.
     """
-    return WeeklySeries([count for count, in _read_table(path, "week,infected", 1)])
+    return EnsembleResult([[count for count, in _read_table(path, "week,infected", 1)]])
 
 
-def make_metadata(kind: str, params: SirParams, weeks: int, seed: int, **extra) -> dict:
+def make_metadata(kind: str, params: SirParams, weeks: int, seed: int | None, **extra) -> dict:
     """Run metadata sufficient for a bit-identical re-execution."""
     meta = {
         "kind": kind,
@@ -184,11 +184,10 @@ def _save_run(out_dir, metadata: dict, tables: dict) -> None:
         json.dump(metadata, fh, indent=2)
 
 
-def save_series_run(series: WeeklySeries, out_dir, metadata: dict) -> None:
-    """Persist a deterministic single-series run."""
-    infected = series.infected.tolist()
+def save_series_run(infected, out_dir, metadata: dict) -> None:
+    """Persist a deterministic run: its 1-D weekly infected counts and metadata."""
     _save_run(out_dir, metadata,
-              tables={"series.csv": ("week,infected", 1, zip(infected))})
+              tables={"series.csv": ("week,infected", 1, zip(infected.tolist()))})
 
 
 def save_ensemble(
@@ -233,7 +232,7 @@ def load_run(run_dir) -> dict:
                                        f"got {value!r}")
     path = run / "series.csv"
     if path.exists():
-        rows = [load_reference(path).infected]
+        rows = load_reference(path).matrix
     else:
         path = run / "ensemble.csv"
         rows = _read_table(path, None, 0)

@@ -8,7 +8,8 @@ writes any weekly series in the same schema.
 from importlib import resources
 from pathlib import Path
 
-from sirvar.core import WeeklySeries
+import numpy as np
+
 from sirvar.io import _write_table
 from sirvar.sd import integrate, week_indices
 
@@ -18,9 +19,9 @@ from paper_params import default_params
 SYNTHETIC_REFERENCE_NAME = "synthetic_reference.csv"
 
 
-def save_series(series: WeeklySeries, path) -> None:
-    """Write a weekly series in the reference CSV schema that ``io.load_reference`` reads."""
-    _write_table(path, "week,infected", 1, series.infected[:, None].tolist())
+def save_series(infected: np.ndarray, path) -> None:
+    """Write 1-D weekly counts in the reference CSV schema that ``io.load_reference`` reads."""
+    _write_table(path, "week,infected", 1, infected[:, None].tolist())
 
 
 def synthetic_reference_path() -> Path:
@@ -37,4 +38,4 @@ def write_synthetic_reference(path, weeks: int = 15) -> None:
     """
     rows = week_indices(0.1, weeks)
     weekly = integrate(default_params(), rows[-1], 0.1)[rows, 1]
-    save_series(WeeklySeries([round(v) for v in weekly]), path)
+    save_series(np.array([round(v) for v in weekly], dtype=float), path)

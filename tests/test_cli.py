@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import sirvar
 import sirvar.abm
 from sirvar import io
 from sirvar.cli import main
+from sirvar.core import EnsembleResult
 
 from synthetic_reference import synthetic_reference_path
 
@@ -41,6 +43,36 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         assert run("run-sd", "--out", str(tmp_path / "x"), "--bogus") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--replicates"])
+    def test_run_sd_takes_no_ensemble_flags(self, tmp_path, capsys, flag):
+        # run-sd draws nothing and runs one integration
+        out = tmp_path / "x"
+        assert run("run-sd", flag, "2", "--out", str(out)) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("run-sd", "--help") == 0
+        assert flag not in capsys.readouterr().out
+        assert run("run-abm", "--help") == 0
+        assert flag in capsys.readouterr().out
+
+    def test_console_script_is_main(self, tmp_path):
+        root = Path(sirvar.__file__).parents[2]
+        pyproject = root / "pyproject.toml"
+        if not pyproject.exists():
+            pytest.skip("no pyproject.toml beside src/ (an installed copy)")
+        # a regex, since tomllib is Python 3.11+
+        scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)",
+                            pyproject.read_text(encoding="utf-8"), re.M)
+        assert scripts and re.search(r'^sirvar\s*=\s*"sirvar\.cli:main"\s*$',
+                                     scripts.group(1), re.M)
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-m", "sirvar.cli", "run-sd", "--threads", "2",
+                               "--out", str(tmp_path / "x")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert "unrecognized arguments: --threads 2" in done.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         assert run("run-mc", "--vary", "weather", "--out", str(tmp_path / "x")) == 2
@@ -230,9 +262,10 @@ class TestRunSd:
         assert run("run-sd", "--out", str(out)) == 0
         capsys.readouterr()
         ref = io.load_reference(out / "series.csv")
-        assert ref.weeks == 15
+        assert isinstance(ref, EnsembleResult) and ref.matrix.shape == (1, 15)
         meta = read_meta(out)
         assert meta["kind"] == "sd"
+        assert meta["master_seed"] is None
         assert meta["params"]["contact_rate"] == pytest.approx(5.654, abs=2e-3)
         assert meta["peak_infected"] == pytest.approx(3754, abs=2)
 
@@ -260,7 +293,7 @@ class TestRunSd:
         saved = loaded["ensemble"].matrix
         assert saved.shape == (1, 4)
         assert np.array_equal(io.rerun_from_metadata(loaded["metadata"]).matrix, saved)
-        assert np.array_equal(saved[0], io.load_reference(out / "series.csv").infected)
+        assert np.array_equal(saved, io.load_reference(out / "series.csv").matrix)
 
     def test_a_roundoff_negative_r_does_not_fail_the_run(self, tmp_path, capsys):
         out = tmp_path / "sd"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sirvar import io
-from sirvar.core import EnsembleResult, WeeklySeries
+from sirvar.core import EnsembleResult
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble
 from sirvar.stats import weekly_summary
 
@@ -24,7 +24,7 @@ class TestLoadReference:
         path = write(tmp_path / "obs.csv", f"week,infected\n{rows}\n")
         ref = io.load_reference(path)
         assert ref.weeks == 15
-        assert ref.infected[14] == 150.0
+        assert ref.matrix[0, 14] == 150.0
 
     def test_negative_count_names_line(self, tmp_path):
         path = write(tmp_path / "bad.csv", "week,infected\n1,5\n2,7\n3,-5\n")
@@ -63,7 +63,7 @@ class TestLoadReference:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path / "obs.csv", "week,infected\n1,5\n\n2,7\n  \n")
-        assert np.array_equal(io.load_reference(path).infected, [5.0, 7.0])
+        assert np.array_equal(io.load_reference(path).matrix[0], [5.0, 7.0])
 
     def test_header_only_has_no_data_rows(self, tmp_path):
         path = write(tmp_path / "empty.csv", "week,infected\n")
@@ -73,20 +73,20 @@ class TestLoadReference:
 
 class TestSeriesRoundTrip:
     def test_integer_counts_exact(self, tmp_path):
-        series = WeeklySeries([0.0, 3.0, 17.0, 9.0, 1.0])
+        series = np.array([0.0, 3.0, 17.0, 9.0, 1.0])
         path = tmp_path / "s.csv"
         save_series(series, path)
         loaded = io.load_reference(path)
-        assert np.array_equal(loaded.infected, series.infected)
+        assert np.array_equal(loaded.matrix[0], series)
 
     def test_real_counts_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        series = WeeklySeries(rng.uniform(0.0, 4000.0, 8))
+        series = rng.uniform(0.0, 4000.0, 8)
         path = tmp_path / "s.csv"
         save_series(series, path)
         loaded = io.load_reference(path)
         # repr round-trips doubles exactly, comfortably within 1e-12 relative
-        assert np.array_equal(loaded.infected, series.infected)
+        assert np.array_equal(loaded.matrix[0], series)
 
 
 class TestEnsemblePersistence:
@@ -293,15 +293,15 @@ class TestEnsemblePersistence:
 
 class TestSeriesRun:
     def test_save_and_load(self, tmp_path):
-        series = WeeklySeries([1.5, 2.0, 0.25])
+        series = np.array([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 3, 42, dt=0.1)
         io.save_series_run(series, tmp_path / "run", meta)
         loaded = io.load_run(tmp_path / "run")
-        assert np.array_equal(loaded["ensemble"].matrix[0], series.infected)
+        assert np.array_equal(loaded["ensemble"].matrix[0], series)
         assert loaded["metadata"]["kind"] == "sd"
 
     def test_series_length_must_match_metadata(self, tmp_path):
-        series = WeeklySeries([1.5, 2.0, 0.25])
+        series = np.array([1.5, 2.0, 0.25])
         meta = io.make_metadata("sd", default_params(), 4, 42, dt=0.1)
         io.save_series_run(series, tmp_path / "run", meta)
         message = "series.csv: row 0: expected 4 counts .weeks in the metadata., got 3"
@@ -332,6 +332,6 @@ class TestSyntheticReference:
     def test_bundled_file_is_loadable(self):
         ref = io.load_reference(synthetic_reference_path())
         assert ref.weeks == 15
-        assert float(ref.infected.max()) == pytest.approx(3741, abs=1)
+        assert float(ref.matrix.max()) == pytest.approx(3741, abs=1)
         # whole counts by construction
-        assert np.array_equal(ref.infected, np.round(ref.infected))
+        assert np.array_equal(ref.matrix, np.round(ref.matrix))
