@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sd = sub.add_parser("run-sd", formatter_class=fmt,
                           help="deterministic system-dynamics run")
     _add_shared_flags(p_sd)
-    p_sd.add_argument("--dt", type=float, default=DEFAULT_DT, help="integration step in days")
+    p_sd.add_argument("--dt", type=float, default=DEFAULT_DT, help="RK4 step in days, as given: "
+                      "accurate while dt * max(1/D, c*p) is well below 1 (stable up to 2.785)")
     p_sd.set_defaults(func=cmd_run_sd)
 
     p_mc = sub.add_parser("run-mc", formatter_class=fmt,

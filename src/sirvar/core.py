@@ -191,9 +191,9 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     integers.  Replicate ``r`` keys its streams ``(r, stream)``, and the one
     network that ``reuse_network`` shares among ABM replicates is keyed
     ``sirvar.abm._SHARED_NETWORK_KEY``; these keys are part of the
-    reproducibility contract of every saved ensemble.  Both ensembles draw only
-    from here, so this is where a master seed from metadata is checked; the CLI
-    checks ``--seed`` first, to report it as a usage error.
+    reproducibility contract of every saved ensemble.  Both ensembles draw only from
+    here; :func:`sirvar.io.rerun_from_metadata` checks a master seed from metadata
+    first, type included, and the CLI checks ``--seed``, to report it as a usage error.
     """
     if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")

@@ -41,6 +41,7 @@ _CONVENTIONS = {
     "quantile_rule": "linear interpolation between order statistics at position 1+(n-1)q",
     "wilcoxon": "paired signed-rank, zeros dropped, midrank ties, W=min(W+,W-), "
                 "exact two-sided p for n<=20 else normal approximation",
+    "sd_step": "sd-mc: dt/2**k, least k with (dt/2**k)*max(1/D, c*p) <= 0.25; sd: dt as given",
 }
 
 #: Version of each random-stream family (``sd_mc``: Monte-Carlo draws,
@@ -142,7 +143,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
 
     Returns an :class:`EnsembleResult` for every kind; a deterministic ``sd``
     run is its one row.  A run that records another stream version than
-    :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``.
+    :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``, as does an ``sd-mc``
+    or ``abm`` ``master_seed`` not an int in [0, 2**64), before any replicate runs.
     """
     kind = meta["kind"]
     streams = meta.get("streams", {})
@@ -151,6 +153,9 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
         if version != STREAM_VERSIONS[family]:
             raise ValueError(f"{kind} run records {family} stream version {version}, but this "
                              f"sirvar draws version {STREAM_VERSIONS[family]}")
+    seed = meta.get("master_seed")
+    if _KIND_STREAMS.get(kind) and (type(seed) is not int or not 0 <= seed < 2**64):
+        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {seed!r}")
     params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":
@@ -159,11 +164,11 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],
-                               master_seed=meta["master_seed"], dt=meta["dt"], threads=threads)
+                               master_seed=seed, dt=meta["dt"], threads=threads)
     if kind == "abm":
         gen = NetworkGenParams(k=meta["network_k"], p_rewire=meta["network_p_rewire"])
         return run_abm_ensemble(
-            params, gen, weeks, replicates=meta["replicates"], master_seed=meta["master_seed"],
+            params, gen, weeks, replicates=meta["replicates"], master_seed=seed,
             threads=threads, reuse_network=meta["reuse_network"],
             exponential_recovery=meta["exponential_recovery"])
     raise ValueError(f"unknown run kind {kind!r}")

@@ -24,13 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
-from .sd import DEFAULT_DT, MAX_STEPS, StepSizeError, integrate, week_indices
+from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices
 
 # Attempts at redrawing an out-of-domain value before clamping.
 _MAX_REDRAWS = 100
 
-# Times a replicate whose trajectory leaves the valid region halves dt.
-_MAX_HALVINGS = 8
+# The largest dt * max(1/D, c*p) a replicate steps at, far below RK4's limit of 2.785.
+_STIFF_LIMIT = 0.25
 
 # (VariationSpec flag, SirParams field, stream id, lower, upper, lower bound
 # open), in draw order.
@@ -117,21 +117,15 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
 def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
     base, spec, rows, master_seed, dt = context
     params, clamped = sample_params(base, spec, master_seed, r)
-    # A wide spread can draw an illness shorter than one step; RK4 then
-    # overshoots, so integrate again at dt / 2, dt / 4, ...  Halving keeps
-    # week w's end at step rows[w] << k, so attempt k runs rows[-1] << k steps.
-    failure = None
-    for k in range(_MAX_HALVINGS + 1):
-        steps = rows[-1] << k
-        if steps > MAX_STEPS:
-            break
-        try:
-            traj = integrate(params, steps, dt / 2**k)
-        except StepSizeError as error:
-            failure = failure or error
-            continue
-        return traj[rows << k, 1], clamped
-    raise failure
+    b, cp = params.recovery_rate, params.contact_rate * params.infection_prob
+    k = 0  # halving keeps week w's end at step rows[w] << k
+    while dt / 2**k * max(b, cp) > _STIFF_LIMIT:
+        k += 1
+        if rows[-1] << k > MAX_STEPS:
+            raise ValueError(f"1/D = {b!r} and c*p = {cp!r} need a step of at most "
+                             f"{_STIFF_LIMIT / max(b, cp):.3g} days, and {7 * len(rows)} days "
+                             f"of it are more than MAX_STEPS = {MAX_STEPS} steps")
+    return integrate(params, rows[-1] << k, dt / 2**k)[rows << k, 1], clamped
 
 
 def run_sd_ensemble(
@@ -149,12 +143,10 @@ def run_sd_ensemble(
     and keeps the rows of the week grid that :func:`sirvar.sd.week_indices`
     places once for all replicates, so that ``dt`` and ``weeks`` are checked
     before any replicate runs, as is each spread by :func:`check_spread`.
-    A replicate whose trajectory leaves the valid region at ``dt`` runs again
-    at ``dt / 2**k`` for the smallest ``k <= 8`` that stays valid, and raises
-    its error at ``dt`` if none does before ``dt / 2**k`` takes more than
-    :data:`sirvar.sd.MAX_STEPS` steps.  Attempt ``k`` runs ``rows[-1] << k``
-    steps of ``dt / 2**k`` and keeps rows ``rows << k``; attempt 0 always
-    runs, since the week grid holds at most that many steps.
+    Each replicate steps at ``dt / 2**k`` for the least ``k`` with
+    ``(dt / 2**k) * max(1/D, c*p) <= 0.25`` for its drawn rates: it runs ``rows[-1] << k``
+    steps and keeps rows ``rows << k``, or raises ``ValueError`` before any step if
+    that is more than :data:`sirvar.sd.MAX_STEPS` steps.
     ``replicates`` and ``master_seed`` are checked where the agent-based
     ensemble's are.  The result counts the clamped draws of all replicates
     and is a pure function of the inputs, independent of ``threads``.

@@ -6,9 +6,10 @@ The model is the classic coupled system
     dI/dt =  a S I - b I
     dR/dt =  b I
 
-integrated with fixed-step classical 4th-order Runge-Kutta.  SIR is smooth
-and non-stiff, so a fixed step keeps weekly sampling exact and results
-bit-reproducible; the default step is 0.1 day.
+integrated with fixed-step classical 4th-order Runge-Kutta, so weekly sampling
+is exact and results bit-reproducible; the default step is 0.1 day.  A step is
+accurate only while ``dt * max(1/D, c*p)`` is well below 1 (RK4 is stable up to
+2.785): SD-MC picks each replicate's step from its rates, run-sd takes dt as given.
 
 Days become steps in one place: :func:`week_indices` places each week's end
 on the grid of step ``dt`` and rejects a grid that misses one, or that holds

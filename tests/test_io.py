@@ -129,7 +129,7 @@ class TestEnsemblePersistence:
         second = io.rerun_from_metadata(meta, threads=2)
         assert np.array_equal(first.matrix, second.matrix)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, None, "7", 7.0, True])
     @pytest.mark.parametrize("kind, extra", [
         ("sd-mc", dict(dt=0.1, vary_illness=True, vary_contact=False, vary_infection=False,
                        sigma_fraction=0.1, replicates=2)),
@@ -138,12 +138,15 @@ class TestEnsemblePersistence:
         ("abm", dict(replicates=2, network_k=6, network_p_rewire=0.2,
                      reuse_network=True, exponential_recovery=False)),
     ])
-    def test_rerun_rejects_a_bad_master_seed(self, kind, extra, seed):
+    def test_rerun_rejects_a_bad_master_seed(self, monkeypatch, kind, extra, seed):
+        def run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(io, "run_sd_ensemble", run)
+        monkeypatch.setattr(io, "run_abm_ensemble", run)
         meta = io.make_metadata(kind, default_params(population=300), 2, seed, **extra)
-        # a shared network is seeded before any replicate runs
-        error = ValueError if extra.get("reuse_network") else RuntimeError
-        with pytest.raises(error,
-                           match=f"master_seed must be an unsigned 64-bit integer, got {seed}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be an unsigned 64-bit integer, got {seed!r}")):
             io.rerun_from_metadata(meta)
 
     def test_rerun_rejects_an_off_grid_dt_before_any_replicate(self):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from sirvar import montecarlo
-from sirvar.core import SirParams
+from sirvar.core import SirParams, derived_rates
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble, sample_params
-from sirvar.sd import MAX_STEPS, StepSizeError, integrate, week_indices
+from sirvar.sd import MAX_STEPS, integrate, week_indices
 
 from paper_params import default_params
 
@@ -151,63 +152,59 @@ class TestEnsemble:
         ens = run_sd_ensemble(default_params(), spec, weeks=2, replicates=2, master_seed=1)
         assert ens.replicates == 2 and ens.clamped_draws == 2
 
+    # c*p = 1e6 needs a step of at most 2.5e-7 days, over MAX_STEPS in 28 days
+    TOO_FAST = SirParams(population=100, contact_rate=1e6, infection_prob=1.0,
+                         illness_duration=0.2, initial_infected=10)
+    TOO_FAST_ERROR = re.escape("replicate 0 failed: 1/D = ") + r"\S+" + re.escape(
+        " and c*p = 1000000.0 need a step of at most 2.5e-07 days, and 28 days of it "
+        f"are more than MAX_STEPS = {MAX_STEPS} steps")
+
     def test_replicate_errors_are_tagged(self):
-        bad = SirParams(population=100, contact_rate=1e6, infection_prob=1.0,
-                        illness_duration=0.2, initial_infected=10)
         spec = spec_with(sigma_fraction=1e-6)
-        with pytest.raises(RuntimeError, match="replicate 0"):
-            run_sd_ensemble(bad, spec, weeks=4, replicates=3, master_seed=99)
+        with pytest.raises(RuntimeError, match=self.TOO_FAST_ERROR):
+            run_sd_ensemble(self.TOO_FAST, spec, weeks=4, replicates=3, master_seed=99)
 
     def test_pool_errors_are_tagged(self):
-        bad = SirParams(population=100, contact_rate=1e6, infection_prob=1.0,
-                        illness_duration=0.2, initial_infected=10)
         spec = spec_with(sigma_fraction=1e-6)
-        with pytest.raises(RuntimeError, match="replicate 0 failed: state left the valid region"):
-            run_sd_ensemble(bad, spec, weeks=4, replicates=4, master_seed=99, threads=2)
+        with pytest.raises(RuntimeError, match=self.TOO_FAST_ERROR):
+            run_sd_ensemble(self.TOO_FAST, spec, weeks=4, replicates=4, master_seed=99, threads=2)
 
     def test_too_short_illness_runs_at_a_finer_step(self):
-        # sigma 0.71 draws a 0.0087-day illness for replicate 7, which RK4
-        # cannot step at dt = 0.1; that replicate halves dt until it stays
-        # valid, and every other replicate keeps its trajectory at dt = 0.1
+        # sigma 0.71 draws a 0.0087-day illness for replicate 7, and 0.1 / 2**6
+        # is the first halving of dt = 0.1 whose step times 1/D is <= 0.25;
+        # every other replicate's rates allow dt itself
         base = default_params()
         spec = spec_with(sigma_fraction=0.7109375)
         ens = run_sd_ensemble(base, spec, weeks=3, replicates=8, master_seed=322)
         rows = week_indices(0.1, 3)
         for r in range(8):
             params = sample_params(base, spec, 322, r)[0]
-            for k in range(9):
-                try:
-                    traj = integrate(params, rows[-1] << k, 0.1 / 2**k)
-                    break
-                except StepSizeError:
-                    pass
-            assert (k > 0) == (r == 7)
-            assert np.array_equal(ens.matrix[r], traj[rows << k, 1])
+            k = 6 if r == 7 else 0
+            rate = max(params.recovery_rate, params.contact_rate * params.infection_prob)
+            assert 0.1 / 2**k * rate <= montecarlo._STIFF_LIMIT
+            assert k == 0 or 0.1 / 2**(k - 1) * rate > montecarlo._STIFF_LIMIT
+            expected = integrate(params, rows[-1] << k, 0.1 / 2**k)[rows << k, 1]
+            assert np.array_equal(ens.matrix[r], expected)
 
     def test_halving_keeps_the_last_week_of_a_dt_just_off_the_grid(self):
         # 105 / dt is 1049.9999999999995, within the week grid's 1e-12 slack
-        # at dt; each halving doubles the shortfall, so 105 days of dt / 8
-        # hold 8399 whole steps, not 8400.  Replicate 7 first stays valid at
-        # dt / 8, where it runs 8400 steps and keeps the rows of dt shifted
-        # left by 3.
+        # at dt; each halving doubles the shortfall, so 105 days of dt / 64
+        # hold 67199 whole steps, not 67200.  Replicate 7 steps at dt / 64,
+        # where it runs 67200 steps and keeps the rows of dt shifted left by 6.
         dt = 0.10000000000000003
         base = default_params()
         spec = spec_with(sigma_fraction=0.7109375)
         ens = run_sd_ensemble(base, spec, weeks=15, replicates=8, master_seed=322, dt=dt)
         rows = week_indices(dt, 15)
+        assert math.floor(105 / (dt / 64) + 1e-12) == (rows[-1] << 6) - 1
         for r in range(8):
             params = sample_params(base, spec, 322, r)[0]
-            if r < 7:
-                expected = integrate(params, rows[-1], dt)[rows, 1]
-            else:
-                with pytest.raises(StepSizeError):
-                    integrate(params, rows[-1] << 2, dt / 4)
-                expected = integrate(params, rows[-1] << 3, dt / 8)[rows << 3, 1]
+            k = 6 if r == 7 else 0
+            expected = integrate(params, rows[-1] << k, dt / 2**k)[rows << k, 1]
             assert np.array_equal(ens.matrix[r], expected)
 
     def test_other_value_errors_keep_their_message(self, monkeypatch):
-        # only a StepSizeError starts a retry; any other ValueError of
-        # integrate is the replicate's failure
+        # an error of integrate reaches the caller with the replicate's tag alone
         def boom(params, steps, dt):
             raise ValueError("boom")
 
@@ -217,12 +214,6 @@ class TestEnsemble:
                             master_seed=5)
 
     def test_halving_stops_at_the_step_limit(self, monkeypatch):
-        # a 1e-9-day illness is too stiff at every halving of dt = 7 / 2**22;
-        # 7 days hold 2**22 steps of dt and 2**23 of dt / 2, but 2**24 steps
-        # of dt / 4 are over MAX_STEPS, so the replicate stops before that
-        # attempt and raises its error at dt
-        dt = 7.0 / 2**22
-        assert 2**23 <= MAX_STEPS < 2**24
         tried = []
 
         def spy(params, steps, dt):
@@ -230,14 +221,31 @@ class TestEnsemble:
             return integrate(params, steps, dt)
 
         monkeypatch.setattr(montecarlo, "integrate", spy)
-        stiff = SirParams(population=100, contact_rate=1.0, infection_prob=0.5,
-                          illness_duration=1e-9, initial_infected=10)
-        with pytest.raises(RuntimeError, match=re.escape(
-                f"replicate 0 failed: state left the valid region at step 1 (t=0.000 d) "
-                f"with dt={dt}:")):
-            run_sd_ensemble(stiff, spec_with(sigma_fraction=1e-6), weeks=1, replicates=1,
-                            master_seed=5, dt=dt)
-        assert tried == [(2**22, dt), (2**23, dt / 2)]
+        # a contact rate of 0 draws 0 and leaves the illness as given
+        spec = spec_with(vary_illness=False, vary_contact=True, sigma_fraction=0.1)
+        # a 1e-9-day illness needs steps of 2.5e-10 days, and an illness of
+        # 5e-324 days an infinite rate; neither runs a step
+        for duration, rate, step in [(1e-9, "999999999.9999999", "2.5e-10"),
+                                     (5e-324, "inf", "0")]:
+            stiff = SirParams(population=100, contact_rate=0.0, infection_prob=0.5,
+                              illness_duration=duration, initial_infected=10)
+            with pytest.raises(RuntimeError, match=re.escape(
+                    f"replicate 0 failed: 1/D = {rate} and c*p = 0.0 need a step of at most "
+                    f"{step} days, and 7 days of it are more than MAX_STEPS = {MAX_STEPS} "
+                    "steps")):
+                run_sd_ensemble(stiff, spec, weeks=1, replicates=1, master_seed=5)
+        assert tried == []
+        # a 0.06-day illness needs dt / 8 of dt = 0.1, so 70 << 3 steps in a
+        # week: they run at a step limit of exactly that many, and not below it
+        slow = SirParams(population=100, contact_rate=0.0, infection_prob=0.5,
+                         illness_duration=0.06, initial_infected=10)
+        monkeypatch.setattr(montecarlo, "MAX_STEPS", 560)
+        run_sd_ensemble(slow, spec, weeks=1, replicates=1, master_seed=5)
+        assert tried == [(560, 0.1 / 8)]
+        monkeypatch.setattr(montecarlo, "MAX_STEPS", 559)
+        with pytest.raises(RuntimeError, match="more than MAX_STEPS = 559 steps"):
+            run_sd_ensemble(slow, spec, weeks=1, replicates=1, master_seed=5)
+        assert len(tried) == 1
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), replicates=st.integers(1, 9),
@@ -260,3 +268,46 @@ class TestEnsemble:
             base, spec_with(vary_illness=True, vary_contact=True, vary_infection=True),
             weeks=15, replicates=40, master_seed=4)
         assert combined.matrix.std(axis=0).sum() > single.matrix.std(axis=0).sum()
+
+
+def exact_weekly(params: SirParams, weeks: int) -> np.ndarray:
+    """Weekly I of the SIR equations from ``solve_ivp`` at rtol 1e-11: Radau
+    where a rate is over 5 per day, DOP853 elsewhere."""
+    a, b = derived_rates(params)
+    stiff = max(b, params.contact_rate * params.infection_prob) > 5.0
+
+    def rhs(t, y):
+        x = a * y[0] * y[1]
+        return [-x, x - b * y[1]]
+
+    def jac(t, y):
+        return [[-a * y[1], -a * y[0]], [a * y[1], a * y[0] - b]]
+
+    days = 7.0 * np.arange(1, weeks + 1)
+    i0 = params.initial_infected
+    solution = solve_ivp(rhs, (0.0, days[-1]), [params.population - i0, i0],
+                         method="Radau" if stiff else "DOP853", t_eval=days,
+                         rtol=1e-11, atol=1e-9, **({"jac": jac} if stiff else {}))
+    assert solution.success, solution.message
+    return solution.y[1]
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("flags, sigma, dt, initial_infected, seed, replicates", [
+        # replicate 128 draws rates that dt = 0.5 steps stably but 42 people off
+        ((True, True, True), 0.7109375, 0.5, 10, 11, 200),
+        # replicate 7 draws a 0.0087-day illness
+        ((True, False, False), 0.7109375, 0.1, 1, 322, 8),
+        ((True, True, True), 0.7109375, 0.1, 1, 11, 20),
+        ((True, True, True), 0.5, 0.5, 10, 3, 20),
+    ])
+    def test_every_week_is_within_one_person_of_solve_ivp(self, flags, sigma, dt,
+                                                          initial_infected, seed, replicates):
+        base = default_params(initial_infected=initial_infected)
+        spec = VariationSpec(*flags, sigma_fraction=sigma)
+        ens = run_sd_ensemble(base, spec, weeks=15, replicates=replicates, master_seed=seed,
+                              dt=dt)
+        for r in range(replicates):
+            exact = exact_weekly(sample_params(base, spec, seed, r)[0], 15)
+            error = np.abs(ens.matrix[r] - exact).max()
+            assert error <= 1.0, f"replicate {r} is {error:.3g} people off"
