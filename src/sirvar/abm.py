@@ -89,8 +89,15 @@ import math
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, WeeklySeries, replicate_rng, run_replicates
-from .network import NetworkGenParams, NetworkTopology, build_small_world
+from .core import (
+    EnsembleResult,
+    SirParams,
+    WeeklySeries,
+    check_replicates,
+    replicate_rng,
+    run_replicates,
+)
+from .network import NetworkGenParams, NetworkTopology, build_small_world, check_size
 from .sd import week_indices
 
 # RNG stream ids per replicate (part of the reproducibility contract).
@@ -235,12 +242,16 @@ def run_abm_ensemble(
 
     By default every replicate generates its own topology and index cases
     from its own streams; with ``reuse_network`` a single topology (derived
-    from the master seed alone) is shared by all replicates.  ``weeks`` is
-    checked by :func:`sirvar.sd.week_indices`, and ``params`` by
-    :func:`check_transmission_mean`, before any network is built.
+    from the master seed alone) is shared by all replicates.  Every input is
+    checked before any network is built: ``weeks`` by
+    :func:`sirvar.sd.week_indices`, ``params`` by :func:`check_transmission_mean`,
+    the population and ``gen.k`` by :func:`sirvar.network.check_size`, and
+    ``replicates`` and ``threads`` by :func:`sirvar.core.check_replicates`.
     """
     week_indices(1.0, weeks)
     check_transmission_mean(params)
+    check_size(params.population, gen.k)
+    check_replicates(replicates, threads)
     shared = None
     if reuse_network:
         net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)

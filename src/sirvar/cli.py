@@ -11,8 +11,10 @@ Only ``run-mc`` and ``run-abm`` take ``--seed``, ``--replicates`` and ``--thread
 and no thread count affects any output value; ``run-sd`` draws nothing and
 records a null master seed.  ``run-mc`` and ``run-abm`` build their
 metadata first and execute it through :func:`sirvar.io.rerun_from_metadata`,
-so a saved ensemble reruns through the code that wrote it.  Exit codes:
-0 success, 1 runtime error, 2 usage error.
+so a saved ensemble reruns through the code that wrote it, and the CLI
+checks no flag itself.  Exit codes: 0 success, 1 runtime error, 2 usage
+error.  The one rule: a ``ValueError`` raised before the first replicate
+runs is a usage error, and any later failure is exit 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, io, stats
-from .abm import check_transmission_mean
 from .core import (
     DEFAULT_ILLNESS_DURATION,
     DEFAULT_INFECTION_PROB,
@@ -34,9 +35,8 @@ from .core import (
     SirParams,
     calibrate_contact_rate,
 )
-from .montecarlo import VariationSpec, check_spread
-from .network import NODE_LIMIT, NetworkGenParams
-from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices
+from .montecarlo import VariationSpec
+from .sd import DEFAULT_DT, integrate, week_indices
 
 _SCENARIOS = {
     "illness": dict(vary_illness=True),
@@ -52,8 +52,9 @@ class UsageError(ValueError):
 
 @contextmanager
 def _building_inputs():
-    """Report a value that a domain type rejects while the flags are turned
-    into inputs as a usage error; later ValueErrors are runtime errors."""
+    """Report a ``ValueError`` raised in the block as a usage error: the library
+    raises one for a bad input before the first replicate runs, and any later
+    failure, a replicate's included, is another type and exits 1."""
     try:
         yield
     except ValueError as exc:
@@ -85,10 +86,7 @@ def _add_ensemble_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> tuple[SirParams, dict]:
-    """Parameters and their provenance from the flags every run command shares,
-    after checking the flags that no domain type validates."""
-    if args.weeks < 1:
-        raise UsageError(f"--weeks must be >= 1, got {args.weeks}")
+    """Parameters and their provenance from the flags every run command shares."""
     if args.contact_rate is None:
         contact_rate = calibrate_contact_rate(
             infection_prob=args.infection_prob,
@@ -141,37 +139,17 @@ def cmd_run_sd(args) -> int:
     return 0
 
 
-def _mc_inputs(args, params: SirParams) -> tuple[str, dict]:
+def _mc_inputs(args) -> tuple[str, dict]:
     spec = VariationSpec(sigma_fraction=args.sigma, **_SCENARIOS[args.vary])
-    week_indices(args.dt, args.weeks)
-    try:
-        check_spread(params, spec)
-    except ValueError as exc:
-        raise UsageError(f"--sigma: {exc}") from None
     return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec),
                          replicates=args.replicates)
 
 
-def _abm_inputs(args, params: SirParams) -> tuple[str, dict]:
-    if args.k >= args.population:
-        raise UsageError(
-            f"--k must be < --population, got k={args.k}, population={args.population}")
-    if args.population >= NODE_LIMIT:
-        raise UsageError(
-            f"--population must be below 2**31 for run-abm, got {args.population}")
-    gen = NetworkGenParams(k=args.k, p_rewire=args.p_rewire)
-    try:
-        week_indices(1.0, args.weeks)  # the daily grid run_abm_ensemble checks
-    except ValueError:
-        raise UsageError(
-            f"--weeks {args.weeks} is {7 * args.weeks} days, and run-abm steps through at "
-            f"most MAX_STEPS = {MAX_STEPS} days, so --weeks must be at most "
-            f"{MAX_STEPS // 7}") from None
-    check_transmission_mean(params)
+def _abm_inputs(args) -> tuple[str, dict]:
     return "abm", dict(
         replicates=args.replicates,
-        network_k=gen.k,
-        network_p_rewire=gen.p_rewire,
+        network_k=args.k,
+        network_p_rewire=args.p_rewire,
         reuse_network=args.reuse_network,
         exponential_recovery=args.exponential_recovery,
         recovery_model="exponential" if args.exponential_recovery else "fixed-duration",
@@ -182,17 +160,11 @@ def cmd_run_ensemble(args) -> int:
     """Run-mc and run-abm: execute the metadata that ``args.inputs`` builds, then save."""
     with _building_inputs():
         params, provenance = _params_from_args(args)
-        if args.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        if not 0 <= args.seed < 2**64:
-            raise UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-        if args.replicates < 1:
-            raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
-        kind, inputs = args.inputs(args, params)
-    meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
-    start = time.perf_counter()
-    ensemble = io.rerun_from_metadata(meta, threads=args.threads)
-    elapsed = time.perf_counter() - start
+        kind, inputs = args.inputs(args)
+        meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
+        start = time.perf_counter()
+        ensemble = io.rerun_from_metadata(meta, threads=args.threads)
+        elapsed = time.perf_counter() - start
     meta.update(
         clamped_draws=ensemble.clamped_draws,
         threads=args.threads,

@@ -193,7 +193,7 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     ``sirvar.abm._SHARED_NETWORK_KEY``; these keys are part of the
     reproducibility contract of every saved ensemble.  Both ensembles draw only from
     here; :func:`sirvar.io.rerun_from_metadata` checks a master seed from metadata
-    first, type included, and the CLI checks ``--seed``, to report it as a usage error.
+    first, type included, before any replicate runs.
     """
     if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
@@ -219,6 +219,14 @@ def _serve(conn, fn, context) -> None:
     conn.send(_run_share(fn, context, conn.recv()))
 
 
+def check_replicates(replicates: int, threads: int) -> None:
+    """Raise ``ValueError`` unless ``replicates`` and ``threads`` are both at least 1."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     """``[fn(context, r) for r in range(replicates)]``, run in ``w`` processes.
 
@@ -227,7 +235,8 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     through an explicit ``fork`` context, inherits ``fn`` and
     ``context``, is sent the residue class k, k + w, ... over a pipe, and
     sends its rows back.  The result list is in replicate order whatever
-    ``threads`` is.  A failure in replicate ``r`` is raised as
+    ``threads`` is.  :func:`check_replicates` rejects the sizes first, as a
+    ``ValueError``; a failure in replicate ``r`` is raised as
     ``RuntimeError("replicate r failed: ...")``: the lowest-numbered one when
     several fail, where a worker that dies counts as failing at its first
     replicate.  Every worker is joined before this returns or raises.  A
@@ -235,10 +244,7 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
     heap that glibc kept because a live block sits above it, so the free heap
     is handed back first: workers start from the live data alone.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_replicates(replicates, threads)
     workers = min(threads, replicates)
     started = []
     try:

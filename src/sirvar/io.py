@@ -142,9 +142,13 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     """Execute a run from its metadata alone: a fresh ensemble run or a rerun of a saved one.
 
     Returns an :class:`EnsembleResult` for every kind; a deterministic ``sd``
-    run is its one row.  A run that records another stream version than
-    :data:`STREAM_VERSIONS` (none counts as 1) raises ``ValueError``, as does an ``sd-mc``
-    or ``abm`` ``master_seed`` not an int in [0, 2**64), before any replicate runs.
+    run is its one row.  Every input is checked before any network is built or
+    any replicate runs, and a bad one raises ``ValueError``: a stream version other
+    than :data:`STREAM_VERSIONS` (none counts as 1), an ``sd-mc`` or ``abm``
+    ``master_seed`` not an int in [0, 2**64), and whatever the parameter types
+    and ensemble runners reject.  A failure inside replicate ``r`` is raised as
+    ``RuntimeError("replicate r failed: ...")``, and an ``sd`` run's failing step
+    as a ``RuntimeError`` too.
     """
     kind = meta["kind"]
     streams = meta.get("streams", {})

@@ -84,7 +84,7 @@ def _draw_truncated(rng, mean, sigma, lower, upper, lower_open):
     return min(max(value, floor), upper), True
 
 
-def check_spread(base: SirParams, spec: VariationSpec) -> None:
+def _check_spread(base: SirParams, spec: VariationSpec) -> None:
     """Raise ``ValueError`` if a varied parameter's spread ``sigma_fraction * base``
     is not finite, naming the first such parameter in draw order."""
     for flag, field, *_ in _VARIED:
@@ -141,17 +141,18 @@ def run_sd_ensemble(
 
     Replicate ``r`` integrates ``sample_params(base, spec, master_seed, r)``
     and keeps the rows of the week grid that :func:`sirvar.sd.week_indices`
-    places once for all replicates, so that ``dt`` and ``weeks`` are checked
-    before any replicate runs, as is each spread by :func:`check_spread`.
+    places once for all replicates.  ``dt``, ``weeks``, each varied parameter's
+    spread, which must be finite, ``replicates`` and ``threads`` are checked
+    before any replicate runs, and a bad one raises ``ValueError``.
     Each replicate steps at ``dt / 2**k`` for the least ``k`` with
     ``(dt / 2**k) * max(1/D, c*p) <= 0.25`` for its drawn rates: it runs ``rows[-1] << k``
-    steps and keeps rows ``rows << k``, or raises ``ValueError`` before any step if
-    that is more than :data:`sirvar.sd.MAX_STEPS` steps.
-    ``replicates`` and ``master_seed`` are checked where the agent-based
-    ensemble's are.  The result counts the clamped draws of all replicates
-    and is a pure function of the inputs, independent of ``threads``.
+    steps and keeps rows ``rows << k``, or fails before any step if that is more
+    than :data:`sirvar.sd.MAX_STEPS` steps, which :func:`sirvar.core.run_replicates`
+    raises as that replicate's ``RuntimeError``.  The result counts the clamped
+    draws of all replicates and is a pure function of the inputs, independent of
+    ``threads``.
     """
-    check_spread(base, spec)
+    _check_spread(base, spec)
     context = (base, spec, week_indices(dt, weeks), master_seed, dt)
     rows = run_replicates(_sd_replicate, context, replicates, threads)
     return EnsembleResult([row for row, _ in rows],

@@ -109,6 +109,15 @@ class NetworkTopology:
         return np.column_stack([u[keep], v[keep]])
 
 
+def check_size(n: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``k < n < 2**31``: a lattice of degree ``k``
+    needs more than ``k`` nodes, and node ids must fit the int32 ``neighbors``."""
+    if k >= n:
+        raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
+    if n >= NODE_LIMIT:
+        raise ValueError(f"n must be below 2**31 so node ids fit int32 neighbours, got n={n}")
+
+
 def _ring_targets(n: int, k: int, dtype) -> np.ndarray:
     """Far ends of the lattice edges: edge ``(j - 1) * n + u`` joins u to u + j (mod n).
 
@@ -201,14 +210,11 @@ def build_small_world(
     Raises
     ------
     ValueError
-        If ``k`` is odd, below 2, or not smaller than ``n``, if ``n`` is
-        2**31 or more, or if ``p_rewire`` is outside [0, 1].
+        If ``k`` is odd or below 2, if ``p_rewire`` is outside [0, 1], or if
+        :func:`check_size` rejects ``n`` and ``k``.
     """
     NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
-    if k >= n:
-        raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
-    if n >= NODE_LIMIT:
-        raise ValueError(f"n must be below 2**31 so node ids fit int32 neighbours, got n={n}")
+    check_size(n, k)
 
     rng = np.random.default_rng(seed)
     # CSR assembly: one key (node << b) | neighbour per edge direction, with

@@ -56,10 +56,6 @@ MAX_STEPS = 10**7
 _NEGATIVE_RTOL = 1e-9
 
 
-class StepSizeError(RuntimeError):
-    """The integration step pushed a state out of the valid region."""
-
-
 def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> np.ndarray:
     """Integrate the SIR equations from (N - I0, I0, 0) for ``steps`` steps of ``dt``.
 
@@ -86,7 +82,7 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> np.ndarr
     ValueError
         If ``steps`` is below 1 or above :data:`MAX_STEPS`, or ``dt`` is
         not above 0 (NaN included), before any step.
-    StepSizeError
+    RuntimeError
         At the first step that leaves the valid region: a compartment below
         zero beyond roundoff, or not finite, or conservation drift above
         ``CONSERVATION_RTOL * N``.  A negative or NaN state ends the loop at
@@ -161,7 +157,7 @@ def _conserved(s, i, r, n):
 
 
 def _check_states(states, checked, n, dt) -> None:
-    """Raise :class:`StepSizeError` at the first state of ``states`` (row ``k``
+    """Raise ``RuntimeError`` at the first state of ``states`` (row ``k``
     is the state after step ``k``) that leaves the valid region or drifts,
     skipping the steps in ``checked``."""
     valid = _in_region(*states.T, n) & _conserved(*states.T, n)
@@ -172,12 +168,12 @@ def _check_states(states, checked, n, dt) -> None:
     s, i, r = states[step].tolist()
     if not _in_region(s, i, r, n):
         finite = all(map(math.isfinite, (s, i, r)))
-        raise StepSizeError(
+        raise RuntimeError(
             f"state left the valid region at step {step} (t={step * dt:.3f} d) "
             f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; "
             f"{'reduce dt' if finite else 'the state is not finite'}"
         )
-    raise StepSizeError(
+    raise RuntimeError(
         f"conservation drift exceeds {CONSERVATION_RTOL * n:.3g} at step {step} with dt={dt}"
     )
 
@@ -207,8 +203,8 @@ def week_indices(dt: float, weeks: int) -> np.ndarray:
     days = 7.0 * weeks
     count = days / dt + 1e-12
     if not count < MAX_STEPS + 1:
-        raise ValueError(f"dt={dt} divides {days:g} days into more than "
-                         f"MAX_STEPS = {MAX_STEPS} steps")
+        raise ValueError(f"dt={dt} divides {7 * weeks} days into more than "
+                         f"MAX_STEPS = {MAX_STEPS} steps (weeks={weeks})")
     steps = math.floor(count)
     indices = np.empty(weeks, dtype=int)
     for w in range(weeks):

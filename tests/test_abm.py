@@ -326,17 +326,29 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=r"is above 4\.29497e\+09, the transmission budget"):
             abm.check_transmission_mean(params_for(2**10, c=float(np.nextafter(c, np.inf)), p=1.0))
 
-    def test_replicate_errors_are_tagged(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_network_size_is_checked_before_any_network(self, monkeypatch, threads):
+        def build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(abm, "build_small_world", build)
         params = params_for(10, i0=1)
         gen = NetworkGenParams(k=10, p_rewire=0.0)  # k == n is invalid
-        with pytest.raises(RuntimeError, match="replicate 0"):
-            run_abm_ensemble(params, gen, weeks=2, replicates=2, master_seed=0)
+        with pytest.raises(ValueError, match="k must be smaller than n, got k=10, n=10"):
+            run_abm_ensemble(params, gen, weeks=2, replicates=4, master_seed=0, threads=threads)
 
-    def test_pool_errors_are_tagged(self):
-        params = params_for(10, i0=1)
-        gen = NetworkGenParams(k=10, p_rewire=0.0)
-        with pytest.raises(RuntimeError, match="replicate 0 failed: k must be smaller than n"):
-            run_abm_ensemble(params, gen, weeks=2, replicates=4, master_seed=0, threads=2)
+    @pytest.mark.parametrize("replicates, threads, named", [(0, 1, "replicates"),
+                                                            (2, 0, "threads")])
+    def test_ensemble_size_is_checked_before_the_shared_network(self, monkeypatch,
+                                                                replicates, threads, named):
+        def build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(abm, "build_small_world", build)
+        with pytest.raises(ValueError, match=f"^{named} must be >= 1, got 0$"):
+            run_abm_ensemble(params_for(300), NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
+                             replicates=replicates, master_seed=1, threads=threads,
+                             reuse_network=True)
 
 
 def random_case(rng):

@@ -10,6 +10,8 @@ import pytest
 
 import sirvar
 import sirvar.abm
+import sirvar.cli
+import sirvar.core
 from sirvar import io
 from sirvar.cli import main
 from sirvar.core import EnsembleResult
@@ -100,13 +102,14 @@ class TestUsage:
         (["run-mc", "--vary", "all", "--sigma", "0"], "sigma_fraction must be > 0, got 0.0"),
         (["run-mc", "--vary", "all", "--replicates", "0"], "replicates must be >= 1, got 0"),
         (["run-abm", "--population", "50", "--initial-infected", "51"], "got 51"),
-        (["run-abm", "--population", "10", "--k", "10"], "--k must be < --population"),
-        (["run-sd", "--weeks", "0"], "--weeks must be >= 1, got 0"),
-        (["run-mc", "--vary", "all", "--threads", "0"], "--threads must be >= 1, got 0"),
-        (["run-abm", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+        (["run-abm", "--population", "10", "--k", "10"],
+         "k must be smaller than n, got k=10, n=10"),
+        (["run-sd", "--weeks", "0"], "weeks must be >= 1, got 0"),
+        (["run-mc", "--vary", "all", "--threads", "0"], "threads must be >= 1, got 0"),
+        (["run-abm", "--seed", "-1"], "master_seed must be an unsigned 64-bit integer, got -1"),
         (["run-abm", "--seed", str(2**64)],
-         f"--seed must be an unsigned 64-bit integer, got {2**64}"),
-        (["run-abm", "--replicates", "0"], "--replicates must be >= 1, got 0"),
+         f"master_seed must be an unsigned 64-bit integer, got {2**64}"),
+        (["run-abm", "--replicates", "0"], "replicates must be >= 1, got 0"),
         (["run-sd", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
         (["run-mc", "--vary", "all", "--sigma", "inf"], "sigma_fraction must be finite, got inf"),
         (["run-abm", "--contact-rate", "inf"], "contact_rate must be finite, got inf"),
@@ -114,16 +117,17 @@ class TestUsage:
         (["run-sd", "--illness-duration", "1e-320"], "illness_duration=1e-320"),
         (["run-sd", "--dt", "inf"], "dt=inf"),
         (["run-mc", "--vary", "all", "--dt", "inf"], "dt=inf"),
-        (["run-abm", "--population", str(2**31)], "--population must be below 2**31"),
+        (["run-abm", "--population", str(2**31)],
+         f"n must be below 2**31 so node ids fit int32 neighbours, got n={2**31}"),
         (["run-abm", "--population", str(2**31), "--reuse-network"],
-         "--population must be below 2**31"),
+         f"n must be below 2**31 so node ids fit int32 neighbours, got n={2**31}"),
         (["run-sd", "--dt", "0.1000000000001"], "dt=0.1000000000001"),
         (["run-mc", "--vary", "all", "--dt", "0.0333333333334"], "dt=0.0333333333334"),
         (["run-sd", "--dt", "1e-300"], "dt=1e-300"),
         (["run-mc", "--vary", "all", "--sigma", "1e308", "--replicates", "2"],
-         "--sigma: sigma_fraction * illness_duration = 1e+308 * 4.2 is not finite"),
+         "sigma_fraction * illness_duration = 1e+308 * 4.2 is not finite"),
         (["run-mc", "--vary", "contact", "--sigma", "1e308", "--replicates", "2"],
-         "--sigma: sigma_fraction * contact_rate = 1e+308 * "),
+         "sigma_fraction * contact_rate = 1e+308 * "),
         (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e300"],
          "contact_rate * infection_prob * population = 1.95e+301 is above 4.29497e+09, "
          "the transmission budget of one day"),
@@ -138,22 +142,31 @@ class TestUsage:
         (["run-sd", "--dt", "1e-7"], "dt=1e-07 divides 105 days into more than MAX_STEPS"),
         (["run-mc", "--vary", "all", "--dt", "1e-7"],
          "dt=1e-07 divides 105 days into more than MAX_STEPS"),
-        # one week past the most whose days fit MAX_STEPS = 10**7, and far past;
-        # the whole message, so it names no dt
+        # one week past the most whose days fit MAX_STEPS = 10**7 on the ABM's
+        # one-day grid, and far past; the whole message
         (["run-abm", "--weeks", "1428572", "--replicates", "1", "--population", "300"],
-         "usage error: --weeks 1428572 is 10000004 days, and run-abm steps through at most "
-         "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
+         "usage error: dt=1.0 divides 10000004 days into more than MAX_STEPS = 10000000 "
+         "steps (weeks=1428572)\n"),
         (["run-abm", "--weeks", "2000000", "--replicates", "1", "--population", "300"],
-         "usage error: --weeks 2000000 is 14000000 days, and run-abm steps through at most "
-         "MAX_STEPS = 10000000 days, so --weeks must be at most 1428571\n"),
+         "usage error: dt=1.0 divides 14000000 days into more than MAX_STEPS = 10000000 "
+         "steps (weeks=2000000)\n"),
         # no recovery leaves no contact rate that reaches the attack rate
         (["run-sd", "--illness-duration", "inf"], "illness_duration=inf"),
         # within numpy's bound, but the day's (2, T) block would take 3 PB
         (["run-abm", "--population", "300", "--replicates", "1", "--contact-rate", "1e13"],
          "contact_rate * infection_prob * population = 1.95e+14 is above 4.29497e+09, "
          "the transmission budget of one day"),
+        # the shared network is built only after the ensemble size is checked
+        (["run-abm", "--reuse-network", "--threads", "0"], "threads must be >= 1, got 0"),
     ])
-    def test_bad_values_exit_2(self, tmp_path, capsys, argv, named):
+    def test_bad_values_exit_2(self, tmp_path, capsys, monkeypatch, argv, named):
+        def work(*args):
+            raise AssertionError("a network, replicate or RK4 step ran")
+
+        # each would fail the run with exit 1, so exit 2 shows that none ran
+        monkeypatch.setattr(sirvar.abm, "build_small_world", work)
+        monkeypatch.setattr(sirvar.core, "_run_share", work)
+        monkeypatch.setattr(sirvar.cli, "integrate", work)
         out = tmp_path / "x"
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -340,6 +353,14 @@ class TestRunMc:
         rerun = io.rerun_from_metadata(loaded["metadata"])
         assert np.array_equal(rerun.matrix, loaded["ensemble"].matrix)
         assert "elapsed_seconds" in loaded["metadata"]
+
+    def test_replicate_failure_exits_1(self, tmp_path, capsys):
+        # the inputs are valid, but replicate 0's rates need more than MAX_STEPS steps
+        out = tmp_path / "mc"
+        assert run("run-mc", "--vary", "contact", "--illness-duration", "1e-6",
+                   "--replicates", "1", "--weeks", "1", "--out", str(out)) == 1
+        assert "sirvar: error: replicate 0 failed: 1/D = 1000000.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_clamped_draws_are_recorded_and_reloaded(self, tmp_path, capsys):
         out = tmp_path / "mc"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sirvar.sd
 from sirvar.core import SirParams, attack_fraction, basic_reproduction_number, \
     derived_rates
-from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, StepSizeError, integrate, week_indices
+from sirvar.sd import CONSERVATION_RTOL, MAX_STEPS, integrate, week_indices
 
 from paper_params import default_params
 
@@ -68,12 +68,12 @@ def reference_integrate(params, horizon_days, dt, clipped=None):
         i += di
         r -= ds + di
         if s < -neg_tol or i < -neg_tol or r < -neg_tol:
-            raise StepSizeError(
+            raise RuntimeError(
                 f"state left the valid region at step {k + 1} (t={(k + 1) * dt:.3f} d) "
                 f"with dt={dt}: S={s:.6g}, I={i:.6g}, R={r:.6g}; reduce dt"
             )
         if abs(s + i + r - n) > cons_tol:
-            raise StepSizeError(
+            raise RuntimeError(
                 f"conservation drift exceeds {cons_tol:.3g} at step {k + 1} with dt={dt}"
             )
         if (s < 0.0 or i < 0.0) and clipped is not None:
@@ -101,7 +101,7 @@ def outcome(integrator, params, horizon_days, dt, **kwargs):
     span = horizon_days if integrator is reference_integrate else steps_in(horizon_days, dt)
     try:
         return integrator(params, span, dt, **kwargs).tobytes()
-    except StepSizeError as exc:
+    except RuntimeError as exc:
         return type(exc), str(exc)
 
 
@@ -235,7 +235,7 @@ class TestIntegrate:
     def test_step_too_large_raises(self):
         params = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
                            illness_duration=0.2, initial_infected=10)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(RuntimeError):
             integrate(params, 10, 2.0)
 
     def test_dt_larger_than_horizon_rejected(self, no_step):
@@ -334,19 +334,19 @@ class TestNonFinite:
         # state through to its final check ("negative compartment counts")
         params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
                            illness_duration=4.2)
-        with pytest.raises(StepSizeError, match=r"at step 1 \(t=0.100 d\)"):
+        with pytest.raises(RuntimeError, match=r"at step 1 \(t=0.100 d\)"):
             integrate(params, 70, 0.1)
 
     @pytest.mark.parametrize("contact_rate", [1e100, 1e308])
     def test_overflow_does_not_advise_a_smaller_step(self, contact_rate):
         params = SirParams(population=52910, contact_rate=contact_rate, infection_prob=0.065,
                            illness_duration=4.2)
-        with pytest.raises(StepSizeError, match="the state is not finite$") as overflow:
+        with pytest.raises(RuntimeError, match="the state is not finite$") as overflow:
             integrate(params, 70, 0.1)
         assert "reduce dt" not in str(overflow.value)
         too_large = SirParams(population=100, contact_rate=50.0, infection_prob=1.0,
                               illness_duration=0.2, initial_infected=10)
-        with pytest.raises(StepSizeError, match="; reduce dt$"):
+        with pytest.raises(RuntimeError, match="; reduce dt$"):
             integrate(too_large, 10, 2.0)
 
 
@@ -388,7 +388,7 @@ class TestCheckAfterTheLoop:
                                                      rtol, step):
         conservation_rtol(rtol)
         expected = outcome(reference_integrate, default_params(), 56.0, 0.1)
-        assert expected[0] is StepSizeError
+        assert expected[0] is RuntimeError
         assert expected[1].startswith("conservation drift") and f"at step {step} " in expected[1]
         assert outcome(integrate, default_params(), 56.0, 0.1) == expected
         # S, I and R stay >= 0, so only the check over all 560 steps finds it
@@ -425,7 +425,7 @@ class TestCheckAfterTheLoop:
     ])
     def test_loop_stops_at_the_first_negative_or_nan_state(self, checked_lengths, params,
                                                           horizon_days, dt, step):
-        with pytest.raises(StepSizeError, match=f"at step {step} "):
+        with pytest.raises(RuntimeError, match=f"at step {step} "):
             integrate(params, steps_in(horizon_days, dt), dt)
         assert checked_lengths == [step + 1]
 
