@@ -47,13 +47,19 @@ _CONVENTIONS = {
 #: Version of each random-stream family (``sd_mc``: Monte-Carlo draws,
 #: ``network``: rewiring, ``abm``: the day step).  A change to a family's
 #: draws bumps it, and :func:`rerun_from_metadata` refuses other versions.
-STREAM_VERSIONS = {"sd_mc": 1, "network": 2, "abm": 3}
+STREAM_VERSIONS = {"sd_mc": 1, "network": 3, "abm": 3}
 # The stream families each run kind draws from.
 _KIND_STREAMS = {"sd": (), "sd-mc": ("sd_mc",), "abm": ("network", "abm")}
 
 
 class ReferenceFormatError(ValueError):
     """A reference file or saved run file violates the weekly-count table schema."""
+
+
+def _check_whole(name: str, value, low: int, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int (not a bool) >= ``low``."""
+    if type(value) is not int or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_counts(values, where: str):
@@ -145,10 +151,12 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     run is its one row.  Every input is checked before any network is built or
     any replicate runs, and a bad one raises ``ValueError``: a stream version other
     than :data:`STREAM_VERSIONS` (none counts as 1), an ``sd-mc`` or ``abm``
-    ``master_seed`` not an int in [0, 2**64), and whatever the parameter types
-    and ensemble runners reject.  A failure inside replicate ``r`` is raised as
-    ``RuntimeError("replicate r failed: ...")``, and an ``sd`` run's failing step
-    as a ``RuntimeError`` too.
+    ``master_seed`` not an int in [0, 2**64), a ``weeks``, ``replicates`` or
+    ``network_k`` that is not an int (with :func:`load_run`'s message; the
+    runners reject one below 1), and whatever the parameter types and ensemble
+    runners reject.  A failure inside replicate ``r`` is raised as
+    ``RuntimeError("replicate r failed: ...")``, and an ``sd`` run's failing
+    step as a ``RuntimeError`` too.
     """
     kind = meta["kind"]
     streams = meta.get("streams", {})
@@ -160,6 +168,9 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     seed = meta.get("master_seed")
     if _KIND_STREAMS.get(kind) and (type(seed) is not int or not 0 <= seed < 2**64):
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {seed!r}")
+    for name in ("weeks", "replicates", "network_k"):
+        if type(meta.get(name, 1)) is not int:  # the runners reject an int below 1
+            _check_whole(name, meta[name], 1)
     params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":
@@ -236,9 +247,7 @@ def load_run(run_dir) -> dict:
     clamped = meta.get("clamped_draws", 0)
     for name, value, low in (("weeks", weeks, 1), ("replicates", replicates, 1),
                              ("clamped_draws", clamped, 0)):
-        if type(value) is not int or value < low:
-            raise ReferenceFormatError(f"{path}: {name} must be an integer >= {low}, "
-                                       f"got {value!r}")
+        _check_whole(f"{path}: {name}", value, low, ReferenceFormatError)
     path = run / "series.csv"
     if path.exists():
         rows = load_reference(path).matrix

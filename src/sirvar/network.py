@@ -9,52 +9,63 @@ reproduces the exact ring lattice, ``p_rewire = 1`` gives a fully
 randomised graph; both extremes keep the edge count at ``n * k / 2``.
 
 The graph a seed yields is fixed by the order of random draws, which is
-part of this module's contract; it is version 2 of the ``network`` stream
-in :data:`sirvar.io.STREAM_VERSIONS`.  A build draws, in order:
+part of this module's contract; it is version 3 of the ``network`` stream
+in :data:`sirvar.io.STREAM_VERSIONS`.  A build of ``E = n * k / 2``
+lattice edges draws, in order (nothing when ``p_rewire = 0``):
 
-1. ``rng.random(n * k / 2)``, which picks the lattice edges to rewire
-   (none is drawn when ``p_rewire = 0``);
-2. ``rng.integers(0, n, size=(F, 8))``, 8 candidate targets for each of
-   the ``F`` picked edges, in lattice order (skipped when ``F = 0``).
+1. the picked lattice edges, as running sums of geometric gaps from
+   position -1: ``rng.geometric(p_rewire, size=m)`` with
+   ``m = ceil(E p + 8 sqrt(E p) + 8)``, repeated until the position
+   reaches E; each gap is clipped to ``E + 1`` before it is summed;
+2. ``rng.integers(0, n, size=F)``, one candidate target for each of the
+   ``F`` picked edges, in lattice order (skipped when ``F = 0``);
+3. ``rng.integers(0, n, size=(R, 7))``, 7 spare candidates for each of the
+   ``R`` picked edges whose first candidate is the source or a lattice
+   neighbour of it, in lattice order (skipped when ``R = 0``).
 
 A picked edge takes its first candidate that is neither its source nor a
 lattice neighbour of it.  It keeps its lattice edge when none of its 8
 candidates qualifies, or when an earlier picked edge took the same pair,
-so the graph stays simple and nothing more is drawn.  Version 1 instead
-took the first candidate free of every edge placed so far and drew single
-targets when all 8 were taken; the two versions differ only in the rare
-edges whose answer depended on earlier rewirings.
+so the graph stays simple and nothing more is drawn.  Each edge is picked
+with chance ``p_rewire`` and its candidates are uniform, as in version 2,
+which drew one uniform per edge and 8 candidates per picked edge: the two
+versions give the same law of graphs from different bits.  Version 1
+instead took the first candidate free of every edge placed so far and drew
+single targets when all 8 were taken; it differs from version 2 only in
+the rare edges whose answer depended on earlier rewirings.
 
 Adjacency is stored in compressed sparse row form (one flat neighbour
 array plus per-node offsets) so the agent-based simulator can index it
 without Python-level loops.
 
 Memory: the lattice's far ends ``v`` (``n * k / 2`` entries; an edge's
-source is its index mod ``n``) sit beside either the first draw's
-``n * k / 2`` float64 uniforms or one key ``(node << b) | neighbour`` per
-edge direction, where ``b`` is the bit length of ``n - 1``.  ``v`` and the
-keys take the narrowest unsigned type that holds a key: 32 bits up to
-``n = 2**16``, 64 bits above, and 8 or 16 bits for tiny ``n``.  The keys
-are sorted and masked in place.  32-bit keys are then the int32
-``neighbors`` themselves, and other widths are copied to int32, so node
-ids stay below 2**31.  ``neighbors`` stays int32 in storage, half the bytes
-of int64, and the agent-based day widens only the few entries it reads to
-intp.  Rewiring adds a few arrays of ``F`` entries for the ``F`` picked
-edges and returns each node's degree change, so no count runs over all the
-far ends.  Not counting the modules numpy imports on a first build, a
-build's traced peak is 1.5 times the finished graph at paper scale
-(n = 52,910, k = 10, p_rewire = 0.1) and 2.8 times at n = 10**6, whose
-keys are 64-bit.
+source is its index mod ``n``) sit beside one key ``(node << b) |
+neighbour`` per edge direction, where ``b`` is the bit length of
+``n - 1``.  ``v`` and the keys take the narrowest unsigned type that holds
+a key: 32 bits up to ``n = 2**16``, 64 bits above, and 8 or 16 bits for
+tiny ``n``.  The keys are sorted and masked in place.  32-bit keys are
+then the int32 ``neighbors`` themselves, and other widths are copied to
+int32, so node ids stay below 2**31.  ``neighbors`` stays int32 in
+storage, half the bytes of int64, and the agent-based day widens only the
+few entries it reads to intp.  Rewiring adds a few arrays of about ``F``
+entries for the ``F`` picked edges and returns each node's degree change,
+so no count runs over all the far ends.  Not counting the modules numpy
+imports on a first build, a build's traced peak is 1.5 times the finished
+graph at paper scale (n = 52,910, k = 10, p_rewire = 0.1) and 2.8 times at
+n = 10**6, whose keys are 64-bit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 NODE_LIMIT = 2**31  # node ids must fit the int32 ``neighbors``
+_CHUNK_MARGIN = 8  # a chunk of picks is their mean, 8 standard deviations and 8 more
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class NetworkGenParams:
     p_rewire: float = 0.1
 
     def __post_init__(self):
-        if self.k < 2 or self.k % 2 != 0:
+        if not isinstance(self.k, numbers.Integral) or self.k < 2 or self.k % 2 != 0:
             raise ValueError(f"mean degree k must be a positive even integer, got {self.k}")
         if not 0.0 <= self.p_rewire <= 1.0:
             raise ValueError(f"p_rewire must be in [0, 1], got {self.p_rewire}")
@@ -139,38 +150,47 @@ def _rewire(v: np.ndarray, n: int, half_k: int, p_rewire: float, rng) -> np.ndar
     Every picked edge ("row") answers with its first candidate that
     qualifies: one that is neither its source nor a lattice neighbour of
     it (ring distance above ``half_k``).  A row's first candidate
-    qualifies with chance ``1 - (k + 1) / n``, so the answers are read from
-    column 0, and only the rows whose first candidate fails take the pass
-    over all 8 columns.  A row keeps its lattice edge when none of its
-    candidates qualifies, or when an earlier row answered the same pair;
-    the rows that share an answer come from one sort of the keys.  A row's
-    answer reads only its own candidates, so all rows are resolved at once.
-    Rewired edges join distinct pairs that are not lattice neighbours, and
-    kept edges are distinct lattice pairs, so the graph is simple and keeps
-    its ``n * k / 2`` edges.
+    qualifies with chance ``1 - (k + 1) / n``, so each row draws one
+    candidate, and only the rows whose first candidate fails draw 7
+    spares.  A row keeps its lattice edge when none of its 8 candidates
+    qualifies, or when an earlier row answered the same pair; the rows that
+    share an answer come from one sort of the keys.  A row's answer reads
+    only its own candidates, so all rows are resolved at once.  Rewired
+    edges join distinct pairs that are not lattice neighbours, and kept
+    edges are distinct lattice pairs, so the graph is simple and keeps its
+    ``n * k / 2`` edges.
 
     Returns the int64 change of each node's degree from the lattice's k,
     ``bincount(new) - bincount(old)`` over the rows' far ends, or 0 when no
-    edge is picked.  It is counted once the candidates are freed, so its two
-    counts never sit beside them.
+    edge is picked.
     """
-    flagged = np.flatnonzero(rng.random(v.size) < p_rewire)
+    # Gaps are clipped to E + 1, which still passes the last edge from -1,
+    # so numpy's INT64_MAX gaps at a tiny p_rewire cannot overflow the sum.
+    edges = v.size
+    mean = edges * p_rewire
+    chunk = math.ceil(mean + _CHUNK_MARGIN * math.sqrt(mean) + _CHUNK_MARGIN)
+    picks, position = [], -1
+    while position < edges:
+        gaps = np.minimum(rng.geometric(p_rewire, size=chunk), edges + 1)
+        picks.append(position + np.cumsum(gaps))
+        position = int(picks[-1][-1])
+    flagged = np.concatenate(picks)
+    flagged = flagged[:np.searchsorted(flagged, edges)]
     rows = flagged.size
     if not rows:
         return 0
-    candidates = rng.integers(0, n, size=(rows, 8))
+    target = rng.integers(0, n, size=rows)
     src = flagged % n
 
-    target = candidates[:, 0].copy()
     ring = np.abs(target - src)
     np.minimum(ring, n - ring, out=ring)  # ring distance from the source
     redo = np.flatnonzero(ring <= half_k)  # first candidate is the source or a lattice neighbour
-    ring = np.abs(candidates[redo] - src[redo, None])
+    spares = rng.integers(0, n, size=(redo.size, 7))  # draws nothing when no row fails
+    ring = np.abs(spares - src[redo, None])
     np.minimum(ring, n - ring, out=ring)
     free = ring > half_k
-    target[redo] = candidates[redo, free.argmax(axis=1)]
+    target[redo] = spares[np.arange(redo.size), free.argmax(axis=1)]
     none = redo[~free.any(axis=1)]
-    del candidates
     old = v[flagged].astype(np.int64)  # int64 for bincount, whatever the key width
     target[none] = old[none]  # no candidate qualifies: keep the lattice edge
     # Kept lattice pairs are never an answer, so only answers can share a key.
@@ -192,8 +212,8 @@ def build_small_world(
     """Generate a Watts-Strogatz topology over ``n`` nodes.
 
     Lattice edges are visited in the order of :func:`_ring_targets` (offset
-    1 for every node, then offset 2, ...).  A build makes only the two
-    draws stated in the module docstring (``network`` stream version 2), so
+    1 for every node, then offset 2, ...).  A build makes only the draws
+    stated in the module docstring (``network`` stream version 3), so
     a seed gives one graph and leaves a caller's Generator in one state.
 
     Parameters
@@ -210,8 +230,8 @@ def build_small_world(
     Raises
     ------
     ValueError
-        If ``k`` is odd or below 2, if ``p_rewire`` is outside [0, 1], or if
-        :func:`check_size` rejects ``n`` and ``k``.
+        If ``k`` is not an integer, is odd or is below 2, if ``p_rewire``
+        is outside [0, 1], or if :func:`check_size` rejects ``n`` and ``k``.
     """
     NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
     check_size(n, k)

@@ -8,8 +8,9 @@ The digests hold for the stream versions in ``STREAMS``.  A change that
 bumps a version re-pins the digests that change, which can only be those
 of runs that draw from it: the SD and Monte-Carlo digests predate the
 ``abm`` version 2 step, of the ABM digests only ``abm-exponential``
-changed with ``network`` version 2, and ``abm`` version 3 changed every
-ABM digest and the compare report, which reads an ABM run.
+changed with ``network`` version 2, ``abm`` version 3 changed every
+ABM digest and the compare report, which reads an ABM run, and so did
+``network`` version 3.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from sirvar.io import STREAM_VERSIONS
 
 from synthetic_reference import synthetic_reference_path
 
-STREAMS = {"sd_mc": 1, "network": 2, "abm": 3}
+STREAMS = {"sd_mc": 1, "network": 3, "abm": 3}
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -34,18 +35,18 @@ GOLDEN = [
         "summary.csv": "3dd78f7b473d7d9f5531c70a38b8a71157e829d69ba58653002db6bd73d720c1",
     }),
     ([*ABM, "--replicates", "4"], {
-        "ensemble.csv": "7d6feee923e372fc0f4693f16ef95529052ec40b83737001e8e8397a92bba9ea",
-        "summary.csv": "a5707bb68ad800ab494eb3a85bf4d56a156776c5ce87067d987d62d9193e6e96",
+        "ensemble.csv": "0e8d7af60a149c269e5bb2a5c2d267a4a2c36770c8dd4b1a0723ac909d11248b",
+        "summary.csv": "feab3b65c6f0d9fbf5a4e54caa7ba8f1d473d32e0f4dc63507040506d5b60341",
     }),
     ([*ABM, "--replicates", "6", "--reuse-network", "--initial-infected", "10",
       "--threads", "2"], {
-        "ensemble.csv": "6e75eb95d9b896b021bbdc753dcf56c4167580ad1b58547af3d70f87bb4ddfe8",
-        "summary.csv": "6402caac313c823a9fd6257066d2b88e43a749e4a22356bd636f6225f811c40b",
+        "ensemble.csv": "4ab91714e27b0f65abd27f3b804eaa6b24bf962e18fb3c1368132e0a50875688",
+        "summary.csv": "1ea081b739bf6e088481a1bd883d910bfc15d50668ec3ae63d7b71592a26e758",
     }),
     ([*ABM, "--replicates", "5", "--exponential-recovery", "--initial-infected", "10",
       "--contact-rate", "8"], {
-        "ensemble.csv": "4d1fdde3f9a579e1662d088d5e27937515ad0e2fb080f9a301d39edfa587e7c5",
-        "summary.csv": "2f0ed10910452307affbebeb49cf96706de2dad677c9d72bafd72306f84bea4d",
+        "ensemble.csv": "4db128bc785cbe1952b1bf7b8eebd6557e4ef86500199832f97d4a1c527097a2",
+        "summary.csv": "efb63f303aae069912c233df36414bc63f10e944b519e18018d3052038660260",
     }),
     # coarse steps and fast epidemics, where a reordered rounding in the RK4
     # step would show first
@@ -77,8 +78,8 @@ def test_outputs_match_golden_hashes(tmp_path, capsys, argv, digests):
 
 
 COMPARE_GOLDEN = {
-    "report.csv": "392c1f535b7c2d21f2ba9272f0e2c555a78744fca6c5734881a4e4b32dab586e",
-    "report.txt": "1ac89768365bb88cf9f8c2e605935b1a085686ca41e7e90734adbc4241a20419",
+    "report.csv": "036b742bd4586af4be5887b84377e42137bf8ad66fc576bf90b9547db665fa81",
+    "report.txt": "e1a33c89657128a2d6fa90b5b84bf9dc4f2ab1e8415425b5ed080fc03c8e03bb",
 }
 
 

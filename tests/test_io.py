@@ -166,17 +166,43 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             io.rerun_from_metadata(meta)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("sd", "weeks", 2.0),
+        ("sd-mc", "weeks", 2.0), ("sd-mc", "replicates", 2.0), ("sd-mc", "replicates", True),
+        ("abm", "weeks", 2.0), ("abm", "replicates", 2.0), ("abm", "replicates", True),
+        ("abm", "network_k", 6.0), ("abm", "network_k", "6"),
+    ])
+    def test_rerun_rejects_a_count_that_is_not_an_integer(self, monkeypatch, kind, field, value):
+        # load_run's rule, an int >= 1, so neither a float nor a bool, checked
+        # before anything runs
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("integrate", "run_sd_ensemble", "run_abm_ensemble"):
+            monkeypatch.setattr(io, name, run)
+        extra = {"sd": dict(dt=0.1),
+                 "sd-mc": dict(dt=0.1, vary_illness=True, vary_contact=False,
+                               vary_infection=False, sigma_fraction=0.1, replicates=2),
+                 "abm": dict(replicates=2, network_k=6, network_p_rewire=0.2,
+                             reuse_network=True, exponential_recovery=False)}[kind]
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **extra)
+        meta[field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be an integer >= 1, got {value!r}")):
+            io.rerun_from_metadata(meta)
+
     def test_runs_record_the_stream_versions(self):
         meta = io.make_metadata("sd", default_params(), 2, 1, dt=0.1)
-        assert meta["streams"] == {"sd_mc": 1, "network": 2, "abm": 3}
+        assert meta["streams"] == {"sd_mc": 1, "network": 3, "abm": 3}
         assert meta["streams"] is not io.STREAM_VERSIONS
 
     @pytest.mark.parametrize("streams, family, version", [
         (None, "network", 1),
-        ({"sd_mc": 1, "network": 2, "abm": 1}, "abm", 1),
+        ({"sd_mc": 1, "network": 3, "abm": 1}, "abm", 1),
         ({"sd_mc": 1, "network": 1, "abm": 3}, "network", 1),
-        ({"sd_mc": 1, "network": 2, "abm": 2}, "abm", 2),
-    ], ids=["no-streams-key", "abm-1", "network-1", "abm-2"])
+        ({"sd_mc": 1, "network": 3, "abm": 2}, "abm", 2),
+        ({"sd_mc": 1, "network": 2, "abm": 3}, "network", 2),
+    ], ids=["no-streams-key", "abm-1", "network-1", "abm-2", "network-2"])
     def test_rerun_refuses_an_abm_run_of_stream_version_1(self, streams, family, version):
         # a run without ``streams`` counts as version 1 of every family, and
         # ``network`` is checked first

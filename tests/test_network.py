@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -5,13 +6,15 @@ import numpy as np
 import networkx as nx
 import pytest
 from scipy.sparse.csgraph import shortest_path
+from scipy.stats import chi2_contingency
 
+from sirvar import network
 from sirvar.abm import _simulate
 from sirvar.core import replicate_rng
 from sirvar.network import NetworkGenParams, NetworkTopology, build_small_world
 
 from paper_params import default_params
-from same_law import MIN_REPLICATES, assert_same_law, outcomes
+from same_law import ALPHA, MIN_REPLICATES, assert_same_law, outcomes
 
 
 def row(topo, i):
@@ -86,9 +89,11 @@ def reference_small_world(n, k, p_rewire, rng):
 def reference_small_world_v2(n, k, p_rewire, rng):
     """CSR rows of the version 2 rewiring loop, one edge at a time, and its events.
 
-    An edge takes its first candidate that is neither its source nor a
-    lattice neighbour, and keeps its lattice edge when none qualifies
-    ("no_free") or when an earlier edge took the same pair ("taken").
+    The loop is the package's ``network`` stream version 2, kept as the
+    reference that version 3 must match in law.  An edge takes its first
+    candidate that is neither its source nor a lattice neighbour, and keeps
+    its lattice edge when none qualifies ("no_free") or when an earlier edge
+    took the same pair ("taken").
     """
     nodes = np.arange(n, dtype=np.int64)
     u = np.concatenate([nodes] * (k // 2))
@@ -115,6 +120,57 @@ def reference_small_world_v2(n, k, p_rewire, rng):
     return (*csr_rows(u, v, n), events)
 
 
+def reference_small_world_v3(n, k, p_rewire, rng, margin=8):
+    """CSR rows of the version 3 rewiring loop, one edge at a time, and its events.
+
+    Edges are picked at running sums of geometric gaps from position -1,
+    drawn in chunks of ``ceil(E p + margin sqrt(E p) + margin)`` until the
+    position reaches ``E = n k / 2`` ("chunks" counts them, "picked" the
+    picks).  Each picked edge draws one candidate, and those whose candidate
+    is the source or a lattice neighbour ("spare") then draw 7 more, in one
+    block.  The answers follow version 2's rule.
+    """
+    nodes = np.arange(n, dtype=np.int64)
+    u = np.concatenate([nodes] * (k // 2))
+    v = np.concatenate([(nodes + j) % n for j in range(1, k // 2 + 1)])
+    events = Counter()
+
+    def qualifies(src, w):
+        return k // 2 < (w - src) % n < n - k // 2  # ring distance above k/2
+
+    if p_rewire > 0.0:
+        mean = u.size * p_rewire
+        chunk = math.ceil(mean + margin * math.sqrt(mean) + margin)
+        flagged, position = [], -1
+        while position < u.size:
+            events["chunks"] += 1
+            for gap in rng.geometric(p_rewire, size=chunk).tolist():
+                position += gap  # a Python int: no clip is needed
+                if position < u.size:
+                    flagged.append(position)
+        events["picked"] = len(flagged)
+        first = rng.integers(0, n, size=len(flagged)).tolist() if flagged else []
+        redo = [row for row, e in enumerate(flagged) if not qualifies(int(u[e]), first[row])]
+        events["spare"] = len(redo)
+        spares = dict(zip(redo, rng.integers(0, n, size=(len(redo), 7)).tolist())) if redo else {}
+        answered = set()
+        for row, e in enumerate(flagged):
+            src = int(u[e])
+            for w in [first[row], *spares.get(row, ())]:
+                if qualifies(src, w):
+                    break
+            else:
+                events["no_free"] += 1
+                continue
+            pair = (min(src, w), max(src, w))
+            if pair in answered:
+                events["taken"] += 1
+                continue
+            answered.add(pair)
+            v[e] = w
+    return (*csr_rows(u, v, n), events)
+
+
 def csr_rows(u, v, n):
     """``neighbors`` and ``offsets`` of the undirected edges ``(u[e], v[e])``."""
     src = np.concatenate([u, v])
@@ -125,15 +181,16 @@ def csr_rows(u, v, n):
     return dst[order].astype(np.int32), offsets
 
 
-def assert_matches_reference(n, k, p, seed):
-    """Same CSR graph and Generator state as the version 2 loop; returns its events.
+def assert_matches_reference(n, k, p, seed, margin=8):
+    """Same CSR graph and Generator state as the version 3 loop; returns its events.
 
-    The Generator state shows that a build makes exactly the two draws of
-    the loop, ``rng.random(n * k / 2)`` and ``rng.integers(0, n, size=(F, 8))``.
+    The Generator state shows that a build makes exactly the draws of the
+    loop: its chunks of geometric gaps, ``rng.integers(0, n, size=F)`` and
+    ``rng.integers(0, n, size=(R, 7))``.
     """
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     topo = build_small_world(n, k, p, seed=ours)
-    neighbors, offsets, events = reference_small_world_v2(n, k, p, theirs)
+    neighbors, offsets, events = reference_small_world_v3(n, k, p, theirs, margin)
     assert np.array_equal(topo.neighbors, neighbors), (n, k, p, seed)
     assert topo.neighbors.dtype == neighbors.dtype
     assert np.array_equal(topo.offsets, offsets), (n, k, p, seed)
@@ -142,12 +199,14 @@ def assert_matches_reference(n, k, p, seed):
 
 
 def edges_not_in_version_1(n, k, p, seed):
-    """Edges of the build that the version 1 loop does not make, and its events."""
-    topo = build_small_world(n, k, p, seed=seed)
-    neighbors, offsets, events = reference_small_world(n, k, p, np.random.default_rng(seed))
-    v1 = NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)
-    ours = set(map(tuple, topo.edges().tolist()))
-    return len(ours - set(map(tuple, v1.edges().tolist()))), events
+    """Edges of the version 2 loop that the version 1 loop does not make, and
+    version 1's events."""
+    graphs = []
+    for reference in (reference_small_world_v2, reference_small_world):
+        neighbors, offsets, events = reference(n, k, p, np.random.default_rng(seed))
+        topo = NetworkTopology(n=n, neighbors=neighbors, offsets=offsets)
+        graphs.append(set(map(tuple, topo.edges().tolist())))
+    return len(graphs[0] - graphs[1]), events
 
 
 def mean_path_length(graph):
@@ -210,6 +269,8 @@ class TestInvariants:
             build_small_world(10, 10, 0.1, seed=0)  # k >= n
         with pytest.raises(ValueError):
             build_small_world(10, 4, 1.5, seed=0)
+        with pytest.raises(ValueError, match="k must be a positive even integer, got 4.0"):
+            build_small_world(10, 4.0, 0.1, seed=0)
 
     def test_population_beyond_int32_ids_rejected(self):
         # checked before anything is allocated, so this returns at once
@@ -219,6 +280,8 @@ class TestInvariants:
     def test_gen_params_validation(self):
         with pytest.raises(ValueError):
             NetworkGenParams(k=3)
+        with pytest.raises(ValueError, match="k must be a positive even integer, got 6.0"):
+            NetworkGenParams(k=6.0)
         with pytest.raises(ValueError):
             NetworkGenParams(p_rewire=-0.1)
 
@@ -265,6 +328,9 @@ class TestMatchesReferenceLoop:
         # Version 2 differs from version 1 only at the rows whose version 1
         # answer depends on earlier rows, and at most at one later row for
         # each: the first that picks the pair such a row left untaken.
+        # Version 3 draws the same law from other bits, and matches its loop
+        # on the same graphs.
+        assert_matches_reference(*case)
         changed, events = edges_not_in_version_1(*case)
         assert events[event] > 0
         assert 0 < changed <= 2 * sum(events.values()), (changed, events)
@@ -273,8 +339,8 @@ class TestMatchesReferenceLoop:
     def test_paper_size(self, seed):
         # Version 1 resolved a row of seed 0 whose pick an earlier row took,
         # and a row of seed 7 whose checked lattice edge an earlier row
-        # freed; seeds 1 and 2 have no such row, so version 2 gives the
-        # version 1 graph there.
+        # freed; seeds 1 and 2 have no such row, so the version 2 loop gives
+        # the version 1 graph there.
         assert_matches_reference(52_910, 10, 0.1, seed)
         changed, events = edges_not_in_version_1(52_910, 10, 0.1, seed)
         assert (changed > 0) == (seed in (0, 7)), (changed, events)
@@ -288,14 +354,45 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
     def test_csr_key_width_boundary(self, n):
         # CSR keys (node << b) | neighbour, b = (n - 1).bit_length(), fill
-        # 32 bits at n = 2**16 and need 64 bits one node later.
-        assert_matches_reference(n, 4, 0.05, seed=n)
+        # 32 bits at n = 2**16 and need 64 bits one node later.  No row's
+        # first candidate fails here, so no spares are drawn.
+        events = assert_matches_reference(n, 4, 0.05, seed=n)
+        assert events["spare"] == 0 < events["picked"], events
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300])
+    @pytest.mark.parametrize("n, k", [(12, 4), (2000, 10)])
+    def test_tiny_p_rewire_gives_the_ring_lattice(self, n, k, p):
+        # numpy's gaps are INT64_MAX here; clipped to E + 1, the first one
+        # passes the last edge E - 1 from position -1, so nothing is picked
+        # (clipped to E, it would pick edge E - 1).
+        for seed in range(5):
+            events = assert_matches_reference(n, k, p, seed)
+            assert events["picked"] == 0 and events["chunks"] == 1, events
+            topo = build_small_world(n, k, p, seed)
+            lattice = build_small_world(n, k, 0.0, seed)
+            assert np.array_equal(topo.neighbors, lattice.neighbors)
+            assert np.array_equal(topo.offsets, lattice.offsets)
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (40, 6), (2000, 10)])
+    def test_p_rewire_1_picks_every_edge(self, n, k):
+        events = assert_matches_reference(n, k, 1.0, seed=n)
+        assert events["picked"] == n * k // 2 and events["chunks"] == 1, events
+
+    def test_picks_that_need_more_chunks(self, monkeypatch):
+        # A second chunk follows the first with chance below 1e-14 at the
+        # margin of 8, so the margin is set to 0: a chunk is then ceil(E p)
+        # gaps, here 1 for E p = 0.5, and every pick after the first one
+        # takes another chunk.
+        monkeypatch.setattr(network, "_CHUNK_MARGIN", 0)
+        chunks = [assert_matches_reference(1000, 4, 2.5e-4, seed, margin=0)["chunks"]
+                  for seed in range(20)]
+        assert max(chunks) >= 3, chunks
 
 
 class TestSameLawAsVersion1:
-    """``network`` stream version 2 keeps the lattice edge where version 1
-    replayed earlier rows; ABM epidemics on fresh graphs of either version
-    have the same law."""
+    """``network`` stream versions 2 and 3 keep the lattice edge where
+    version 1 replayed earlier rows; ABM epidemics on fresh graphs of the
+    current version and of version 1 have the same law."""
 
     def test_outcomes_on_fresh_graphs_match_version_1(self):
         params = default_params(population=2000, initial_infected=10)
@@ -312,6 +409,47 @@ class TestSameLawAsVersion1:
 
         assert_same_law(run(lambda rng: build_small_world(2000, 10, 0.1, rng), 1),
                         run(build_v1, 2))
+
+
+class TestSameLawAsVersion2:
+    """``network`` stream version 3 draws version 2's graphs from other bits."""
+
+    @pytest.mark.parametrize("n, k, p", [(6, 2, 0.5), (8, 4, 0.3), (12, 10, 1.0)])
+    def test_labelled_graphs_match_version_2(self, n, k, p):
+        # chi-squared homogeneity of the labelled graphs of 20,000 builds a
+        # side, with the graphs seen fewer than 10 times in both pooled in
+        # one class
+        builds = 20_000
+        ours, theirs = np.random.default_rng(1), np.random.default_rng(2)
+        counts = (Counter(), Counter())
+        for _ in range(builds):
+            topo = build_small_world(n, k, p, ours)
+            counts[0][topo.neighbors.tobytes(), topo.offsets.tobytes()] += 1
+            neighbors, offsets, _ = reference_small_world_v2(n, k, p, theirs)
+            counts[1][neighbors.tobytes(), offsets.tobytes()] += 1
+        pooled = counts[0] + counts[1]
+        rare = {graph for graph, count in pooled.items() if count < 10}
+        classes = [[graph] for graph in pooled if graph not in rare] + ([rare] if rare else [])
+        rows = [[sum(side[graph] for graph in members) for members in classes] for side in counts]
+        assert len(classes) > 1
+        pvalue = chi2_contingency(rows).pvalue
+        assert pvalue > ALPHA, (pvalue, len(pooled))
+
+    def test_outcomes_on_fresh_graphs_match_version_2(self):
+        params = default_params(population=2000, initial_infected=10)
+        weeks = 10
+
+        def run(build, seed):
+            return [outcomes(_simulate(params, build(replicate_rng(seed, r, 0)), weeks,
+                                       replicate_rng(seed, r, 1), False))
+                    for r in range(MIN_REPLICATES)]
+
+        def build_v2(rng):
+            neighbors, offsets, _ = reference_small_world_v2(2000, 10, 0.1, rng)
+            return NetworkTopology(n=2000, neighbors=neighbors, offsets=offsets)
+
+        assert_same_law(run(lambda rng: build_small_world(2000, 10, 0.1, rng), 1),
+                        run(build_v2, 2))
 
 
 class TestMemory:
