@@ -10,12 +10,12 @@ Time advances in synchronous daily steps.  Within one day:
    transmitting the next day;
 2. agents that were infectious at the start of the day progress towards
    recovery.  By default an agent stays infectious for a fixed
-   ``illness_duration`` D: one infected on day ``infected_on`` is still
-   infectious at the end of day ``d`` while ``d - infected_on < D``, so it
-   recovers after ceil(D) days.  With ``exponential_recovery`` each such
-   agent instead recovers with probability ``1 / illness_duration`` per
-   day, which matches the ODE's linear recovery term in expectation and is
-   the right mode for mean-field comparisons.
+   ``illness_duration`` D: one infected on day ``i`` is still infectious at
+   the end of day ``d`` while ``d - i < D``, so it recovers after ceil(D)
+   days.  With ``exponential_recovery`` each such agent instead recovers
+   with probability ``1 / illness_duration`` per day, which matches the
+   ODE's linear recovery term in expectation and is the right mode for
+   mean-field comparisons.
 
 Recovered agents never change state again.  A run yields a float64 array
 of daily (S, I, R) counts, one row a day from day 0, whose end-of-week
@@ -26,27 +26,33 @@ randomness from :func:`sirvar.core.replicate_rng` streams and run through
 :func:`sirvar.core.run_replicates`.
 
 The daily counts a seed yields are fixed by the order of random draws,
-which is part of this module's contract; it is version 3 of the ``abm``
+which is part of this module's contract; it is version 4 of the ``abm``
 stream in :data:`sirvar.io.STREAM_VERSIONS`.  Each day with I >= 1
-infectious agents, held in ascending index order, draws, in order:
+infectious agents, held in order of infection day, oldest first, and by
+ascending index within a day (the index cases count as day 0), draws, in
+order:
 
 1. ``T = rng.poisson(contact_rate * infection_prob * I)``, one scalar: the
    day's transmitting contacts;
 2. ``u = rng.random((2, T))``: transmission ``t`` comes from infectious
-   agent ``floor(u[0, t] * I)`` in ascending order, and goes to its
+   agent ``floor(u[0, t] * I)`` in that order, and goes to its
    neighbour slot ``floor(u[1, t] * degree)``;
 3. with ``exponential_recovery`` only, ``rng.random(I)``, one recovery test
-   per agent infectious at the start of the day, in ascending agent index.
+   per agent infectious at the start of the day, in that order.
 
-The law is that of versions 1 and 2.  Version 1 drew Poisson(c) contacts
+The law is that of versions 1 to 3.  Version 1 drew Poisson(c) contacts
 per infectious agent, a uniform slot for each and one ``rng.random``
 transmission test per contact; by Poisson thinning (Kingman, *Poisson
 Processes*, 1993) the kept contacts are Poisson(c * p) per agent with
 uniform slots, which version 2 drew directly.  By Poisson splitting, I
 independent Poisson(c * p) counts are a Poisson(c * p * I) total whose
 transmissions each pick their source uniformly, which version 3 draws, one
-call per day in place of two calls of size I.  A uniform ``u`` is a
-multiple of 2**-53 in [0, 1), so ``floor(u * m)`` is within m * 2**-53 of
+call per day in place of two calls of size I.  Version 4 makes version
+3's draws, but on the infectious agents in infection order where version 3
+held them in ascending index order: the source pick is uniform and the
+recovery tests are independent and alike, so by exchangeability the order
+does not change the law.  A uniform ``u`` is a multiple of 2**-53 in
+[0, 1), so ``floor(u * m)`` is within m * 2**-53 of
 uniform on 0 .. m - 1, and never reaches m: the largest ``u``, 1 - 2**-53,
 times any m < 2**53 rounds to below m by at least one spacing of the
 doubles just below m, which is at most 1.
@@ -59,24 +65,28 @@ chunks, since chunks would change the stream.
 
 A day with no infectious agent draws nothing, and a day costs time in
 proportion to its infectious agents and contacts, not to the population.
-The state is three arrays: ``susceptible`` flags, ``infected_on`` days and
-``infectious``, the ascending indices of the infectious agents; an agent in
-neither set has recovered.  A day sorts once: the agents still infectious
-and the day's susceptible hits are disjoint, so their sorted concatenation
-repeats only a target hit twice, and dropping adjacent repeats gives the
-next day's ``infectious``.  The day's index arrays are all intp, int64 on
-a 64-bit platform: the int32 targets read from the network's neighbours
-are widened once, since numpy converts an index of another type each time
-it is used, which at tens of targets costs more than the indexing itself.
+The state is two arrays, ``susceptible`` flags and ``infectious``, the
+indices of the infectious agents in infection order, and ``counts``, a list
+of the agents infected each day; an agent in neither array has recovered.
+A day sorts only its hits: they are disjoint from the agents already
+infectious, so sorting them and dropping adjacent repeats, a target hit
+twice, gives the day's cohort, which goes at the end of ``infectious``.
+The day's index arrays are all intp, int64 on a 64-bit platform: the int32
+targets read from the network's neighbours are widened once, since numpy
+converts an index of another type each time it is used, which at tens of
+targets costs more than the indexing itself.
 
-The fixed-duration rule is a whole-day cut.  An agent recovers at the end
-of day ``d`` once ``d - infected_on >= D``, and for a whole number x of
-days, ``x >= D`` exactly when ``x >= ceil(D)``; so the day keeps the agents
-with ``infected_on > d - ceil(D)``.  No run reaches ``7 * weeks + 1`` days
-past an infection, so ``ceil(D)`` is clamped to that, which keeps the bound
-an int64 for any D, infinity included.  The cut recovers agents on the same
-days as the reference step in the tests, a float countdown set to D on
-infection, cut by 1.0 each day and recovering at 0.  For D < 2**53 each
+The fixed-duration rule is a whole-day cut.  An agent infected on day
+``i`` recovers at the end of day ``d`` once ``d - i >= D``, and for a whole
+number x of days, ``x >= D`` exactly when ``x >= ceil(D)``; so the day
+keeps the agents with ``i > d - ceil(D)``.  Every earlier day cut the
+cohorts before, so from day ``ceil(D)`` on the day drops just the cohort of
+day ``d - ceil(D)``, its ``counts`` entry of agents at the front of
+``infectious``.  No run reaches ``7 * weeks + 1`` days past an infection,
+so ``ceil(D)`` is clamped to that, which keeps it an int for any D,
+infinity included.  The cut recovers agents on the same days as the
+reference step in the tests, a float countdown set to D on infection, cut
+by 1.0 each day and recovering at 0.  For D < 2**53 each
 subtraction of 1.0 is exact while the countdown is at least 1, so it reads
 exactly D - m after m days, and the last step, from (0, 1] to (-1, 0],
 keeps its sign: it recovers after ceil(D) days.  For D >= 2**53 neither
@@ -134,9 +144,10 @@ def _simulate(
     # Whole days from infection to recovery, ceil(D), clamped to one past the horizon.
     lasting = math.ceil(duration) if duration <= days else days + 1
     susceptible = np.ones(n, dtype=bool)
-    infected_on = np.zeros(n, dtype=np.int64)
     infectious = np.sort(rng.choice(n, size=params.initial_infected, replace=False))
     susceptible[infectious] = False
+    # counts[d]: the agents infected on day d, the index cases on day 0.
+    counts = [infectious.size]
 
     s = n - infectious.size
     rows = [(s, infectious.size, 0)]
@@ -155,21 +166,22 @@ def _simulate(
         # before tomorrow.
         hits = targets[susceptible[targets]]
         susceptible[hits] = False
-        infected_on[hits] = day
+        hits.sort()
+        distinct = np.empty(hits.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(hits[1:], hits[:-1], out=distinct[1:])
+        hits = hits[distinct]
+        counts.append(hits.size)
 
         # Recovery applies to agents infectious at the start of the day only.
         if exponential_recovery:
             kept = infectious[rng.random(infectious.size) >= recovery_rate]
+        elif day >= lasting:  # the cohort of day - lasting, at the front, recovers
+            kept = infectious[counts[day - lasting]:]
         else:
-            kept = infectious[infected_on[infectious] > day - lasting]
-        # Kept agents and hits are disjoint, so the only repeats are targets hit twice.
+            kept = infectious
         infectious = np.concatenate((kept, hits))
-        infectious.sort()
-        distinct = np.empty(infectious.size, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(infectious[1:], infectious[:-1], out=distinct[1:])
-        infectious = infectious[distinct]
-        s -= infectious.size - kept.size
+        s -= hits.size
         rows.append((s, infectious.size, n - s - infectious.size))
     return np.array(rows, dtype=float)
 

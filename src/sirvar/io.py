@@ -47,9 +47,18 @@ _CONVENTIONS = {
 #: Version of each random-stream family (``sd_mc``: Monte-Carlo draws,
 #: ``network``: rewiring, ``abm``: the day step).  A change to a family's
 #: draws bumps it, and :func:`rerun_from_metadata` refuses other versions.
-STREAM_VERSIONS = {"sd_mc": 1, "network": 3, "abm": 3}
+STREAM_VERSIONS = {"sd_mc": 1, "network": 3, "abm": 4}
 # The stream families each run kind draws from.
 _KIND_STREAMS = {"sd": (), "sd-mc": ("sd_mc",), "abm": ("network", "abm")}
+# The flags and reals each run kind reads from its metadata: a flag must be a
+# JSON boolean, and a real any JSON number but a boolean.
+_FLAG, _REAL = (bool,), (int, float)
+_KIND_FIELDS = {
+    "sd": {"dt": _REAL},
+    "sd-mc": {"dt": _REAL, "sigma_fraction": _REAL, "vary_illness": _FLAG,
+              "vary_contact": _FLAG, "vary_infection": _FLAG},
+    "abm": {"network_p_rewire": _REAL, "reuse_network": _FLAG, "exponential_recovery": _FLAG},
+}
 
 
 class ReferenceFormatError(ValueError):
@@ -153,10 +162,11 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     than :data:`STREAM_VERSIONS` (none counts as 1), an ``sd-mc`` or ``abm``
     ``master_seed`` not an int in [0, 2**64), a ``weeks``, ``replicates`` or
     ``network_k`` that is not an int (with :func:`load_run`'s message; the
-    runners reject one below 1), and whatever the parameter types and ensemble
-    runners reject.  A failure inside replicate ``r`` is raised as
-    ``RuntimeError("replicate r failed: ...")``, and an ``sd`` run's failing
-    step as a ``RuntimeError`` too.
+    runners reject one below 1), a flag such as ``reuse_network`` that is not
+    a boolean, a real such as ``dt`` that is not a number or is a boolean, and
+    whatever the parameter types and ensemble runners reject.  A failure
+    inside replicate ``r`` is raised as ``RuntimeError("replicate r failed:
+    ...")``, and an ``sd`` run's failing step as a ``RuntimeError`` too.
     """
     kind = meta["kind"]
     streams = meta.get("streams", {})
@@ -171,6 +181,10 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     for name in ("weeks", "replicates", "network_k"):
         if type(meta.get(name, 1)) is not int:  # the runners reject an int below 1
             _check_whole(name, meta[name], 1)
+    for name, types in _KIND_FIELDS.get(kind, {}).items():
+        if type(meta.get(name)) not in types:
+            what = "a boolean" if types is _FLAG else "a number"
+            raise ValueError(f"{name} must be {what}, got {meta.get(name)!r}")
     params = SirParams(**meta["params"])
     weeks = meta["weeks"]
     if kind == "sd":

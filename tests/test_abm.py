@@ -57,11 +57,11 @@ def reference_targets_v2(infectious, topo, params, rng):
 
 
 def reference_targets_v3(infectious, topo, params, rng):
-    """Targets of one day's transmissions under ``abm`` stream version 3.
+    """Targets of one day's transmissions under ``abm`` stream versions 3 and 4.
 
     One Poisson(contact_rate * infection_prob * I) total of transmitting
     contacts, then a pair of uniforms for each: the first picks its source
-    among the I infectious agents in ascending order, the second its
+    among the I infectious agents in the order given, the second its
     neighbour slot.
     """
     total = rng.poisson(params.contact_rate * params.infection_prob * infectious.size)
@@ -71,17 +71,30 @@ def reference_targets_v3(infectious, topo, params, rng):
     return topo.neighbors[topo.offsets[sources] + slots]
 
 
-def reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
-                       targets_of=reference_targets_v3):
-    """One day of the scan-everything step, on raw state arrays.
+def by_index(infectious, infected_on):
+    """Versions 1 to 3 hold the infectious agents in ascending index order."""
+    return infectious
+
+
+def by_infection_day(infectious, infected_on):
+    """Version 4 holds them by infection day, oldest first, then by ascending index."""
+    return infectious[np.argsort(infected_on[infectious], kind="stable")]
+
+
+def reference_step_day(status, days_remaining, infected_on, day, topo, params, rng,
+                       exponential_recovery, targets_of=reference_targets_v3,
+                       order=by_infection_day):
+    """Day ``day`` of the scan-everything step, on raw state arrays.
 
     It finds the infectious agents with ``flatnonzero`` over all agents
-    every day, and it recovers an agent in fixed-duration mode when a float
-    countdown, set to the duration on infection and cut by 1.0 each day,
-    reaches 0.  It is kept as the reference the package's daily loop must
-    equal.  ``targets_of`` draws the day's transmissions in one stream version.
+    every day and puts them in ``order`` by their ``infected_on`` days, and
+    it recovers an agent in fixed-duration mode when a float countdown, set
+    to the duration on infection and cut by 1.0 each day, reaches 0.  It is
+    kept as the reference the package's daily loop must equal.  ``targets_of``
+    and ``order`` pick the stream version: how the day's transmissions are
+    drawn, and the order of the agents their sources and recovery tests index.
     """
-    infectious = np.flatnonzero(status == INFECTIOUS)
+    infectious = order(np.flatnonzero(status == INFECTIOUS), infected_on)
     if infectious.size == 0:
         return 0
     new_infections = 0
@@ -91,6 +104,7 @@ def reference_step_day(status, days_remaining, topo, params, rng, exponential_re
         new_infections = int(np.unique(victims).size)
         status[victims] = INFECTIOUS
         days_remaining[victims] = params.illness_duration
+        infected_on[victims] = day
     if exponential_recovery:
         recovered = infectious[rng.random(infectious.size) < params.recovery_rate]
     else:
@@ -101,31 +115,39 @@ def reference_step_day(status, days_remaining, topo, params, rng, exponential_re
     return new_infections
 
 
-def reference_step_day_v1(status, days_remaining, topo, params, rng, exponential_recovery):
+def reference_step_day_v1(*state, exponential_recovery):
     """The step of ``abm`` stream version 1, which the package ran before version 2."""
-    return reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
-                              targets_of=reference_targets_v1)
+    return reference_step_day(*state, exponential_recovery, targets_of=reference_targets_v1,
+                              order=by_index)
 
 
-def reference_step_day_v2(status, days_remaining, topo, params, rng, exponential_recovery):
+def reference_step_day_v2(*state, exponential_recovery):
     """The step of ``abm`` stream version 2, which the package ran before version 3."""
-    return reference_step_day(status, days_remaining, topo, params, rng, exponential_recovery,
-                              targets_of=reference_targets_v2)
+    return reference_step_day(*state, exponential_recovery, targets_of=reference_targets_v2,
+                              order=by_index)
+
+
+def reference_step_day_v3(*state, exponential_recovery):
+    """The step of ``abm`` stream version 3, which the package ran before version 4."""
+    return reference_step_day(*state, exponential_recovery, order=by_index)
 
 
 def reference_daily_counts(params, topo, weeks, rng, exponential_recovery,
                            step=reference_step_day):
-    """Daily (S, I, R) rows of a reference ``step``, counted from ``status``."""
+    """Daily (S, I, R) rows of a reference ``step``, counted from ``status``;
+    the index cases are infected on day 0."""
     status = np.zeros(topo.n, dtype=np.int8)
     days_remaining = np.zeros(topo.n)
+    infected_on = np.zeros(topo.n, dtype=np.int64)
     if params.initial_infected:
         seeds = rng.choice(topo.n, size=params.initial_infected, replace=False)
         status[seeds] = INFECTIOUS
         days_remaining[seeds] = params.illness_duration
     rows = [np.bincount(status, minlength=3)]
-    for _day in range(weeks * 7):
+    for day in range(1, weeks * 7 + 1):
         if rows[-1][INFECTIOUS]:  # else the day draws and changes nothing
-            step(status, days_remaining, topo, params, rng, exponential_recovery)
+            step(status, days_remaining, infected_on, day, topo, params, rng,
+                 exponential_recovery=exponential_recovery)
         rows.append(np.bincount(status, minlength=3))
     return np.array(rows)
 
@@ -445,7 +467,7 @@ class TestSameLawAsVersion1:
 
 
 class TestSameLawAsVersion2:
-    """``abm`` stream version 3 draws one Poisson total of the day's
+    """Since ``abm`` stream version 3 the day draws one Poisson total of its
     transmissions and a uniform source for each; by Poisson splitting its
     epidemics have the law of version 2's Poisson count per agent."""
 
@@ -460,6 +482,26 @@ class TestSameLawAsVersion2:
                for r in range(replicates)]
         old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(4, r),
                                                exponential_recovery, step=reference_step_day_v2))
+               for r in range(replicates)]
+        assert_same_law(new, old)
+
+
+class TestSameLawAsVersion3:
+    """``abm`` stream version 4 holds the infectious agents in infection
+    order where version 3 held them by index; the source pick is uniform and
+    the recovery tests alike, so by exchangeability the law is version 3's."""
+
+    @pytest.mark.parametrize("initial_infected", [1, 10])
+    @pytest.mark.parametrize("exponential_recovery", [False, True])
+    def test_outcomes_match_the_version_3_step(self, exponential_recovery, initial_infected):
+        params = default_params(population=2000, initial_infected=initial_infected)
+        topo = build_small_world(2000, 10, 0.1, replicate_rng(2024, 0))
+        weeks, replicates = 10, MIN_REPLICATES
+        new = [outcomes(_simulate(params, topo, weeks, replicate_rng(5, r),
+                                  exponential_recovery))
+               for r in range(replicates)]
+        old = [outcomes(reference_daily_counts(params, topo, weeks, replicate_rng(6, r),
+                                               exponential_recovery, step=reference_step_day_v3))
                for r in range(replicates)]
         assert_same_law(new, old)
 

@@ -10,7 +10,7 @@ of runs that draw from it: the SD and Monte-Carlo digests predate the
 ``abm`` version 2 step, of the ABM digests only ``abm-exponential``
 changed with ``network`` version 2, ``abm`` version 3 changed every
 ABM digest and the compare report, which reads an ABM run, and so did
-``network`` version 3.
+``network`` version 3 and ``abm`` version 4.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ from sirvar.io import STREAM_VERSIONS
 
 from synthetic_reference import synthetic_reference_path
 
-STREAMS = {"sd_mc": 1, "network": 3, "abm": 3}
+STREAMS = {"sd_mc": 1, "network": 3, "abm": 4}
 
 ABM = ["run-abm", "--population", "2000", "--seed", "7"]
 
@@ -35,18 +35,18 @@ GOLDEN = [
         "summary.csv": "3dd78f7b473d7d9f5531c70a38b8a71157e829d69ba58653002db6bd73d720c1",
     }),
     ([*ABM, "--replicates", "4"], {
-        "ensemble.csv": "0e8d7af60a149c269e5bb2a5c2d267a4a2c36770c8dd4b1a0723ac909d11248b",
-        "summary.csv": "feab3b65c6f0d9fbf5a4e54caa7ba8f1d473d32e0f4dc63507040506d5b60341",
+        "ensemble.csv": "e5772f6465dc51a98ce86fd22f7aef3b4816e429219969de6354089226c065f6",
+        "summary.csv": "0ae9274d01ef775f1a003a3ee3aa9adccb41da94600b1f1151821b09f072b627",
     }),
     ([*ABM, "--replicates", "6", "--reuse-network", "--initial-infected", "10",
       "--threads", "2"], {
-        "ensemble.csv": "4ab91714e27b0f65abd27f3b804eaa6b24bf962e18fb3c1368132e0a50875688",
-        "summary.csv": "1ea081b739bf6e088481a1bd883d910bfc15d50668ec3ae63d7b71592a26e758",
+        "ensemble.csv": "1d7981e9b20da479717c94b650b16c1838d5a0376e68595db3c1beb122c005eb",
+        "summary.csv": "84899c56ae5ff682725a0d26706051f895529b041699114c52b965d873073104",
     }),
     ([*ABM, "--replicates", "5", "--exponential-recovery", "--initial-infected", "10",
       "--contact-rate", "8"], {
-        "ensemble.csv": "4db128bc785cbe1952b1bf7b8eebd6557e4ef86500199832f97d4a1c527097a2",
-        "summary.csv": "efb63f303aae069912c233df36414bc63f10e944b519e18018d3052038660260",
+        "ensemble.csv": "7cbbe95b6addce497a7873a50ae557f283609230bf617fd808c0d97bf636ae7f",
+        "summary.csv": "8578902260d1187c7500be47dab928c295ac3ddaac64510ed9b93c32420a3314",
     }),
     # coarse steps and fast epidemics, where a reordered rounding in the RK4
     # step would show first
@@ -78,8 +78,8 @@ def test_outputs_match_golden_hashes(tmp_path, capsys, argv, digests):
 
 
 COMPARE_GOLDEN = {
-    "report.csv": "036b742bd4586af4be5887b84377e42137bf8ad66fc576bf90b9547db665fa81",
-    "report.txt": "e1a33c89657128a2d6fa90b5b84bf9dc4f2ab1e8415425b5ed080fc03c8e03bb",
+    "report.csv": "b25c1ec581aa5d53544af2491ce44315ae03463609259f47b496f88c5e1c6df5",
+    "report.txt": "24b4e8c88c640cae98d473091d6036ff5fea096fc6f973adf004287a099a09a7",
 }
 
 

@@ -18,6 +18,14 @@ def write(path, text):
     return path
 
 
+# The fields beside ``params`` of a small run of each kind.
+RUN_FIELDS = {"sd": dict(dt=0.1),
+              "sd-mc": dict(dt=0.1, vary_illness=True, vary_contact=False, vary_infection=False,
+                            sigma_fraction=0.1, replicates=2),
+              "abm": dict(replicates=2, network_k=6, network_p_rewire=0.2,
+                          reuse_network=True, exponential_recovery=False)}
+
+
 class TestLoadReference:
     def test_well_formed(self, tmp_path):
         rows = "\n".join(f"{w},{w * 10}" for w in range(1, 16))
@@ -180,29 +188,62 @@ class TestEnsemblePersistence:
 
         for name in ("integrate", "run_sd_ensemble", "run_abm_ensemble"):
             monkeypatch.setattr(io, name, run)
-        extra = {"sd": dict(dt=0.1),
-                 "sd-mc": dict(dt=0.1, vary_illness=True, vary_contact=False,
-                               vary_infection=False, sigma_fraction=0.1, replicates=2),
-                 "abm": dict(replicates=2, network_k=6, network_p_rewire=0.2,
-                             reuse_network=True, exponential_recovery=False)}[kind]
-        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **extra)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
         meta[field] = value
         with pytest.raises(ValueError, match=re.escape(
                 f"{field} must be an integer >= 1, got {value!r}")):
             io.rerun_from_metadata(meta)
 
+    @pytest.mark.parametrize("kind, field, value, what", [
+        ("abm", "reuse_network", "no", "a boolean"),
+        ("abm", "reuse_network", 1, "a boolean"),
+        ("abm", "exponential_recovery", "no", "a boolean"),
+        ("sd-mc", "vary_illness", "yes", "a boolean"),
+        ("sd-mc", "vary_contact", 0, "a boolean"),
+        ("sd-mc", "vary_infection", None, "a boolean"),
+        ("abm", "network_p_rewire", "0.2", "a number"),
+        ("abm", "network_p_rewire", False, "a number"),
+        ("sd-mc", "sigma_fraction", "0.1", "a number"),
+        ("sd-mc", "dt", "0.1", "a number"),
+        ("sd", "dt", "0.1", "a number"),
+        ("sd", "dt", True, "a number"),
+    ])
+    def test_rerun_rejects_a_flag_or_real_of_another_type(self, monkeypatch, kind, field, value,
+                                                          what):
+        # a truthy string such as "no" would otherwise switch a flag on, and a
+        # string real would fail deep in a runner with a bare TypeError
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("integrate", "run_sd_ensemble", "run_abm_ensemble", "week_indices"):
+            monkeypatch.setattr(io, name, run)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
+        meta[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
+            io.rerun_from_metadata(meta)
+
+    def test_rerun_accepts_a_whole_number_real(self):
+        # JSON writes a whole float such as 0.0 as it is, but a hand-edited
+        # file may hold 0; both are the same real
+        meta = io.make_metadata("abm", default_params(population=300), 2, 1,
+                                **{**RUN_FIELDS["abm"], "network_p_rewire": 0.0})
+        expected = io.rerun_from_metadata(meta)
+        meta["network_p_rewire"] = 0
+        assert np.array_equal(io.rerun_from_metadata(meta).matrix, expected.matrix)
+
     def test_runs_record_the_stream_versions(self):
         meta = io.make_metadata("sd", default_params(), 2, 1, dt=0.1)
-        assert meta["streams"] == {"sd_mc": 1, "network": 3, "abm": 3}
+        assert meta["streams"] == {"sd_mc": 1, "network": 3, "abm": 4}
         assert meta["streams"] is not io.STREAM_VERSIONS
 
     @pytest.mark.parametrize("streams, family, version", [
         (None, "network", 1),
         ({"sd_mc": 1, "network": 3, "abm": 1}, "abm", 1),
-        ({"sd_mc": 1, "network": 1, "abm": 3}, "network", 1),
+        ({"sd_mc": 1, "network": 1, "abm": 4}, "network", 1),
         ({"sd_mc": 1, "network": 3, "abm": 2}, "abm", 2),
-        ({"sd_mc": 1, "network": 2, "abm": 3}, "network", 2),
-    ], ids=["no-streams-key", "abm-1", "network-1", "abm-2", "network-2"])
+        ({"sd_mc": 1, "network": 2, "abm": 4}, "network", 2),
+        ({"sd_mc": 1, "network": 3, "abm": 3}, "abm", 3),
+    ], ids=["no-streams-key", "abm-1", "network-1", "abm-2", "network-2", "abm-3"])
     def test_rerun_refuses_an_abm_run_of_stream_version_1(self, streams, family, version):
         # a run without ``streams`` counts as version 1 of every family, and
         # ``network`` is checked first
