@@ -107,7 +107,7 @@ from .core import (
     replicate_rng,
     run_replicates,
 )
-from .network import NetworkGenParams, NetworkTopology, build_small_world, check_size
+from .network import NetworkTopology, build_small_world, check_network
 from .sd import week_indices
 
 # RNG stream ids per replicate (part of the reproducibility contract).
@@ -230,11 +230,11 @@ def run_abm(
 
 
 def _abm_replicate(context, r: int) -> np.ndarray:
-    params, gen, weeks, master_seed, shared_topo, exponential_recovery = context
+    params, k, p_rewire, weeks, master_seed, shared_topo, exponential_recovery = context
     topo = shared_topo
     if topo is None:
         net_rng = replicate_rng(master_seed, r, _STREAM_NETWORK)
-        topo = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
+        topo = build_small_world(params.population, k, p_rewire, net_rng)
     sim_rng = replicate_rng(master_seed, r, _STREAM_SIMULATION)
     return run_abm(params, topo, weeks, sim_rng,
                    exponential_recovery=exponential_recovery).infected
@@ -242,7 +242,8 @@ def _abm_replicate(context, r: int) -> np.ndarray:
 
 def run_abm_ensemble(
     params: SirParams,
-    gen: NetworkGenParams,
+    k: int,
+    p_rewire: float,
     weeks: int,
     replicates: int,
     master_seed: int,
@@ -252,21 +253,23 @@ def run_abm_ensemble(
 ) -> EnsembleResult:
     """Run an ensemble of independent agent-based simulations.
 
-    By default every replicate generates its own topology and index cases
+    Each replicate runs on a small-world network of mean degree ``k`` and
+    rewiring probability ``p_rewire`` over ``params.population`` nodes.  By
+    default every replicate generates its own topology and index cases
     from its own streams; with ``reuse_network`` a single topology (derived
     from the master seed alone) is shared by all replicates.  Every input is
     checked before any network is built: ``weeks`` by
     :func:`sirvar.sd.week_indices`, ``params`` by :func:`check_transmission_mean`,
-    the population and ``gen.k`` by :func:`sirvar.network.check_size`, and
-    ``replicates`` and ``threads`` by :func:`sirvar.core.check_replicates`.
+    the population, ``k`` and ``p_rewire`` by :func:`sirvar.network.check_network`,
+    and ``replicates`` and ``threads`` by :func:`sirvar.core.check_replicates`.
     """
     week_indices(1.0, weeks)
     check_transmission_mean(params)
-    check_size(params.population, gen.k)
+    check_network(params.population, k, p_rewire)
     check_replicates(replicates, threads)
     shared = None
     if reuse_network:
         net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)
-        shared = build_small_world(params.population, gen.k, gen.p_rewire, net_rng)
-    context = (params, gen, weeks, master_seed, shared, exponential_recovery)
+        shared = build_small_world(params.population, k, p_rewire, net_rng)
+    context = (params, k, p_rewire, weeks, master_seed, shared, exponential_recovery)
     return EnsembleResult(run_replicates(_abm_replicate, context, replicates, threads))

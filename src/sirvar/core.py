@@ -7,8 +7,8 @@ a recovery rate ``b = 1 / illness_duration``, so that a contact rate and a
 per-contact infection probability mean the same thing to the agent-based
 model and to the differential equations.
 
-All types are immutable after construction and validate their fields, so
-they can be shared freely between worker processes.
+All types are immutable after construction, and all but :class:`WeeklySeries`
+validate their fields, so they can be shared freely between worker processes.
 
 Both ensembles (Monte-Carlo SD runs and ABM runs) go through one driver,
 :func:`run_replicates`.  Replicate ``r`` draws its randomness only from
@@ -84,10 +84,11 @@ class SirParams:
     initial_infected: int = 1
 
     def __post_init__(self):
-        for name in ("population", "initial_infected"):
-            value = getattr(self, name)
-            _require(isinstance(value, numbers.Integral),
-                     f"{name} must be an integer, got {value!r}")
+        for name, value in vars(self).items():
+            count = name in ("population", "initial_infected")
+            _require(isinstance(value, numbers.Integral if count else numbers.Real)
+                     and not isinstance(value, bool),
+                     f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
         _require(self.population >= 1, f"population must be >= 1, got {self.population}")
         _require(self.contact_rate >= 0.0, f"contact_rate must be >= 0, got {self.contact_rate}")
         _require(self.contact_rate < math.inf,
@@ -129,29 +130,16 @@ def basic_reproduction_number(params: SirParams) -> float:
     return a * params.population / b
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class WeeklySeries:
-    """The weekly infected counts of one :func:`sirvar.abm.run_abm` call.
+    """The weekly infected counts of one :func:`sirvar.abm.run_abm` call, as given.
 
-    ``infected`` is 1-D, non-empty and non-negative, under the end-of-week convention
-    of :class:`EnsembleResult`, the type of every other weekly table.  It stays only
+    ``infected`` is the row that :class:`EnsembleResult` copies and checks when an
+    ensemble stacks it, under the same end-of-week convention.  The type stays only
     because the benchmark's ABM probe reads ``run_abm(...).infected``.
     """
 
     infected: np.ndarray
-
-    def __post_init__(self):
-        infected = _frozen_array(self.infected)
-        _require(infected.ndim == 1 and infected.size >= 1,
-                 f"weekly values must be a non-empty 1-D array, got shape {infected.shape}")
-        _require(bool((infected >= 0.0).all()), "weekly infected counts must be non-negative")
-        object.__setattr__(self, "infected", infected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +157,8 @@ class EnsembleResult:
     clamped_draws: int = 0
 
     def __post_init__(self):
-        matrix = _frozen_array(self.matrix)
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.setflags(write=False)
         _require(matrix.ndim == 2 and matrix.shape[0] >= 1 and matrix.shape[1] >= 1,
                  f"matrix must have shape (replicates >= 1, weeks >= 1), got {matrix.shape}")
         _require(bool((matrix >= 0.0).all()), "weekly infected counts must be non-negative")

@@ -32,7 +32,6 @@ from . import __version__
 from .abm import run_abm_ensemble
 from .core import EnsembleResult, SirParams
 from .montecarlo import VariationSpec, run_sd_ensemble
-from .network import NetworkGenParams
 from .sd import integrate, week_indices
 from .stats import WeeklySummary
 
@@ -48,27 +47,27 @@ _CONVENTIONS = {
 #: ``network``: rewiring, ``abm``: the day step).  A change to a family's
 #: draws bumps it, and :func:`rerun_from_metadata` refuses other versions.
 STREAM_VERSIONS = {"sd_mc": 1, "network": 3, "abm": 4}
-# The stream families each run kind draws from.
-_KIND_STREAMS = {"sd": (), "sd-mc": ("sd_mc",), "abm": ("network", "abm")}
-# The flags and reals each run kind reads from its metadata: a flag must be a
-# JSON boolean, and a real any JSON number but a boolean.
-_FLAG, _REAL = (bool,), (int, float)
-_KIND_FIELDS = {
-    "sd": {"dt": _REAL},
-    "sd-mc": {"dt": _REAL, "sigma_fraction": _REAL, "vary_illness": _FLAG,
-              "vary_contact": _FLAG, "vary_infection": _FLAG},
-    "abm": {"network_p_rewire": _REAL, "reuse_network": _FLAG, "exponential_recovery": _FLAG},
+# The rules for metadata fields, as (test of the JSON value, what it must be).
+# A count must be an int, not a bool, as load_run reads one; the runners
+# reject one below 1.  A real is any JSON number but a boolean.
+_COUNT = (lambda v: type(v) is int, "an integer >= 1")
+_SEED = (lambda v: type(v) is int and 0 <= v < 2**64, "an unsigned 64-bit integer")
+_FLAG = (lambda v: type(v) is bool, "a boolean")
+_REAL = (lambda v: type(v) in (int, float), "a number")
+_RUN = {"params": (lambda v: type(v) is dict, "an object"), "weeks": _COUNT}
+_ENSEMBLE = {**_RUN, "master_seed": _SEED, "replicates": _COUNT}
+# Each run kind's stream families and the rule of every field its runner reads.
+_KINDS = {
+    "sd": ((), {**_RUN, "dt": _REAL}),
+    "sd-mc": (("sd_mc",), {**_ENSEMBLE, "dt": _REAL, "sigma_fraction": _REAL,
+                           "vary_illness": _FLAG, "vary_contact": _FLAG, "vary_infection": _FLAG}),
+    "abm": (("network", "abm"), {**_ENSEMBLE, "network_k": _COUNT, "network_p_rewire": _REAL,
+                                 "reuse_network": _FLAG, "exponential_recovery": _FLAG}),
 }
 
 
 class ReferenceFormatError(ValueError):
     """A reference file or saved run file violates the weekly-count table schema."""
-
-
-def _check_whole(name: str, value, low: int, error=ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an int (not a bool) >= ``low``."""
-    if type(value) is not int or value < low:
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_counts(values, where: str):
@@ -158,49 +157,39 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
 
     Returns an :class:`EnsembleResult` for every kind; a deterministic ``sd``
     run is its one row.  Every input is checked before any network is built or
-    any replicate runs, and a bad one raises ``ValueError``: a stream version other
-    than :data:`STREAM_VERSIONS` (none counts as 1), an ``sd-mc`` or ``abm``
-    ``master_seed`` not an int in [0, 2**64), a ``weeks``, ``replicates`` or
-    ``network_k`` that is not an int (with :func:`load_run`'s message; the
-    runners reject one below 1), a flag such as ``reuse_network`` that is not
-    a boolean, a real such as ``dt`` that is not a number or is a boolean, and
-    whatever the parameter types and ensemble runners reject.  A failure
+    any replicate runs, and a bad one raises ``ValueError``: an unknown ``kind``,
+    a stream version other than :data:`STREAM_VERSIONS` (none counts as 1), then
+    any field of the kind's row of ``_KINDS`` that breaks its rule or is missing,
+    named as ``"<field> must be <rule>, got <value>"`` (a missing one reads
+    ``None``), and whatever the parameter types and runners reject.  A failure
     inside replicate ``r`` is raised as ``RuntimeError("replicate r failed:
     ...")``, and an ``sd`` run's failing step as a ``RuntimeError`` too.
     """
-    kind = meta["kind"]
+    kind = meta.get("kind")
+    if type(kind) is not str or kind not in _KINDS:
+        raise ValueError(f"unknown run kind {kind!r}")
+    families, rules = _KINDS[kind]
     streams = meta.get("streams", {})
-    for family in _KIND_STREAMS.get(kind, ()):
+    for family in families:
         version = streams.get(family, 1)
         if version != STREAM_VERSIONS[family]:
             raise ValueError(f"{kind} run records {family} stream version {version}, but this "
                              f"sirvar draws version {STREAM_VERSIONS[family]}")
-    seed = meta.get("master_seed")
-    if _KIND_STREAMS.get(kind) and (type(seed) is not int or not 0 <= seed < 2**64):
-        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {seed!r}")
-    for name in ("weeks", "replicates", "network_k"):
-        if type(meta.get(name, 1)) is not int:  # the runners reject an int below 1
-            _check_whole(name, meta[name], 1)
-    for name, types in _KIND_FIELDS.get(kind, {}).items():
-        if type(meta.get(name)) not in types:
-            what = "a boolean" if types is _FLAG else "a number"
+    for name, (valid, what) in rules.items():
+        if not valid(meta.get(name)):
             raise ValueError(f"{name} must be {what}, got {meta.get(name)!r}")
-    params = SirParams(**meta["params"])
-    weeks = meta["weeks"]
+    params, weeks = SirParams(**meta["params"]), meta["weeks"]
     if kind == "sd":
         rows = week_indices(meta["dt"], weeks)
         return EnsembleResult([integrate(params, rows[-1], meta["dt"])[rows, 1]])
     if kind == "sd-mc":
         spec = VariationSpec(**{f.name: meta[f.name] for f in fields(VariationSpec)})
         return run_sd_ensemble(params, spec, weeks, replicates=meta["replicates"],
-                               master_seed=seed, dt=meta["dt"], threads=threads)
-    if kind == "abm":
-        gen = NetworkGenParams(k=meta["network_k"], p_rewire=meta["network_p_rewire"])
-        return run_abm_ensemble(
-            params, gen, weeks, replicates=meta["replicates"], master_seed=seed,
-            threads=threads, reuse_network=meta["reuse_network"],
-            exponential_recovery=meta["exponential_recovery"])
-    raise ValueError(f"unknown run kind {kind!r}")
+                               master_seed=meta["master_seed"], dt=meta["dt"], threads=threads)
+    return run_abm_ensemble(
+        params, meta["network_k"], meta["network_p_rewire"], weeks,
+        replicates=meta["replicates"], master_seed=meta["master_seed"], threads=threads,
+        reuse_network=meta["reuse_network"], exponential_recovery=meta["exponential_recovery"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +250,8 @@ def load_run(run_dir) -> dict:
     clamped = meta.get("clamped_draws", 0)
     for name, value, low in (("weeks", weeks, 1), ("replicates", replicates, 1),
                              ("clamped_draws", clamped, 0)):
-        _check_whole(f"{path}: {name}", value, low, ReferenceFormatError)
+        if type(value) is not int or value < low:  # an int, not a bool
+            raise ReferenceFormatError(f"{path}: {name} must be an integer >= {low}, got {value!r}")
     path = run / "series.csv"
     if path.exists():
         rows = load_reference(path).matrix

@@ -68,20 +68,6 @@ NODE_LIMIT = 2**31  # node ids must fit the int32 ``neighbors``
 _CHUNK_MARGIN = 8  # a chunk of picks is their mean, 8 standard deviations and 8 more
 
 
-@dataclass(frozen=True)
-class NetworkGenParams:
-    """Generation knobs for a small-world topology."""
-
-    k: int = 10
-    p_rewire: float = 0.1
-
-    def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral) or self.k < 2 or self.k % 2 != 0:
-            raise ValueError(f"mean degree k must be a positive even integer, got {self.k}")
-        if not 0.0 <= self.p_rewire <= 1.0:
-            raise ValueError(f"p_rewire must be in [0, 1], got {self.p_rewire}")
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkTopology:
     """Undirected contact graph in CSR form.
@@ -120,9 +106,14 @@ class NetworkTopology:
         return np.column_stack([u[keep], v[keep]])
 
 
-def check_size(n: int, k: int) -> None:
-    """Raise ``ValueError`` unless ``k < n < 2**31``: a lattice of degree ``k``
-    needs more than ``k`` nodes, and node ids must fit the int32 ``neighbors``."""
+def check_network(n: int, k: int, p_rewire: float) -> None:
+    """Raise ``ValueError`` unless ``k`` is a positive even integer, ``p_rewire``
+    is in [0, 1] and ``k < n < 2**31``: a lattice of degree ``k`` needs more
+    than ``k`` nodes, and node ids must fit the int32 ``neighbors``."""
+    if not isinstance(k, numbers.Integral) or k < 2 or k % 2 != 0:
+        raise ValueError(f"mean degree k must be a positive even integer, got {k}")
+    if not 0.0 <= p_rewire <= 1.0:
+        raise ValueError(f"p_rewire must be in [0, 1], got {p_rewire}")
     if k >= n:
         raise ValueError(f"k must be smaller than n, got k={k}, n={n}")
     if n >= NODE_LIMIT:
@@ -230,11 +221,9 @@ def build_small_world(
     Raises
     ------
     ValueError
-        If ``k`` is not an integer, is odd or is below 2, if ``p_rewire``
-        is outside [0, 1], or if :func:`check_size` rejects ``n`` and ``k``.
+        If :func:`check_network` rejects ``n``, ``k`` and ``p_rewire``.
     """
-    NetworkGenParams(k=k, p_rewire=p_rewire)  # validates k and p_rewire
-    check_size(n, k)
+    check_network(n, k, p_rewire)
 
     rng = np.random.default_rng(seed)
     # CSR assembly: one key (node << b) | neighbour per edge direction, with

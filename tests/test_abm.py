@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sirvar import abm
 from sirvar.abm import _simulate, run_abm, run_abm_ensemble
 from sirvar.core import SirParams, attack_fraction, replicate_rng
-from sirvar.network import NODE_LIMIT, NetworkGenParams, NetworkTopology, build_small_world
+from sirvar.network import NODE_LIMIT, NetworkTopology, build_small_world
 
 from final_size_law import ALPHA, chi_square, final_size_law, fixed_days, geometric_days, \
     mean_days
@@ -279,29 +279,28 @@ class TestRunAbm:
 class TestEnsemble:
     def test_single_replicate_matches_run_abm_with_derived_seed(self):
         params = params_for(200, c=6.0, p=0.2, i0=1)
-        gen = NetworkGenParams(k=6, p_rewire=0.2)
-        ens = run_abm_ensemble(params, gen, weeks=6, replicates=1, master_seed=55)
+        ens = run_abm_ensemble(params, 6, 0.2, weeks=6, replicates=1, master_seed=55)
         topo = build_small_world(200, 6, 0.2, replicate_rng(55, 0, 0))
         direct = run_abm(params, topo, weeks=6, seed=replicate_rng(55, 0, 1))
         assert np.array_equal(ens.matrix[0], direct.infected)
 
     def test_thread_count_does_not_change_results(self):
         params = params_for(400, c=6.0, p=0.2, i0=1)
-        gen = NetworkGenParams(k=8, p_rewire=0.3)
-        serial = run_abm_ensemble(params, gen, weeks=5, replicates=8, master_seed=9,
+        k, p_rewire = 8, 0.3
+        serial = run_abm_ensemble(params, k, p_rewire, weeks=5, replicates=8, master_seed=9,
                                   threads=1)
-        parallel = run_abm_ensemble(params, gen, weeks=5, replicates=8, master_seed=9,
+        parallel = run_abm_ensemble(params, k, p_rewire, weeks=5, replicates=8, master_seed=9,
                                     threads=3)
         assert np.array_equal(serial.matrix, parallel.matrix)
 
     def test_reuse_network_is_deterministic_and_distinct(self):
         params = params_for(300, c=6.0, p=0.2, i0=1)
-        gen = NetworkGenParams(k=6, p_rewire=0.2)
-        shared_a = run_abm_ensemble(params, gen, weeks=5, replicates=6, master_seed=3,
+        k, p_rewire = 6, 0.2
+        shared_a = run_abm_ensemble(params, k, p_rewire, weeks=5, replicates=6, master_seed=3,
                                     reuse_network=True)
-        shared_b = run_abm_ensemble(params, gen, weeks=5, replicates=6, master_seed=3,
+        shared_b = run_abm_ensemble(params, k, p_rewire, weeks=5, replicates=6, master_seed=3,
                                     reuse_network=True)
-        fresh = run_abm_ensemble(params, gen, weeks=5, replicates=6, master_seed=3)
+        fresh = run_abm_ensemble(params, k, p_rewire, weeks=5, replicates=6, master_seed=3)
         assert np.array_equal(shared_a.matrix, shared_b.matrix)
         assert not np.array_equal(shared_a.matrix, fresh.matrix)
 
@@ -312,7 +311,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(abm, "build_small_world", build)
         with pytest.raises(ValueError, match="weeks must be >= 1, got 0"):
-            run_abm_ensemble(params_for(300), NetworkGenParams(k=6, p_rewire=0.2), weeks=0,
+            run_abm_ensemble(params_for(300), 6, 0.2, weeks=0,
                              replicates=2, master_seed=1, reuse_network=reuse_network)
 
     @pytest.mark.parametrize("reuse_network", [False, True], ids=["fresh", "shared"])
@@ -329,7 +328,7 @@ class TestEnsemble:
         monkeypatch.setattr(abm, "build_small_world", build)
         with pytest.raises(ValueError, match=r"contact_rate \* infection_prob \* population = .* "
                                              r"is above 4\.29497e\+09, the transmission budget"):
-            run_abm_ensemble(params, NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
+            run_abm_ensemble(params, 6, 0.2, weeks=2,
                              replicates=2, master_seed=1, reuse_network=reuse_network)
 
     def test_run_abm_checks_the_poisson_mean(self):
@@ -355,9 +354,10 @@ class TestEnsemble:
 
         monkeypatch.setattr(abm, "build_small_world", build)
         params = params_for(10, i0=1)
-        gen = NetworkGenParams(k=10, p_rewire=0.0)  # k == n is invalid
         with pytest.raises(ValueError, match="k must be smaller than n, got k=10, n=10"):
-            run_abm_ensemble(params, gen, weeks=2, replicates=4, master_seed=0, threads=threads)
+            # k == n is invalid
+            run_abm_ensemble(params, 10, 0.0, weeks=2, replicates=4, master_seed=0,
+                             threads=threads)
 
     @pytest.mark.parametrize("replicates, threads, named", [(0, 1, "replicates"),
                                                             (2, 0, "threads")])
@@ -368,7 +368,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(abm, "build_small_world", build)
         with pytest.raises(ValueError, match=f"^{named} must be >= 1, got 0$"):
-            run_abm_ensemble(params_for(300), NetworkGenParams(k=6, p_rewire=0.2), weeks=2,
+            run_abm_ensemble(params_for(300), 6, 0.2, weeks=2,
                              replicates=replicates, master_seed=1, threads=threads,
                              reuse_network=True)
 

@@ -158,6 +158,10 @@ class TestUsage:
          "the transmission budget of one day"),
         # the shared network is built only after the ensemble size is checked
         (["run-abm", "--reuse-network", "--threads", "0"], "threads must be >= 1, got 0"),
+        # the network's k and p_rewire are checked by the ABM ensemble, before any build
+        (["run-abm", "--k", "3"], "mean degree k must be a positive even integer, got 3"),
+        (["run-abm", "--p-rewire", "1.5"], "p_rewire must be in [0, 1], got 1.5"),
+        (["run-abm", "--p-rewire", "nan"], "p_rewire must be in [0, 1], got nan"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, monkeypatch, argv, named):
         def work(*args):

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,6 @@ import sirvar.core
 from sirvar.core import (
     EnsembleResult,
     SirParams,
-    WeeklySeries,
     attack_fraction,
     basic_reproduction_number,
     calibrate_contact_rate,
@@ -52,6 +52,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_params(**bad)
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("population", True, "an integer"),
+        ("initial_infected", True, "an integer"),
+        ("initial_infected", np.True_, "an integer"),
+        ("population", "300", "an integer"),
+        ("contact_rate", True, "a number"),
+        ("contact_rate", "5", "a number"),
+        ("infection_prob", False, "a number"),
+        ("illness_duration", "4.2", "a number"),
+        ("illness_duration", None, "a number"),
+    ])
+    def test_a_bool_or_string_is_named(self, field, value, what):
+        # a bool would otherwise pass as the count or real 1 or 0, and a string
+        # would fail its range check with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
+            make_params(**{field: value})
+
+    def test_any_integer_or_real_accepted(self):
+        params = make_params(population=np.int64(1000), initial_infected=np.int32(2),
+                             contact_rate=5, infection_prob=np.float64(0.1),
+                             illness_duration=np.float32(4.0))
+        assert derived_rates(params) == (5 * 0.1 / 1000, 0.25)
+
     def test_boundary_values_accepted(self):
         make_params(infection_prob=0.0)
         make_params(infection_prob=1.0)
@@ -59,12 +82,6 @@ class TestValidation:
         assert make_params(illness_duration=math.inf).recovery_rate == 0.0  # no recovery
         make_params(initial_infected=0)
         make_params(initial_infected=1000)
-
-    def test_weekly_series_length_must_match(self):
-        with pytest.raises(ValueError):
-            WeeklySeries([])
-        with pytest.raises(ValueError):
-            WeeklySeries([1.0, -2.0])
 
     def test_ensemble_requires_equal_horizons(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import sirvar.abm
 from sirvar import io
 from sirvar.core import EnsembleResult
 from sirvar.montecarlo import VariationSpec, run_sd_ensemble
@@ -24,6 +25,22 @@ RUN_FIELDS = {"sd": dict(dt=0.1),
                             sigma_fraction=0.1, replicates=2),
               "abm": dict(replicates=2, network_k=6, network_p_rewire=0.2,
                           reuse_network=True, exponential_recovery=False)}
+# Every field each kind's runner reads from its metadata.
+RUN_INPUTS = {"sd": ("params", "weeks", "dt"),
+              "sd-mc": ("params", "weeks", "master_seed", "replicates", "dt", "sigma_fraction",
+                        "vary_illness", "vary_contact", "vary_infection"),
+              "abm": ("params", "weeks", "master_seed", "replicates", "network_k",
+                      "network_p_rewire", "reuse_network", "exponential_recovery")}
+
+
+def forbid_runs(monkeypatch):
+    """Make any RK4 integration, ensemble or network fail the test."""
+    def run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("integrate", "run_sd_ensemble", "run_abm_ensemble"):
+        monkeypatch.setattr(io, name, run)
+    monkeypatch.setattr(sirvar.abm, "build_small_world", run)
 
 
 class TestLoadReference:
@@ -219,6 +236,40 @@ class TestEnsemblePersistence:
             monkeypatch.setattr(io, name, run)
         meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
         meta[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
+            io.rerun_from_metadata(meta)
+
+    @pytest.mark.parametrize("kind, field", [
+        *((kind, field) for kind, fields in RUN_INPUTS.items() for field in fields),
+        ("abm", "kind"), ("sd", "kind"),
+    ])
+    def test_rerun_rejects_a_missing_field(self, monkeypatch, kind, field):
+        forbid_runs(monkeypatch)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
+        del meta[field]
+        named = "unknown run kind None" if field == "kind" else f"{field} must be "
+        with pytest.raises(ValueError, match=re.escape(named)):
+            io.rerun_from_metadata(meta)
+
+    @pytest.mark.parametrize("kind", ["sd-daily", ["abm"]])
+    def test_rerun_rejects_an_unknown_kind(self, monkeypatch, kind):
+        forbid_runs(monkeypatch)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS["abm"])
+        with pytest.raises(ValueError, match=re.escape(f"unknown run kind {kind!r}")):
+            io.rerun_from_metadata(meta)
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("population", True, "an integer"), ("initial_infected", True, "an integer"),
+        ("contact_rate", True, "a number"), ("contact_rate", "5", "a number"),
+        ("infection_prob", "0.065", "a number"), ("illness_duration", False, "a number"),
+    ])
+    @pytest.mark.parametrize("kind", sorted(RUN_FIELDS))
+    def test_rerun_rejects_a_bool_or_string_parameter(self, monkeypatch, kind, field, value,
+                                                      what):
+        # at JSON's true, initial_infected would rerun as one index case
+        forbid_runs(monkeypatch)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
+        meta["params"][field] = value
         with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
             io.rerun_from_metadata(meta)
 

@@ -11,7 +11,7 @@ from scipy.stats import chi2_contingency
 from sirvar import network
 from sirvar.abm import _simulate
 from sirvar.core import replicate_rng
-from sirvar.network import NetworkGenParams, NetworkTopology, build_small_world
+from sirvar.network import NetworkTopology, build_small_world, check_network
 
 from paper_params import default_params
 from same_law import ALPHA, MIN_REPLICATES, assert_same_law, outcomes
@@ -279,11 +279,11 @@ class TestInvariants:
 
     def test_gen_params_validation(self):
         with pytest.raises(ValueError):
-            NetworkGenParams(k=3)
+            check_network(100, 3, 0.1)
         with pytest.raises(ValueError, match="k must be a positive even integer, got 6.0"):
-            NetworkGenParams(k=6.0)
+            check_network(100, 6.0, 0.1)
         with pytest.raises(ValueError):
-            NetworkGenParams(p_rewire=-0.1)
+            check_network(100, 10, -0.1)
 
 
 class TestSmallWorldEffect:
