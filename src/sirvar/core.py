@@ -52,9 +52,11 @@ DEFAULT_ATTACK_RATE = 0.61
 _ATTACK_TOL = 1e-14
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise ``ValueError(msg.format(*args))`` unless ``cond``; a passing
+    check formats nothing, so its message costs nothing on a hot path."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 @dataclass(frozen=True)
@@ -88,23 +90,17 @@ class SirParams:
             count = name in ("population", "initial_infected")
             _require(isinstance(value, numbers.Integral if count else numbers.Real)
                      and not isinstance(value, bool),
-                     f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
-        _require(self.population >= 1, f"population must be >= 1, got {self.population}")
-        _require(self.contact_rate >= 0.0, f"contact_rate must be >= 0, got {self.contact_rate}")
+                     "{} must be {}, got {!r}", name, "an integer" if count else "a number", value)
+        _require(self.population >= 1, "population must be >= 1, got {}", self.population)
+        _require(self.contact_rate >= 0.0, "contact_rate must be >= 0, got {}", self.contact_rate)
         _require(self.contact_rate < math.inf,
-                 f"contact_rate must be finite, got {self.contact_rate}")
-        _require(
-            0.0 <= self.infection_prob <= 1.0,
-            f"infection_prob must be in [0, 1], got {self.infection_prob}",
-        )
-        _require(
-            self.illness_duration > 0.0,
-            f"illness_duration must be > 0, got {self.illness_duration}",
-        )
-        _require(
-            0 <= self.initial_infected <= self.population,
-            f"initial_infected must be in [0, population], got {self.initial_infected}",
-        )
+                 "contact_rate must be finite, got {}", self.contact_rate)
+        _require(0.0 <= self.infection_prob <= 1.0,
+                 "infection_prob must be in [0, 1], got {}", self.infection_prob)
+        _require(self.illness_duration > 0.0,
+                 "illness_duration must be > 0, got {}", self.illness_duration)
+        _require(0 <= self.initial_infected <= self.population,
+                 "initial_infected must be in [0, population], got {}", self.initial_infected)
 
     @property
     def recovery_rate(self) -> float:
@@ -160,7 +156,7 @@ class EnsembleResult:
         matrix = np.array(self.matrix, dtype=float)
         matrix.setflags(write=False)
         _require(matrix.ndim == 2 and matrix.shape[0] >= 1 and matrix.shape[1] >= 1,
-                 f"matrix must have shape (replicates >= 1, weeks >= 1), got {matrix.shape}")
+                 "matrix must have shape (replicates >= 1, weeks >= 1), got {}", matrix.shape)
         _require(bool((matrix >= 0.0).all()), "weekly infected counts must be non-negative")
         object.__setattr__(self, "matrix", matrix)
 
@@ -281,7 +277,7 @@ def final_size_reproduction_number(attack_rate: float) -> float:
     Inverts the final-size relation ``1 - s_inf = 1 - exp(-R0 (1 - s_inf))``
     at ``1 - s_inf = attack_rate``, which solves in closed form.
     """
-    _require(0.0 < attack_rate < 1.0, f"attack_rate must be in (0, 1), got {attack_rate}")
+    _require(0.0 < attack_rate < 1.0, "attack_rate must be in (0, 1), got {}", attack_rate)
     return -math.log(1.0 - attack_rate) / attack_rate
 
 
@@ -321,8 +317,8 @@ def calibrate_contact_rate(
     # scale > 0 first: r0 / 0.0 raises ZeroDivisionError
     _require(infection_prob > 0.0 and illness_duration > 0.0 and 0.0 < scale < math.inf
              and r0 / scale < math.inf,
-             f"calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and "
-             f"a finite contact rate, got infection_prob={infection_prob}, "
-             f"illness_duration={illness_duration}")
+             "calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and "
+             "a finite contact rate, got infection_prob={}, illness_duration={}",
+             infection_prob, illness_duration)
     return r0 / scale
 

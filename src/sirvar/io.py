@@ -56,6 +56,7 @@ _FLAG = (lambda v: type(v) is bool, "a boolean")
 _REAL = (lambda v: type(v) in (int, float), "a number")
 _RUN = {"params": (lambda v: type(v) is dict, "an object"), "weeks": _COUNT}
 _ENSEMBLE = {**_RUN, "master_seed": _SEED, "replicates": _COUNT}
+_PARAMS = [f.name for f in fields(SirParams)]
 # Each run kind's stream families and the rule of every field its runner reads.
 _KINDS = {
     "sd": ((), {**_RUN, "dt": _REAL}),
@@ -158,10 +159,13 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     Returns an :class:`EnsembleResult` for every kind; a deterministic ``sd``
     run is its one row.  Every input is checked before any network is built or
     any replicate runs, and a bad one raises ``ValueError``: an unknown ``kind``,
-    a stream version other than :data:`STREAM_VERSIONS` (none counts as 1), then
-    any field of the kind's row of ``_KINDS`` that breaks its rule or is missing,
-    named as ``"<field> must be <rule>, got <value>"`` (a missing one reads
-    ``None``), and whatever the parameter types and runners reject.  A failure
+    a ``streams`` that is not an object or a stream version other than
+    :data:`STREAM_VERSIONS` (no ``streams``, or no family in it, counts as 1),
+    then any field of the kind's row of ``_KINDS`` that breaks its rule or is
+    missing, named as ``"<field> must be <rule>, got <value>"`` (a missing one
+    reads ``None``), a ``params`` whose keys are not exactly the fields of
+    :class:`SirParams`, naming the missing and unknown ones, and whatever the
+    parameter types and runners reject.  A failure
     inside replicate ``r`` is raised as ``RuntimeError("replicate r failed:
     ...")``, and an ``sd`` run's failing step as a ``RuntimeError`` too.
     """
@@ -170,6 +174,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
         raise ValueError(f"unknown run kind {kind!r}")
     families, rules = _KINDS[kind]
     streams = meta.get("streams", {})
+    if type(streams) is not dict:
+        raise ValueError(f"streams must be an object, got {streams!r}")
     for family in families:
         version = streams.get(family, 1)
         if version != STREAM_VERSIONS[family]:
@@ -178,6 +184,11 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     for name, (valid, what) in rules.items():
         if not valid(meta.get(name)):
             raise ValueError(f"{name} must be {what}, got {meta.get(name)!r}")
+    missing = [name for name in _PARAMS if name not in meta["params"]]
+    unknown = [name for name in meta["params"] if name not in _PARAMS]
+    if missing or unknown:
+        raise ValueError(f"params must hold exactly the keys {_PARAMS}, "
+                         f"missing {missing}, unknown {unknown}")
     params, weeks = SirParams(**meta["params"]), meta["weeks"]
     if kind == "sd":
         rows = week_indices(meta["dt"], weeks)

@@ -38,6 +38,7 @@ while the earlier one raises ``ValueError`` at a negative count.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -73,9 +74,10 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> np.ndarr
     Returns
     -------
     numpy.ndarray
-        Shape ``(steps + 1, 3)``, float64: row ``k`` is (S, I, R) at time
-        ``k * dt`` days, row 0 the initial state.  Every row is in the valid
-        region, roundoff negatives clipped to zero.
+        Shape ``(steps + 1, 3)``, float64 and read-only: row ``k`` is
+        (S, I, R) at time ``k * dt`` days, row 0 the initial state.  Every
+        row is in the valid region, roundoff negatives clipped to zero.  The
+        loop's states are packed once into the bytes the array views.
 
     Raises
     ------
@@ -137,7 +139,7 @@ def integrate(params: SirParams, steps: int, dt: float = DEFAULT_DT) -> np.ndarr
                 r = 0.0
         flat += (s, i, r)
 
-    states = np.fromiter(flat, float, len(flat)).reshape(-1, 3)
+    states = np.frombuffer(struct.pack(f"{len(flat)}d", *flat)).reshape(-1, 3)
     _check_states(states, checked, n, dt)
     return states
 

@@ -69,6 +69,31 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
             make_params(**{field: value})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: make_params(population="300"), "population must be an integer, got '300'"),
+        (lambda: make_params(contact_rate="5"), "contact_rate must be a number, got '5'"),
+        (lambda: make_params(population=0), "population must be >= 1, got 0"),
+        (lambda: make_params(contact_rate=-0.1), "contact_rate must be >= 0, got -0.1"),
+        (lambda: make_params(contact_rate=math.inf), "contact_rate must be finite, got inf"),
+        (lambda: make_params(infection_prob=1.01), "infection_prob must be in [0, 1], got 1.01"),
+        (lambda: make_params(illness_duration=0.0), "illness_duration must be > 0, got 0.0"),
+        (lambda: make_params(initial_infected=1001),
+         "initial_infected must be in [0, population], got 1001"),
+        (lambda: EnsembleResult([1.0, 2.0]),
+         "matrix must have shape (replicates >= 1, weeks >= 1), got (2,)"),
+        (lambda: EnsembleResult([[1.0, -2.0]]), "weekly infected counts must be non-negative"),
+        (lambda: final_size_reproduction_number(1.0), "attack_rate must be in (0, 1), got 1.0"),
+        (lambda: calibrate_contact_rate(infection_prob=0.0),
+         "calibrating a contact rate needs infection_prob > 0, illness_duration > 0 and a "
+         "finite contact rate, got infection_prob=0.0, illness_duration=4.2"),
+    ], ids=["integer", "number", "population", "contact-rate", "finite-contact-rate",
+            "infection-prob", "illness-duration", "initial-infected", "matrix-shape",
+            "non-negative-counts", "attack-rate", "calibration"])
+    def test_each_rule_raises_its_message_in_full(self, make, message):
+        with pytest.raises(ValueError) as failure:
+            make()
+        assert str(failure.value) == message
+
     def test_any_integer_or_real_accepted(self):
         params = make_params(population=np.int64(1000), initial_infected=np.int32(2),
                              contact_rate=5, infection_prob=np.float64(0.1),

@@ -273,6 +273,26 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be {what}, got {value!r}")):
             io.rerun_from_metadata(meta)
 
+    @pytest.mark.parametrize("drop, add, missing, unknown", [
+        ("contact_rate", {}, ["contact_rate"], []),
+        ("initial_infected", {}, ["initial_infected"], []),
+        (None, {"R0": 1.5}, [], ["R0"]),
+        ("population", {"N": 300}, ["population"], ["N"]),
+    ], ids=["no-contact-rate", "no-initial-infected", "extra-R0", "renamed-population"])
+    @pytest.mark.parametrize("kind", sorted(RUN_FIELDS))
+    def test_rerun_rejects_params_without_exactly_the_fields(self, monkeypatch, kind, drop, add,
+                                                              missing, unknown):
+        # without initial_infected, SirParams' default would rerun one index case
+        forbid_runs(monkeypatch)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
+        meta["params"].pop(drop, None)
+        meta["params"].update(add)
+        with pytest.raises(ValueError, match=re.escape(
+                "params must hold exactly the keys ['population', 'contact_rate', "
+                "'infection_prob', 'illness_duration', 'initial_infected'], "
+                f"missing {missing}, unknown {unknown}")):
+            io.rerun_from_metadata(meta)
+
     def test_rerun_accepts_a_whole_number_real(self):
         # JSON writes a whole float such as 0.0 as it is, but a hand-edited
         # file may hold 0; both are the same real
@@ -308,6 +328,17 @@ class TestEnsemblePersistence:
         with pytest.raises(ValueError,
                            match=f"abm run records {family} stream version {version}, but "
                                  f"this sirvar draws version {io.STREAM_VERSIONS[family]}"):
+            io.rerun_from_metadata(meta)
+
+    @pytest.mark.parametrize("streams", [[1], None, "abm", 4])
+    @pytest.mark.parametrize("kind", sorted(RUN_FIELDS))
+    def test_rerun_rejects_streams_that_are_not_an_object(self, monkeypatch, kind, streams):
+        # a missing streams counts as version 1, a present one must be an object
+        forbid_runs(monkeypatch)
+        meta = io.make_metadata(kind, default_params(population=300), 2, 1, **RUN_FIELDS[kind])
+        meta["streams"] = streams
+        with pytest.raises(ValueError,
+                           match=re.escape(f"streams must be an object, got {streams!r}")):
             io.rerun_from_metadata(meta)
 
     @pytest.mark.parametrize("kind, extra", [

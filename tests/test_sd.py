@@ -175,6 +175,7 @@ class TestIntegrate:
         traj = integrate(params, 100, 0.1)
         assert len(traj) == 101
         assert np.array_equal(traj[0], [52909.0, 1.0, 0.0])
+        assert traj.dtype == np.float64 and not traj.flags.writeable
 
     def test_peak_matches_analytic_oracle(self):
         # closed-form SIR peak: i_max = i0 + s0 - (1 + ln(r0 s0)) / r0 (fractions)
