@@ -229,17 +229,6 @@ def run_abm(
     return WeeklySeries(_simulate(params, topo, weeks, rng, exponential_recovery)[rows, 1])
 
 
-def _abm_replicate(context, r: int) -> np.ndarray:
-    params, k, p_rewire, weeks, master_seed, shared_topo, exponential_recovery = context
-    topo = shared_topo
-    if topo is None:
-        net_rng = replicate_rng(master_seed, r, _STREAM_NETWORK)
-        topo = build_small_world(params.population, k, p_rewire, net_rng)
-    sim_rng = replicate_rng(master_seed, r, _STREAM_SIMULATION)
-    return run_abm(params, topo, weeks, sim_rng,
-                   exponential_recovery=exponential_recovery).infected
-
-
 def run_abm_ensemble(
     params: SirParams,
     k: int,
@@ -267,9 +256,15 @@ def run_abm_ensemble(
     check_transmission_mean(params)
     check_network(params.population, k, p_rewire)
     check_replicates(replicates, threads)
-    shared = None
-    if reuse_network:
-        net_rng = replicate_rng(master_seed, *_SHARED_NETWORK_KEY)
-        shared = build_small_world(params.population, k, p_rewire, net_rng)
-    context = (params, k, p_rewire, weeks, master_seed, shared, exponential_recovery)
-    return EnsembleResult(run_replicates(_abm_replicate, context, replicates, threads))
+
+    def network(*key: int) -> NetworkTopology:
+        return build_small_world(params.population, k, p_rewire, replicate_rng(master_seed, *key))
+
+    shared = network(*_SHARED_NETWORK_KEY) if reuse_network else None
+
+    def replicate(r: int) -> np.ndarray:
+        topo = network(r, _STREAM_NETWORK) if shared is None else shared
+        return run_abm(params, topo, weeks, replicate_rng(master_seed, r, _STREAM_SIMULATION),
+                       exponential_recovery=exponential_recovery).infected
+
+    return EnsembleResult(run_replicates(replicate, replicates, threads))

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, io, stats
@@ -35,15 +34,10 @@ from .core import (
     SirParams,
     calibrate_contact_rate,
 )
-from .montecarlo import VariationSpec
 from .sd import DEFAULT_DT, integrate, week_indices
 
-_SCENARIOS = {
-    "illness": dict(vary_illness=True),
-    "contact": dict(vary_contact=True),
-    "infection": dict(vary_infection=True),
-    "all": dict(vary_illness=True, vary_contact=True, vary_infection=True),
-}
+# What run-mc's --vary can name besides "all", in the metadata's order of vary_* flags.
+_VARIED = ("illness", "contact", "infection")
 
 
 class UsageError(ValueError):
@@ -140,8 +134,8 @@ def cmd_run_sd(args) -> int:
 
 
 def _mc_inputs(args) -> tuple[str, dict]:
-    spec = VariationSpec(sigma_fraction=args.sigma, **_SCENARIOS[args.vary])
-    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **asdict(spec),
+    flags = {f"vary_{name}": args.vary in (name, "all") for name in _VARIED}
+    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **flags, sigma_fraction=args.sigma,
                          replicates=args.replicates)
 
 
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Monte-Carlo parameter-variation ensemble")
     _add_shared_flags(p_mc)
     _add_ensemble_flags(p_mc)
-    p_mc.add_argument("--vary", choices=sorted(_SCENARIOS), required=True,
+    p_mc.add_argument("--vary", choices=sorted([*_VARIED, "all"]), required=True,
                       help="which parameter(s) to vary")
     p_mc.add_argument("--sigma", type=float, default=0.1,
                       help="standard deviation as a fraction of each varied parameter's mean")

@@ -8,16 +8,16 @@ per-contact infection probability mean the same thing to the agent-based
 model and to the differential equations.
 
 All types are immutable after construction, and all but :class:`WeeklySeries`
-validate their fields, so they can be shared freely between worker processes.
+validate their fields.
 
 Both ensembles (Monte-Carlo SD runs and ABM runs) go through one driver,
-:func:`run_replicates`.  Replicate ``r`` draws its randomness only from
-:func:`replicate_rng` streams keyed by ``(master_seed, r, stream)``, so a
-replicate's result does not depend on which process runs it, and results
-are assembled in replicate order: ensembles are bit-identical for any
-thread count.  With ``threads > 1`` the replicates are split by residue
-among this process and workers forked from it, which inherit the shared
-inputs and receive only their replicate indices.
+:func:`run_replicates`, as one function of the replicate index.  Replicate
+``r`` draws its randomness only from :func:`replicate_rng` streams keyed by
+``(master_seed, r, stream)``, so a replicate's result does not depend on
+which process runs it, and results are assembled in replicate order:
+ensembles are bit-identical for any thread count.  With ``threads > 1`` the
+replicates are split by residue among this process and workers forked from
+it, which inherit that function; only indices and rows are pickled.
 """
 
 from __future__ import annotations
@@ -185,13 +185,13 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
 
-def _run_share(fn, context, share: range) -> tuple[list, RuntimeError | None]:
+def _run_share(fn, share: range) -> tuple[list, RuntimeError | None]:
     """Rows of the replicates in ``share``, in order, up to the first that
     fails, and that failure tagged with its replicate (None if none failed)."""
     rows = []
     for r in share:
         try:
-            rows.append(fn(context, r))
+            rows.append(fn(r))
         except Exception as exc:
             failure = RuntimeError(f"replicate {r} failed: {exc}")
             failure.__cause__ = exc
@@ -199,9 +199,9 @@ def _run_share(fn, context, share: range) -> tuple[list, RuntimeError | None]:
     return rows, None
 
 
-def _serve(conn, fn, context) -> None:
+def _serve(conn, fn) -> None:
     """Body of a forked worker: run the share it is sent, send back its outcome."""
-    conn.send(_run_share(fn, context, conn.recv()))
+    conn.send(_run_share(fn, conn.recv()))
 
 
 def check_replicates(replicates: int, threads: int) -> None:
@@ -212,16 +212,16 @@ def check_replicates(replicates: int, threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
-    """``[fn(context, r) for r in range(replicates)]``, run in ``w`` processes.
+def run_replicates(fn, replicates: int, threads: int = 1) -> list:
+    """``[fn(r) for r in range(replicates)]``, run in ``w`` processes.
 
     Of the ``w = min(threads, replicates)`` processes, this one runs
     replicates 0, w, 2w, ...; worker ``k`` of ``w - 1``, forked from it
-    through an explicit ``fork`` context, inherits ``fn`` and
-    ``context``, is sent the residue class k, k + w, ... over a pipe, and
-    sends its rows back.  The result list is in replicate order whatever
-    ``threads`` is.  :func:`check_replicates` rejects the sizes first, as a
-    ``ValueError``; a failure in replicate ``r`` is raised as
+    through an explicit ``fork`` context, inherits ``fn``, closure or not, is
+    sent the residue class k, k + w, ... over a pipe, and sends its rows back:
+    only indices and rows are pickled.  The result list is in replicate order
+    whatever ``threads`` is.  :func:`check_replicates` rejects the sizes first,
+    as a ``ValueError``; a failure in replicate ``r`` is raised as
     ``RuntimeError("replicate r failed: ...")``: the lowest-numbered one when
     several fail, where a worker that dies counts as failing at its first
     replicate.  Every worker is joined before this returns or raises.  A
@@ -241,12 +241,12 @@ def run_replicates(fn, context, replicates: int, threads: int = 1) -> list:
             fork = multiprocessing.get_context("fork")
         for k in range(1, workers):
             conn, child = fork.Pipe()
-            proc = fork.Process(target=_serve, args=(child, fn, context))
+            proc = fork.Process(target=_serve, args=(child, fn))
             proc.start()
             child.close()
             started.append((proc, conn))
             conn.send(range(k, replicates, workers))
-        outcomes = [_run_share(fn, context, range(0, replicates, workers))]
+        outcomes = [_run_share(fn, range(0, replicates, workers))]
         for k, (proc, conn) in enumerate(started, start=1):
             try:
                 outcomes.append(conn.recv())

@@ -79,13 +79,18 @@ def _check_counts(values, where: str):
     return values
 
 
-def _read_table(path, header: str | None, first_index: int) -> list[list[float]]:
-    """Rows of a weekly-count table without their index, checked against
-    ``header`` (None accepts any) and indices counting up from ``first_index``."""
+def _header_error(path, header: str) -> ReferenceFormatError:
+    return ReferenceFormatError(f"{path}: line 1: expected header '{header}'")
+
+
+def _read_table(path, header: str | None, first_index: int) -> tuple[str, list[list[float]]]:
+    """The header line and the rows of a weekly-count table without their index,
+    checked against ``header`` first (None leaves the header to the caller) and
+    indices counting up from ``first_index``."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if header is not None and (not lines or lines[0].strip() != header):
-        raise ReferenceFormatError(f"{path}: line 1: expected header '{header}'")
+        raise _header_error(path, header)
     columns = lines[0].split(",") if lines else []
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -107,7 +112,7 @@ def _read_table(path, header: str | None, first_index: int) -> list[list[float]]
         rows.append(_check_counts(values, where))
     if not rows:
         raise ReferenceFormatError(f"{path}: no data rows")
-    return rows
+    return lines[0].strip(), rows
 
 
 def _fmt(value: float) -> str:
@@ -133,7 +138,8 @@ def load_reference(path) -> EnsembleResult:
     ReferenceFormatError
         On schema violations; the message names the offending line.
     """
-    return EnsembleResult([[count for count, in _read_table(path, "week,infected", 1)]])
+    _, rows = _read_table(path, "week,infected", 1)
+    return EnsembleResult([[count for count, in rows]])
 
 
 def make_metadata(kind: str, params: SirParams, weeks: int, seed: int | None, **extra) -> dict:
@@ -224,6 +230,11 @@ def save_series_run(infected, out_dir, metadata: dict) -> None:
               tables={"series.csv": ("week,infected", 1, zip(infected.tolist()))})
 
 
+def _ensemble_header(weeks: int) -> str:
+    """``ensemble.csv``'s header, ``replicate,week_1,...,week_W`` for ``weeks`` W."""
+    return "replicate," + ",".join(f"week_{w}" for w in range(1, weeks + 1))
+
+
 def save_ensemble(
     ensemble: EnsembleResult,
     summary: WeeklySummary,
@@ -233,10 +244,9 @@ def save_ensemble(
     """Persist an ensemble run: replicate matrix, summary and metadata."""
     meta = {**metadata, "total_variation": summary.total_variation}
     columns = {name: getattr(summary, name).tolist() for name in ("median", "q1", "q3", "iqr")}
-    matrix = ensemble.matrix.tolist()
-    weeks = ",".join(f"week_{w + 1}" for w in range(ensemble.weeks))
     _save_run(out_dir, meta,
-              tables={"ensemble.csv": (f"replicate,{weeks}", 0, matrix),
+              tables={"ensemble.csv": (_ensemble_header(ensemble.weeks), 0,
+                                       ensemble.matrix.tolist()),
                       "summary.csv": (f"week,{','.join(columns)}", 1, zip(*columns.values()))})
 
 
@@ -247,9 +257,10 @@ def load_run(run_dir) -> dict:
     a deterministic run's ``series.csv`` is read as the ensemble's one row.
     A bad count raises :class:`ReferenceFormatError` naming its file and line or row,
     and so does a table whose shape is not the metadata's ``replicates`` (1 for a
-    single series) by ``weeks``, a ``metadata.json`` that is not a JSON object,
-    a ``weeks`` or ``replicates`` that is not an integer >= 1, or a
-    ``clamped_draws`` that is not an integer >= 0 (a missing one reads 0).
+    single series) by ``weeks``, an ``ensemble.csv`` of that shape whose header is
+    not the one :func:`save_ensemble` writes for ``weeks``, a ``metadata.json`` that
+    is not a JSON object, a ``weeks`` or ``replicates`` that is not an integer >= 1,
+    or a ``clamped_draws`` that is not an integer >= 0 (a missing one reads 0).
     """
     run = Path(run_dir)
     path = run / "metadata.json"
@@ -266,9 +277,10 @@ def load_run(run_dir) -> dict:
     path = run / "series.csv"
     if path.exists():
         rows = load_reference(path).matrix
+        found = header = None  # load_reference checked it
     else:
-        path = run / "ensemble.csv"
-        rows = _read_table(path, None, 0)
+        path, header = run / "ensemble.csv", _ensemble_header(weeks)
+        found, rows = _read_table(path, None, 0)
     if len(rows) != replicates:
         raise ReferenceFormatError(
             f"{path}: expected {replicates} rows (replicates in the metadata), got {len(rows)}")
@@ -277,4 +289,6 @@ def load_run(run_dir) -> dict:
             raise ReferenceFormatError(
                 f"{path}: row {r}: expected {weeks} counts (weeks in the metadata), "
                 f"got {len(row)}")
+    if found != header:
+        raise _header_error(path, header)
     return {"metadata": meta, "ensemble": EnsembleResult(rows, clamped)}

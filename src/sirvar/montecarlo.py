@@ -114,20 +114,6 @@ def sample_params(base: SirParams, spec: VariationSpec, master_seed: int,
     return replace(base, **drawn), clamped
 
 
-def _sd_replicate(context, r: int) -> tuple[np.ndarray, int]:
-    base, spec, rows, master_seed, dt = context
-    params, clamped = sample_params(base, spec, master_seed, r)
-    b, cp = params.recovery_rate, params.contact_rate * params.infection_prob
-    k = 0  # halving keeps week w's end at step rows[w] << k
-    while dt / 2**k * max(b, cp) > _STIFF_LIMIT:
-        k += 1
-        if rows[-1] << k > MAX_STEPS:
-            raise ValueError(f"1/D = {b!r} and c*p = {cp!r} need a step of at most "
-                             f"{_STIFF_LIMIT / max(b, cp):.3g} days, and {7 * len(rows)} days "
-                             f"of it are more than MAX_STEPS = {MAX_STEPS} steps")
-    return integrate(params, rows[-1] << k, dt / 2**k)[rows << k, 1], clamped
-
-
 def run_sd_ensemble(
     base: SirParams,
     spec: VariationSpec,
@@ -139,11 +125,11 @@ def run_sd_ensemble(
 ) -> EnsembleResult:
     """Run the Monte-Carlo ensemble for one variation scenario.
 
-    Replicate ``r`` integrates ``sample_params(base, spec, master_seed, r)``
-    and keeps the rows of the week grid that :func:`sirvar.sd.week_indices`
-    places once for all replicates.  ``dt``, ``weeks``, each varied parameter's
-    spread, which must be finite, ``replicates`` and ``threads`` are checked
-    before any replicate runs, and a bad one raises ``ValueError``.
+    ``dt``, ``weeks``, each varied parameter's spread, which must be finite,
+    ``replicates`` and ``threads`` are checked before any replicate runs, and a
+    bad one raises ``ValueError``.  Replicate ``r``, one closure over these inputs
+    for :func:`sirvar.core.run_replicates`, integrates ``sample_params(base, spec,
+    master_seed, r)`` and keeps the week grid ``rows`` of :func:`sirvar.sd.week_indices`.
     Each replicate steps at ``dt / 2**k`` for the least ``k`` with
     ``(dt / 2**k) * max(1/D, c*p) <= 0.25`` for its drawn rates: it runs ``rows[-1] << k``
     steps and keeps rows ``rows << k``, or fails before any step if that is more
@@ -153,7 +139,20 @@ def run_sd_ensemble(
     ``threads``.
     """
     _check_spread(base, spec)
-    context = (base, spec, week_indices(dt, weeks), master_seed, dt)
-    rows = run_replicates(_sd_replicate, context, replicates, threads)
-    return EnsembleResult([row for row, _ in rows],
-                          clamped_draws=sum(clamped for _, clamped in rows))
+    rows = week_indices(dt, weeks)
+
+    def replicate(r: int) -> tuple[np.ndarray, int]:
+        params, clamped = sample_params(base, spec, master_seed, r)
+        b, cp = params.recovery_rate, params.contact_rate * params.infection_prob
+        k = 0  # halving keeps week w's end at step rows[w] << k
+        while dt / 2**k * max(b, cp) > _STIFF_LIMIT:
+            k += 1
+            if rows[-1] << k > MAX_STEPS:
+                raise ValueError(f"1/D = {b!r} and c*p = {cp!r} need a step of at most "
+                                 f"{_STIFF_LIMIT / max(b, cp):.3g} days, and {7 * len(rows)} "
+                                 f"days of it are more than MAX_STEPS = {MAX_STEPS} steps")
+        return integrate(params, rows[-1] << k, dt / 2**k)[rows << k, 1], clamped
+
+    results = run_replicates(replicate, replicates, threads)
+    return EnsembleResult([row for row, _ in results],
+                          clamped_draws=sum(clamped for _, clamped in results))

@@ -214,9 +214,9 @@ class TestUsage:
 
     def test_metadata_records_requested_threads(self, tmp_path, capsys, monkeypatch):
         # one replicate runs in this process alone, whatever --threads asks for
-        pids, replicate = [], sirvar.abm._abm_replicate
-        monkeypatch.setattr(sirvar.abm, "_abm_replicate",
-                            lambda context, r: pids.append(os.getpid()) or replicate(context, r))
+        pids, run_abm = [], sirvar.abm.run_abm
+        monkeypatch.setattr(sirvar.abm, "run_abm",
+                            lambda *args, **kw: pids.append(os.getpid()) or run_abm(*args, **kw))
         assert run("run-abm", "--population", "300", "--replicates", "1", "--threads", "8",
                    "--weeks", "2", "--out", str(tmp_path)) == 0
         capsys.readouterr()

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -211,43 +212,50 @@ class TestContainers:
             ens.matrix[0, 0] = 5.0
 
 
-def _fail_at_three(context, r):
+def _fail_at_three(scale, r):
     if r == 3:
-        raise ValueError(f"bad draw for {context}")
-    return r * context
+        raise ValueError(f"bad draw for {scale}")
+    return r * scale
 
 
 class TestRunReplicates:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_results_in_replicate_order(self, threads):
-        assert run_replicates(_fail_at_three, 10, 3, threads=threads) == [0, 10, 20]
+        assert run_replicates(partial(_fail_at_three, 10), 3, threads=threads) == [0, 10, 20]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failure_is_tagged_with_its_replicate(self, threads):
         with pytest.raises(RuntimeError, match="replicate 3 failed: bad draw for 10"):
-            run_replicates(_fail_at_three, 10, 6, threads=threads)
+            run_replicates(partial(_fail_at_three, 10), 6, threads=threads)
 
     def test_needs_a_replicate(self):
         with pytest.raises(ValueError):
-            run_replicates(_fail_at_three, 10, 0)
+            run_replicates(partial(_fail_at_three, 10), 0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_closure_runs_in_forked_workers(self, threads):
+        # no pickler takes a lambda, so a worker can only run one it inherited
+        scale = 7
+        assert run_replicates(lambda r: r * scale, 7, threads=threads) == [
+            r * scale for r in range(7)]
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_needs_a_thread(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-            run_replicates(_fail_at_three, 10, 3, threads=threads)
+            run_replicates(partial(_fail_at_three, 10), 3, threads=threads)
 
 
-def _pid(context, r):
+def _pid(r):
     return os.getpid()
 
 
-def _fail_in_workers(context, r):
-    if r in context:
+def _fail_in_workers(failing, r):
+    if r in failing:
         raise ValueError(f"bad draw {r}")
     return r
 
 
-def _exit_in_worker(context, r):
+def _exit_in_worker(r):
     if r == 1:
         os._exit(3)
     if r == 2:
@@ -258,22 +266,22 @@ def _exit_in_worker(context, r):
 class TestPoolSize:
     def test_no_more_workers_than_replicates(self):
         for replicates, threads in [(2, 8), (5, 3)]:
-            pids = run_replicates(_pid, None, replicates, threads=threads)
+            pids = run_replicates(_pid, replicates, threads=threads)
             assert len(set(pids)) == min(threads, replicates)
             assert os.getpid() in pids
 
     def test_one_replicate_runs_without_a_pool(self):
-        assert run_replicates(_pid, None, 1, threads=8) == [os.getpid()]
+        assert run_replicates(_pid, 1, threads=8) == [os.getpid()]
 
     # with 3 processes, replicate 3 fails in this one and 1 and 2 in workers
     @pytest.mark.parametrize("failing, lowest", [({1, 2}, 1), ({2, 3}, 2)])
     def test_lowest_failed_replicate_is_raised(self, failing, lowest):
         with pytest.raises(RuntimeError, match=f"replicate {lowest} failed: bad draw {lowest}"):
-            run_replicates(_fail_in_workers, failing, 6, threads=3)
+            run_replicates(partial(_fail_in_workers, failing), 6, threads=3)
 
     def test_dead_worker_is_raised_and_every_worker_joined(self):
         with pytest.raises(RuntimeError, match="replicate 1 was lost: .* exited with code 3"):
-            run_replicates(_exit_in_worker, None, 3, threads=3)
+            run_replicates(_exit_in_worker, 3, threads=3)
         assert multiprocessing.active_children() == []
 
 
@@ -282,7 +290,7 @@ _PINNED_HEAP = """
 import numpy as np
 from sirvar.core import run_replicates
 
-def rss_anon_mb(context=None, r=0):
+def rss_anon_mb(r=0):
     with open("/proc/self/status", encoding="ascii") as fh:
         return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("RssAnon:"))
 
@@ -292,7 +300,7 @@ del big  # freeing a large mapped block raises glibc's mmap threshold
 temps = [np.ones(529_100) for _ in range(5)]  # about 21 MB, now on the heap
 keep = np.ones(200_000)  # a live block above them
 del temps
-print(baseline, rss_anon_mb(), *run_replicates(rss_anon_mb, None, replicates=2, threads=2))
+print(baseline, rss_anon_mb(), *run_replicates(rss_anon_mb, replicates=2, threads=2))
 """
 
 

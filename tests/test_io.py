@@ -382,6 +382,23 @@ class TestEnsemblePersistence:
         with pytest.raises(io.ReferenceFormatError, match=f"ensemble.csv: {message}"):
             io.load_run(tmp_path / "run")
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.replace("replicate", "whatever"),
+        lambda header: header.replace("week_1,week_2", "week_2,week_1"),
+    ], ids=["renamed", "weeks-swapped"])
+    def test_ensemble_csv_header_must_be_the_saved_one(self, tmp_path, small_run, edit):
+        ensemble, summary, meta = small_run
+        io.save_ensemble(ensemble, summary, tmp_path / "run", meta)
+        path = tmp_path / "run" / "ensemble.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = "replicate,week_1,week_2,week_3,week_4,week_5"
+        assert lines[0] == header and edit(header) != header
+        lines[0] = edit(header)
+        write(path, "\n".join(lines) + "\n")
+        message = f"ensemble.csv: line 1: expected header '{header}'"
+        with pytest.raises(io.ReferenceFormatError, match=re.escape(message)):
+            io.load_run(tmp_path / "run")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
          "ensemble.csv: row 0: expected 5 counts"),

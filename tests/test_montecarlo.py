@@ -141,7 +141,7 @@ class TestEnsemble:
         def replicate(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(montecarlo, "_sd_replicate", replicate)
+        monkeypatch.setattr(montecarlo, "sample_params", replicate)
         with pytest.raises(ValueError, match=re.escape(f"sigma_fraction * {named}")):
             run_sd_ensemble(base, VariationSpec(*flags, sigma_fraction=sigma), weeks=2,
                             replicates=2, master_seed=1)
