@@ -104,6 +104,7 @@ from .core import (
     SirParams,
     WeeklySeries,
     check_replicates,
+    check_seed,
     replicate_rng,
     run_replicates,
 )
@@ -250,12 +251,14 @@ def run_abm_ensemble(
     checked before any network is built: ``weeks`` by
     :func:`sirvar.sd.week_indices`, ``params`` by :func:`check_transmission_mean`,
     the population, ``k`` and ``p_rewire`` by :func:`sirvar.network.check_network`,
-    and ``replicates`` and ``threads`` by :func:`sirvar.core.check_replicates`.
+    ``replicates`` and ``threads`` by :func:`sirvar.core.check_replicates`, and
+    ``master_seed`` by :func:`sirvar.core.check_seed`.
     """
     week_indices(1.0, weeks)
     check_transmission_mean(params)
     check_network(params.population, k, p_rewire)
     check_replicates(replicates, threads)
+    check_seed(master_seed)
 
     def network(*key: int) -> NetworkTopology:
         return build_small_world(params.population, k, p_rewire, replicate_rng(master_seed, *key))

@@ -13,8 +13,10 @@ records a null master seed.  ``run-mc`` and ``run-abm`` build their
 metadata first and execute it through :func:`sirvar.io.rerun_from_metadata`,
 so a saved ensemble reruns through the code that wrote it, and the CLI
 checks no flag itself.  Exit codes: 0 success, 1 runtime error, 2 usage
-error.  The one rule: a ``ValueError`` raised before the first replicate
-runs is a usage error, and any later failure is exit 1.
+error.  :func:`main` alone picks the code: a ``ValueError`` from a run
+command is a usage error, since the library raises one only for a bad input,
+before any network, replicate or step, and every other failure, every
+failure of ``compare`` included, is exit 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, io, stats
@@ -38,21 +39,6 @@ from .sd import DEFAULT_DT, integrate, week_indices
 
 # What run-mc's --vary can name besides "all", in the metadata's order of vary_* flags.
 _VARIED = ("illness", "contact", "infection")
-
-
-class UsageError(ValueError):
-    """An invalid flag value; maps to exit code 2."""
-
-
-@contextmanager
-def _building_inputs():
-    """Report a ``ValueError`` raised in the block as a usage error: the library
-    raises one for a bad input before the first replicate runs, and any later
-    failure, a replicate's included, is another type and exits 1."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,9 +101,8 @@ def _cpu_count() -> int:
 
 
 def cmd_run_sd(args) -> int:
-    with _building_inputs():
-        params, provenance = _params_from_args(args)
-        rows = week_indices(args.dt, args.weeks)
+    params, provenance = _params_from_args(args)
+    rows = week_indices(args.dt, args.weeks)
     _, i, r = integrate(params, rows[-1], args.dt).T
     meta = io.make_metadata(
         "sd", params, args.weeks, None,
@@ -152,13 +137,12 @@ def _abm_inputs(args) -> tuple[str, dict]:
 
 def cmd_run_ensemble(args) -> int:
     """Run-mc and run-abm: execute the metadata that ``args.inputs`` builds, then save."""
-    with _building_inputs():
-        params, provenance = _params_from_args(args)
-        kind, inputs = args.inputs(args)
-        meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
-        start = time.perf_counter()
-        ensemble = io.rerun_from_metadata(meta, threads=args.threads)
-        elapsed = time.perf_counter() - start
+    params, provenance = _params_from_args(args)
+    kind, inputs = args.inputs(args)
+    meta = io.make_metadata(kind, params, args.weeks, args.seed, **inputs)
+    start = time.perf_counter()
+    ensemble = io.rerun_from_metadata(meta, threads=args.threads)
+    elapsed = time.perf_counter() - start
     meta.update(
         clamped_draws=ensemble.clamped_draws,
         threads=args.threads,
@@ -280,12 +264,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"sirvar: usage error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures map to exit code 1
-        print(f"sirvar: error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        usage = isinstance(exc, ValueError) and args.func is not cmd_compare
+        print(f"sirvar: {'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

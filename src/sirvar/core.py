@@ -169,6 +169,12 @@ class EnsembleResult:
         return self.matrix.shape[1]
 
 
+def check_seed(master_seed: int) -> None:
+    """Raise ``ValueError`` unless ``master_seed`` is an unsigned 64-bit integer."""
+    if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
+        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
+
+
 def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     """Generator for one random stream of an ensemble.
 
@@ -177,11 +183,11 @@ def replicate_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     network that ``reuse_network`` shares among ABM replicates is keyed
     ``sirvar.abm._SHARED_NETWORK_KEY``; these keys are part of the
     reproducibility contract of every saved ensemble.  Both ensembles draw only from
-    here; :func:`sirvar.io.rerun_from_metadata` checks a master seed from metadata
-    first, type included, before any replicate runs.
+    here, and check their seed by :func:`check_seed` before any replicate runs;
+    :func:`sirvar.io.rerun_from_metadata` checks a master seed from metadata
+    first, type included.
     """
-    if not 0 <= master_seed < 2**64:  # no message formatting on this hot path
-        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
+    check_seed(master_seed)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
 

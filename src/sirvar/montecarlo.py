@@ -8,8 +8,8 @@ vary infection probability, and vary all three together.
 
 The draw for a given parameter of a given replicate comes from the
 :func:`sirvar.core.replicate_rng` stream keyed by the parameter's id, and
-replicates run through :func:`sirvar.core.run_replicates`.  Those two own
-the seed and size rules of both ensembles: as for the agent-based one, the
+replicates run through :func:`sirvar.core.run_replicates`.  :mod:`sirvar.core`
+owns the seed and size rules of both ensembles: as for the agent-based one, the
 ensemble size and master seed are arguments of :func:`run_sd_ensemble`,
 not part of a :class:`VariationSpec`.  ``_VARIED`` lists the parameters a
 :class:`VariationSpec` can vary: its order is the draw order, and its
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EnsembleResult, SirParams, replicate_rng, run_replicates
+from .core import EnsembleResult, SirParams, check_seed, replicate_rng, run_replicates
 from .sd import DEFAULT_DT, MAX_STEPS, integrate, week_indices
 
 # Attempts at redrawing an out-of-domain value before clamping.
@@ -126,8 +126,8 @@ def run_sd_ensemble(
     """Run the Monte-Carlo ensemble for one variation scenario.
 
     ``dt``, ``weeks``, each varied parameter's spread, which must be finite,
-    ``replicates`` and ``threads`` are checked before any replicate runs, and a
-    bad one raises ``ValueError``.  Replicate ``r``, one closure over these inputs
+    ``master_seed``, ``replicates`` and ``threads`` are checked before any replicate
+    runs, and a bad one raises ``ValueError``.  Replicate ``r``, one closure over these inputs
     for :func:`sirvar.core.run_replicates`, integrates ``sample_params(base, spec,
     master_seed, r)`` and keeps the week grid ``rows`` of :func:`sirvar.sd.week_indices`.
     Each replicate steps at ``dt / 2**k`` for the least ``k`` with
@@ -140,6 +140,7 @@ def run_sd_ensemble(
     """
     _check_spread(base, spec)
     rows = week_indices(dt, weeks)
+    check_seed(master_seed)
 
     def replicate(r: int) -> tuple[np.ndarray, int]:
         params, clamped = sample_params(base, spec, master_seed, r)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import sirvar
 import sirvar.abm
 import sirvar.cli
 import sirvar.core
+import sirvar.montecarlo
 from sirvar import io
 from sirvar.cli import main
 from sirvar.core import EnsembleResult
@@ -191,6 +193,18 @@ class TestUsage:
     def test_import_leaves_scipy_out(self):
         assert "scipy" not in self.modules_after_import("sirvar.cli")
 
+    def test_source_imports_only_the_standard_library_and_numpy(self):
+        # imports inside functions too, which importing sirvar.cli does not run
+        imported = set()
+        for path in Path(sirvar.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert "multiprocessing" in imported  # run_replicates' lazy import
+        assert not imported - {*sys.stdlib_module_names, "numpy"}
+
     @pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
     def test_import_leaves_process_pool_out(self, module):
         # serial commands never open a pool, so they never pay for its import
@@ -364,6 +378,23 @@ class TestRunMc:
         assert run("run-mc", "--vary", "contact", "--illness-duration", "1e-6",
                    "--replicates", "1", "--weeks", "1", "--out", str(out)) == 1
         assert "sirvar: error: replicate 0 failed: 1/D = 1000000.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_value_error_in_a_replicate_exits_1(self, tmp_path, capsys, monkeypatch, threads):
+        # with 2 threads, replicate 1 fails in a forked worker
+        sample_params = sirvar.montecarlo.sample_params
+
+        def fail_replicate_1(base, spec, master_seed, r):
+            if r == 1:
+                raise ValueError("bad draw")
+            return sample_params(base, spec, master_seed, r)
+
+        monkeypatch.setattr(sirvar.montecarlo, "sample_params", fail_replicate_1)
+        out = tmp_path / "mc"
+        assert run("run-mc", "--vary", "all", "--replicates", "2", "--weeks", "2",
+                   "--threads", threads, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "sirvar: error: replicate 1 failed: bad draw\n"
         assert not out.exists()
 
     def test_clamped_draws_are_recorded_and_reloaded(self, tmp_path, capsys):

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import sirvar
+import sirvar.abm
 import sirvar.core
+from sirvar.abm import run_abm_ensemble
 from sirvar.core import (
     EnsembleResult,
     SirParams,
@@ -23,6 +25,7 @@ from sirvar.core import (
     final_size_reproduction_number,
     run_replicates,
 )
+from sirvar.montecarlo import VariationSpec, run_sd_ensemble
 
 from paper_params import default_params
 
@@ -243,6 +246,24 @@ class TestRunReplicates:
     def test_needs_a_thread(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             run_replicates(partial(_fail_at_three, 10), 3, threads=threads)
+
+
+def _no_work(*args):
+    raise AssertionError("a network or replicate ran")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("ensemble", [
+    lambda p, seed: run_sd_ensemble(p, VariationSpec(vary_contact=True), 2, 2, seed),
+    lambda p, seed: run_abm_ensemble(p, 4, 0.1, 2, 2, seed),
+    lambda p, seed: run_abm_ensemble(p, 4, 0.1, 2, 2, seed, reuse_network=True),
+], ids=["sd-mc", "abm-fresh", "abm-shared"])
+def test_ensembles_check_the_seed_before_any_work(monkeypatch, ensemble, seed):
+    monkeypatch.setattr(sirvar.core, "_run_share", _no_work)
+    monkeypatch.setattr(sirvar.abm, "build_small_world", _no_work)
+    with pytest.raises(ValueError) as info:
+        ensemble(make_params(), seed)
+    assert str(info.value) == f"master_seed must be an unsigned 64-bit integer, got {seed}"
 
 
 def _pid(r):
