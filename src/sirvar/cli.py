@@ -5,8 +5,9 @@ model), ``run-mc`` (Monte-Carlo parameter variation of the deterministic
 model), ``run-abm`` (agent-based ensemble) and ``compare`` (signed-rank
 validation against a reference series plus variance totals).
 
-Every command writes one run directory under ``--out`` containing the
-results and a ``metadata.json`` sufficient to reproduce them bit-exactly.
+Each run command writes one run directory under ``--out`` containing the
+results and a ``metadata.json`` sufficient to reproduce them bit-exactly, and
+``compare`` writes ``report.csv`` and ``report.txt`` there.
 Only ``run-mc`` and ``run-abm`` take ``--seed``, ``--replicates`` and ``--threads``,
 and no thread count affects any output value; ``run-sd`` draws nothing and
 records a null master seed.  ``run-mc`` and ``run-abm`` build their
@@ -120,7 +121,7 @@ def cmd_run_sd(args) -> int:
 
 def _mc_inputs(args) -> tuple[str, dict]:
     flags = {f"vary_{name}": args.vary in (name, "all") for name in _VARIED}
-    return "sd-mc", dict(dt=args.dt, scenario=args.vary, **flags, sigma_fraction=args.sigma,
+    return "sd-mc", dict(dt=args.dt, **flags, sigma_fraction=args.sigma,
                          replicates=args.replicates)
 
 
@@ -131,7 +132,6 @@ def _abm_inputs(args) -> tuple[str, dict]:
         network_p_rewire=args.p_rewire,
         reuse_network=args.reuse_network,
         exponential_recovery=args.exponential_recovery,
-        recovery_model="exponential" if args.exponential_recovery else "fixed-duration",
     )
 
 

@@ -22,17 +22,11 @@ it, which inherit that function; only indices and rows are pickled.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # glibc's; other C libraries have none
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
 
 #: Number of people in the Osterlovsta study region (Russian influenza, Sweden,
 #: 1889-90) used as the default experiment size.
@@ -230,10 +224,7 @@ def run_replicates(fn, replicates: int, threads: int = 1) -> list:
     as a ``ValueError``; a failure in replicate ``r`` is raised as
     ``RuntimeError("replicate r failed: ...")``: the lowest-numbered one when
     several fail, where a worker that dies counts as failing at its first
-    replicate.  Every worker is joined before this returns or raises.  A
-    forked worker starts with every resident page of this process, even freed
-    heap that glibc kept because a live block sits above it, so the free heap
-    is handed back first: workers start from the live data alone.
+    replicate.  Every worker is joined before this returns or raises.
     """
     check_replicates(replicates, threads)
     workers = min(threads, replicates)
@@ -242,8 +233,6 @@ def run_replicates(fn, replicates: int, threads: int = 1) -> list:
         if workers > 1:
             import multiprocessing  # serial runs never load it
 
-            if _malloc_trim is not None:
-                _malloc_trim(0)
             fork = multiprocessing.get_context("fork")
         for k in range(1, workers):
             conn, child = fork.Pipe()

@@ -3,8 +3,8 @@
 Every weekly-count file (a ``week,infected`` reference series, and a run's
 ``series.csv``, ``ensemble.csv`` and ``summary.csv``) is one UTF-8,
 comma-separated table: a header line, then rows of an index (weeks count
-from 1, replicates from 0) and finite non-negative counts.  Every run file
-is read through the same count check, which names the file.
+from 1, replicates from 0) and finite non-negative counts.  ``summary.csv``
+is never read back; the others are read through one count check, which names the file.
 The bundled ``data/synthetic_reference.csv`` is the calibrated deterministic
 run's weekly prevalence, rounded to whole counts (``tests/synthetic_reference.py``
 regenerates it): a stand-in with the right shape and scale, not observed data.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .abm import run_abm_ensemble
-from .core import EnsembleResult, SirParams
+from .core import EnsembleResult, SirParams, check_seed
 from .montecarlo import VariationSpec, run_sd_ensemble
 from .sd import integrate, week_indices
 from .stats import WeeklySummary
@@ -51,7 +51,7 @@ STREAM_VERSIONS = {"sd_mc": 1, "network": 3, "abm": 4}
 # A count must be an int, not a bool, as load_run reads one; the runners
 # reject one below 1.  A real is any JSON number but a boolean.
 _COUNT = (lambda v: type(v) is int, "an integer >= 1")
-_SEED = (lambda v: type(v) is int and 0 <= v < 2**64, "an unsigned 64-bit integer")
+_SEED = (lambda v: type(v) is int, "an unsigned 64-bit integer")
 _FLAG = (lambda v: type(v) is bool, "a boolean")
 _REAL = (lambda v: type(v) in (int, float), "a number")
 _RUN = {"params": (lambda v: type(v) is dict, "an object"), "weeks": _COUNT}
@@ -169,7 +169,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     :data:`STREAM_VERSIONS` (no ``streams``, or no family in it, counts as 1),
     then any field of the kind's row of ``_KINDS`` that breaks its rule or is
     missing, named as ``"<field> must be <rule>, got <value>"`` (a missing one
-    reads ``None``), a ``params`` whose keys are not exactly the fields of
+    reads ``None``), a master seed that :func:`sirvar.core.check_seed` rejects,
+    a ``params`` whose keys are not exactly the fields of
     :class:`SirParams`, naming the missing and unknown ones, and whatever the
     parameter types and runners reject.  A failure
     inside replicate ``r`` is raised as ``RuntimeError("replicate r failed:
@@ -190,6 +191,8 @@ def rerun_from_metadata(meta: dict, threads: int = 1) -> EnsembleResult:
     for name, (valid, what) in rules.items():
         if not valid(meta.get(name)):
             raise ValueError(f"{name} must be {what}, got {meta.get(name)!r}")
+    if "master_seed" in rules:
+        check_seed(meta["master_seed"])
     missing = [name for name in _PARAMS if name not in meta["params"]]
     unknown = [name for name in meta["params"] if name not in _PARAMS]
     if missing or unknown:

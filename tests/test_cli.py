@@ -164,6 +164,9 @@ class TestUsage:
         (["run-abm", "--k", "3"], "mean degree k must be a positive even integer, got 3"),
         (["run-abm", "--p-rewire", "1.5"], "p_rewire must be in [0, 1], got 1.5"),
         (["run-abm", "--p-rewire", "nan"], "p_rewire must be in [0, 1], got nan"),
+        # a bad seed is named before a bad spread
+        (["run-mc", "--vary", "all", "--sigma", "0", "--seed", "-1"],
+         "master_seed must be an unsigned 64-bit integer, got -1\n"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, monkeypatch, argv, named):
         def work(*args):
@@ -249,16 +252,40 @@ class TestMetadataSchema:
         (["run-sd"], [*RUN_KEYS, "dt", "parameter_provenance", "peak_infected", "peak_day",
                       "cumulative_recovered_final"]),
         (["run-mc", "--vary", "all", "--replicates", "2"],
-         [*RUN_KEYS, "dt", "scenario", "vary_illness", "vary_contact", "vary_infection",
+         [*RUN_KEYS, "dt", "vary_illness", "vary_contact", "vary_infection",
           "sigma_fraction", "replicates", *ENSEMBLE_KEYS]),
         (["run-abm", "--population", "300", "--replicates", "2"],
          [*RUN_KEYS, "replicates", "network_k", "network_p_rewire", "reuse_network",
-          "exponential_recovery", "recovery_model", *ENSEMBLE_KEYS]),
+          "exponential_recovery", *ENSEMBLE_KEYS]),
     ], ids=["run-sd", "run-mc", "run-abm"])
     def test_keys_in_order(self, tmp_path, capsys, argv, keys):
         assert run(*argv, "--weeks", "2", "--out", str(tmp_path)) == 0
         capsys.readouterr()
         assert list(read_meta(tmp_path)) == keys
+
+    @pytest.mark.parametrize("argv, after, label", [
+        (["run-mc", "--vary", "contact"], "dt", {"scenario": "contact"}),
+        (["run-abm", "--population", "300", "--exponential-recovery"], "exponential_recovery",
+         {"recovery_model": "exponential"}),
+    ], ids=["sd-mc-scenario", "abm-recovery-model"])
+    def test_metadata_with_a_label_of_its_flags_still_reruns(self, tmp_path, capsys, argv,
+                                                            after, label):
+        """Older runs also recorded a label restating their flags; such a
+        metadata.json still loads and reruns to its saved matrix."""
+        assert run(*argv, "--replicates", "3", "--seed", "5", "--initial-infected", "10",
+                   "--weeks", "3", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        old = {}
+        for key, value in read_meta(tmp_path).items():
+            old[key] = value
+            if key == after:
+                old.update(label)
+        (tmp_path / "metadata.json").write_text(json.dumps(old, indent=2), encoding="utf-8")
+        loaded = io.load_run(tmp_path)
+        assert loaded["metadata"] == old
+        saved = loaded["ensemble"].matrix
+        assert saved.any()
+        assert np.array_equal(io.rerun_from_metadata(loaded["metadata"]).matrix, saved)
 
     def test_run_directory_is_metadata_and_csv_tables(self, tmp_path, capsys):
         ensemble_files = {"metadata.json", "ensemble.csv", "summary.csv"}

@@ -2,16 +2,12 @@ import math
 import multiprocessing
 import os
 import re
-import subprocess
-import sys
 import time
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sirvar
 import sirvar.abm
 import sirvar.core
 from sirvar.abm import run_abm_ensemble
@@ -305,36 +301,3 @@ class TestPoolSize:
             run_replicates(_exit_in_worker, 3, threads=3)
         assert multiprocessing.active_children() == []
 
-
-# Run in a fresh interpreter, whose heap holds nothing freed yet.
-_PINNED_HEAP = """
-import numpy as np
-from sirvar.core import run_replicates
-
-def rss_anon_mb(r=0):
-    with open("/proc/self/status", encoding="ascii") as fh:
-        return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("RssAnon:"))
-
-baseline = rss_anon_mb()
-big = np.ones(529_100)
-del big  # freeing a large mapped block raises glibc's mmap threshold
-temps = [np.ones(529_100) for _ in range(5)]  # about 21 MB, now on the heap
-keep = np.ones(200_000)  # a live block above them
-del temps
-print(baseline, rss_anon_mb(), *run_replicates(rss_anon_mb, replicates=2, threads=2))
-"""
-
-
-@pytest.mark.skipif(sirvar.core._malloc_trim is None or not os.path.exists("/proc/self/status"),
-                    reason="needs glibc and /proc")
-def test_pool_workers_do_not_inherit_freed_heap():
-    """Temporaries freed under a live block stay resident in glibc's heap;
-    a forked worker would start with them unless the pool trims first."""
-    package_root = str(Path(sirvar.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {package_root!r})\n" + _PINNED_HEAP
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60)
-    baseline, pinned, *workers = map(float, done.stdout.split())
-    if pinned < baseline + 15:
-        pytest.skip("the heap returned the temporaries by itself")
-    assert max(workers) < pinned - 10
